@@ -31,7 +31,7 @@ from .cfun import (
     support_module,
 )
 from .chainring import ChainRingCtx, RingScalar
-from .cli import main, parse_poly
+from .errors import InvariantError
 from .groebner import (
     GroebnerBasis,
     ideal_contains,
@@ -51,6 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainRingCtx",
     "RingScalar",
+    "InvariantError",
     "Matrix",
     "howell_form",
     "span_contains",
@@ -95,7 +96,5 @@ __all__ = [
     "stalk",
     "support_module",
     "bfunction_contains",
-    "parse_poly",
-    "main",
     "__version__",
 ]

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .cartier import IdealGens, cartier_generators
 from .chainring import ChainRingCtx
+from .errors import InvariantError
 from .groebner import min_p_power_in, strong_groebner
 from .nu import NuLevelSet, nu_set, require_nonzerodivisor
 from .padic import PAdicRational, fraction_val, reconstruct
@@ -102,7 +103,8 @@ def candidate_residues(f: Poly, lift: FrobeniusLift, top_level: int) -> ResidueT
     survivors = [base]
     for e in range(1, top_level + 1):
         ns = nu_set(f, lift, e)
-        assert len(ns.members) <= card_bound, "level set exceeded cardinality bound"
+        if len(ns.members) > card_bound:
+            raise InvariantError("level set exceeded cardinality bound")
         below = set(survivors[-1])
         step = p ** (e - 1 + m)
         levels.append(ns)
@@ -154,7 +156,8 @@ def detect_roots(
                 for e in range(top_level + 1)
             )
         ]
-        assert len(verified) <= 1, "reconstruction bound violated"
+        if len(verified) > 1:
+            raise InvariantError("reconstruction bound violated")
         if verified:
             roots.append(RootEntry(alpha=verified[0], residue=r))
         else:
@@ -162,9 +165,11 @@ def detect_roots(
     roots.sort(key=lambda entry: entry.alpha.frac)
     for entry in roots:
         shift = -(math.floor(entry.alpha.frac) + 1)
-        assert Fraction(-1) <= entry.alpha.frac + shift < 0, "no integral translate"
+        if not Fraction(-1) <= entry.alpha.frac + shift < 0:
+            raise InvariantError("no integral translate")
     if lift.is_standard and set(f.terms.values()) == {1} and len(f.terms) == 1:
-        assert all(entry.alpha < 0 for entry in roots), "positive root of a monomial"
+        if not all(entry.alpha < 0 for entry in roots):
+            raise InvariantError("positive root of a monomial")
     return RootReport(
         p=p,
         m=m,
@@ -206,8 +211,8 @@ def strength(
             )
         )
         value = max(min_p_power_in(gb, g) for g in coords)
-        if computed:
-            assert value <= computed[-1][1], "strength increased with the level"
+        if computed and value > computed[-1][1]:
+            raise InvariantError("strength increased with the level")
         computed.append((e, value))
         if value == 0 or (len(computed) >= 2 and computed[-2][1] == value):
             stabilized = True
@@ -247,7 +252,8 @@ def bfunction_report(
     )
     graded = []
     for entry, res in zip(report.roots, results):
-        assert res.value >= 1, "verified root with vanishing strength"
+        if res.value < 1:
+            raise InvariantError("verified root with vanishing strength")
         graded.append(
             replace(entry, strength=res.value, stabilized=res.stabilized)
         )

@@ -14,15 +14,14 @@ Degrees drop by the factor p^e, which is the engine's source of finiteness.
 from __future__ import annotations
 
 from .chainring import ChainRingCtx
-from .poly import FrobeniusLift, Poly, frobenius_apply, phi_decompose
+from .poly import FrobeniusLift, Poly, frobenius_apply, grevlex_desc_key, phi_decompose
 
 
 def _gen_sort_key(g: Poly):
     lm = g.leading_monomial()
     lc = g.leading_coeff()
     # descending degrevlex on the leading monomial, then ascending coefficient
-    desc = (-sum(lm), tuple(reversed(lm)))
-    return (desc, lc, g.sort_key())
+    return (grevlex_desc_key(lm), lc, g.sort_key())
 
 
 class IdealGens:

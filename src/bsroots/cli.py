@@ -37,6 +37,7 @@ from .bsr import (
     strength,
 )
 from .chainring import ChainRingCtx
+from .errors import InvariantError
 from .nu import nu_set
 from .padic import PAdicRational
 from .poly import FrobeniusLift, Poly
@@ -321,7 +322,7 @@ def run(argv=None):
     }
     try:
         code, doc, lines = _dispatch(args, ctx, names, f, lift, alpha, threads, config)
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, InvariantError) as exc:
         return 3, _render_error(args, exc)
     if args.format == "structured":
         return code, json.dumps(doc, indent=2)

@@ -13,9 +13,14 @@ generators under two kinds of syzygies:
     their leading terms are often reducible while their tails carry new
     information, and reduction first would lose it.
 
-Elements are unit-normalized (leading coefficient an exact power of p),
-tails are interreduced at the end, and the result is sorted, so equal
-ideals yield identical element tuples.
+Completion is incremental: one basis grows by appending, and its
+leading-term index with it. Elements are unit-normalized (leading
+coefficient an exact power of p), each tail is reduced by the completed
+basis at the end, and the result is sorted. The result is deterministic for
+a given generating set, but no redundant element is removed, so generating
+sets of one ideal can complete to different tuples: (x) gives (x,) while
+(x, x*y) gives (x*y, x). Tuples become canonical across generating sets only
+once bases are reduced.
 """
 
 from __future__ import annotations
@@ -24,22 +29,41 @@ import heapq
 import itertools
 
 from .cartier import IdealGens, _gen_sort_key
+from .errors import InvariantError
 from .linalg import Matrix, span_contains
-from .poly import Poly, grevlex_key, mono_divides, mono_lcm, mono_quot
+from .poly import (
+    Poly,
+    grevlex_desc_key,
+    grevlex_key,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    mono_quot,
+)
 
 
 class GroebnerBasis:
-    """Completed, canonicalized strong basis; supports membership queries."""
+    """Completed strong basis; supports membership queries.
+
+    ``_lts`` is the leading-term index that reduction scans, one
+    (lm, val(lc), lc, element) entry per element in basis order.
+    """
 
     __slots__ = ("ctx", "nvars", "elements", "_lts")
 
     def __init__(self, ctx, nvars, elements):
         self.ctx = ctx
         self.nvars = nvars
-        self.elements = tuple(elements)
-        self._lts = tuple(
-            (g.leading_monomial(), g.leading_coeff(), g) for g in self.elements
-        )
+        self.elements = ()
+        self._lts = []
+        for g in elements:
+            self._append(g)
+
+    def _append(self, g: Poly):
+        """Grow the basis by g; only completion calls this, before it returns."""
+        lm, lc = g.leading_term()
+        self.elements += (g,)
+        self._lts.append((lm, self.ctx.val(lc), lc, g))
 
     def __eq__(self, other):
         return (
@@ -75,26 +99,43 @@ def normal_form(g: Poly, basis: GroebnerBasis) -> Poly:
 
     Repeatedly reduces the current leading term by the first basis element
     whose leading term divides it; irreducible leading terms move to the
-    output and reduction continues on the strictly smaller rest.
+    output and reduction continues on the strictly smaller rest. The rest is
+    one mutable term dict with a heap of its monomials, largest first; a
+    monomial can sit in the heap twice after it cancels and reappears, and
+    the stale entry finds no term left.
     """
     ctx = g.ctx
+    mod = ctx.modulus
+    work = dict(g.terms)
+    heap = [(grevlex_desc_key(mono), mono) for mono in work]
+    heapq.heapify(heap)
     out = {}
-    work = g
-    while not work.is_zero():
-        mono, c = work.leading_term()
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        c = work.pop(mono, 0)
+        if not c:
+            continue
         cval = ctx.val(c)
-        hit = None
-        for lm, lc, b in basis._lts:
-            if ctx.val(lc) <= cval and mono_divides(lm, mono):
-                hit = (lm, lc, b)
+        for lm, lval, lc, b in basis._lts:
+            if lval <= cval and mono_divides(lm, mono):
+                # q * lc = c exactly, so the term at mono cancels
+                q = ctx.divide_exact(c, lc)
+                shift = mono_quot(lm, mono)
+                for bm, bc in b.terms.items():
+                    if bm == lm:
+                        continue
+                    t = mono_mul(bm, shift)
+                    old = work.get(t)
+                    new = ((old or 0) - q * bc) % mod
+                    if new:
+                        work[t] = new
+                        if old is None:
+                            heapq.heappush(heap, (grevlex_desc_key(t), t))
+                    elif old is not None:
+                        del work[t]
                 break
-        if hit is None:
-            out[mono] = c
-            work = work - Poly.monomial(ctx, g.nvars, mono, c)
         else:
-            lm, lc, b = hit
-            q = ctx.divide_exact(c, lc)
-            work = work - b.term_mul(mono_quot(lm, mono), q)
+            out[mono] = c
     return Poly(ctx, g.nvars, out)
 
 
@@ -127,12 +168,13 @@ def strong_groebner(J) -> GroebnerBasis:
     if isinstance(J, GroebnerBasis):
         return J
     ctx, nvars = J.ctx, J.nvars
-    elements = []
+    live = GroebnerBasis(ctx, nvars, ())
     seen = set()
     pairs = []
     counter = itertools.count()
 
     def push_pairs(h):
+        elements = live.elements
         k = len(elements) - 1
         for i in range(k):
             gamma = mono_lcm(elements[i].leading_monomial(), h.leading_monomial())
@@ -140,14 +182,14 @@ def strong_groebner(J) -> GroebnerBasis:
 
     def add(h: Poly, reduce_first: bool):
         if reduce_first:
-            h = normal_form(h, GroebnerBasis(ctx, nvars, elements))
+            h = normal_form(h, live)
         if h.is_zero():
             return
         h = _normalize_unit(h)
         if h in seen:
             return
         seen.add(h)
-        elements.append(h)
+        live._append(h)
         push_pairs(h)
         a = _annihilator_step(h)
         if a is not None:
@@ -157,14 +199,13 @@ def strong_groebner(J) -> GroebnerBasis:
         add(g, reduce_first=False)
     while pairs:
         _, _, i, k = heapq.heappop(pairs)
-        add(_s_poly(elements[i], elements[k]), reduce_first=True)
+        add(_s_poly(live.elements[i], live.elements[k]), reduce_first=True)
 
-    final = GroebnerBasis(ctx, nvars, elements)
     tidied = []
-    for g in elements:
+    for g in live.elements:
         mono, c = g.leading_term()
         head = Poly.monomial(ctx, nvars, mono, c)
-        tidied.append(head + normal_form(g - head, final))
+        tidied.append(head + normal_form(g - head, live))
     tidied.sort(key=_gen_sort_key)
     return GroebnerBasis(ctx, nvars, tidied)
 
@@ -189,7 +230,7 @@ def min_p_power_in(J, g: Poly) -> int:
     for t in range(ctx.m + 2):
         if gb.contains(g * ctx.p**t):
             return t
-    raise AssertionError("p^(m+1) annihilates everything")
+    raise InvariantError("p^(m+1) annihilates everything")
 
 
 def _monomials_upto(nvars, cap):

@@ -9,7 +9,7 @@ shared between consecutive steps.
 ``nu_of_ideal`` is the relative variant: the largest n with f^n outside the
 e-fold Frobenius pullback of a fixed ideal J. Nonmembership is downward
 closed along the chain, so the first membership hit decides it, and the
-result always lands in the level-e invariant set of f (asserted per call).
+result always lands in the level-e invariant set of f (checked per call).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartier import IdealGens, cartier_generators, frobenius_pullback_ideal
+from .errors import InvariantError
 from .groebner import GroebnerBasis, strong_groebner
 from .poly import FrobeniusLift, Poly
 
@@ -48,12 +49,16 @@ def _descent_gb(f_power: Poly, lift: FrobeniusLift, e: int):
     return gens, strong_groebner(gens)
 
 
-def _gens_equal(gens_a, gb_a: GroebnerBasis, gens_b, gb_b: GroebnerBasis) -> bool:
-    if gb_a.elements == gb_b.elements:
+def _gens_equal(outer_gens, outer_gb: GroebnerBasis, inner_gb: GroebnerBasis) -> bool:
+    """Whether the descent ideal of (f^n) equals that of (f^(n+1)).
+
+    ``outer_*`` belong to step n, ``inner_gb`` to step n+1. Since (f^(n+1))
+    lies inside (f^n), the inner descent ideal lies inside the outer one,
+    so equality only needs every outer generator to be an inner member.
+    """
+    if outer_gb.elements == inner_gb.elements:
         return True
-    return all(gb_a.contains(h) for h in gens_b.gens) and all(
-        gb_b.contains(h) for h in gens_a.gens
-    )
+    return all(inner_gb.contains(h) for h in outer_gens.gens)
 
 
 def is_nu(f: Poly, lift: FrobeniusLift, e: int, n: int) -> bool:
@@ -62,9 +67,9 @@ def is_nu(f: Poly, lift: FrobeniusLift, e: int, n: int) -> bool:
     if e < 1:
         raise ValueError("level must be >= 1")
     n %= f.ctx.p ** (e + f.ctx.m)
-    ga, gba = _descent_gb(f**n, lift, e)
-    gb, gbb = _descent_gb(f ** (n + 1), lift, e)
-    return not _gens_equal(ga, gba, gb, gbb)
+    gens, gb = _descent_gb(f**n, lift, e)
+    _, next_gb = _descent_gb(f ** (n + 1), lift, e)
+    return not _gens_equal(gens, gb, next_gb)
 
 
 def nu_set(f: Poly, lift: FrobeniusLift, e: int) -> NuLevelSet:
@@ -79,7 +84,7 @@ def nu_set(f: Poly, lift: FrobeniusLift, e: int) -> NuLevelSet:
     for n in range(window):
         power = power * f
         next_gens, next_gb = _descent_gb(power, lift, e)
-        if not _gens_equal(gens, gb, next_gens, next_gb):
+        if not _gens_equal(gens, gb, next_gb):
             members.append(n)
         gens, gb = next_gens, next_gb
     return NuLevelSet(f=f, lift=lift, e=e, window=window, members=tuple(members))
@@ -118,5 +123,6 @@ def nu_of_ideal(
         raise ValueError("f^0 already lies in the pulled-back ideal")
     result = n - 1
     if check_member:
-        assert is_nu(f, lift, e, result), "relative invariant escaped the level set"
+        if not is_nu(f, lift, e, result):
+            raise InvariantError("relative invariant escaped the level set")
     return result

@@ -14,6 +14,7 @@ F^e(g_alpha) * x^alpha, the coordinates the descent operators act on.
 from __future__ import annotations
 
 from .chainring import ChainRingCtx
+from .errors import InvariantError
 
 NEG_INF = float("-inf")
 
@@ -21,6 +22,11 @@ NEG_INF = float("-inf")
 def grevlex_key(mono):
     """Sort key for degrevlex with x1 > x2 > ...; max over a support = lead."""
     return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+def grevlex_desc_key(mono):
+    """Sort key whose ascending order is descending degrevlex; a heap key."""
+    return (-sum(mono), tuple(reversed(mono)))
 
 
 def mono_mul(a, b):
@@ -41,9 +47,12 @@ def mono_lcm(a, b):
 
 
 class Poly:
-    """Immutable sparse polynomial; ``terms`` maps monomial -> coefficient."""
+    """Immutable sparse polynomial; ``terms`` maps monomial -> coefficient.
 
-    __slots__ = ("ctx", "nvars", "terms", "_hash")
+    The hash and the leading monomial are computed on first use and cached.
+    """
+
+    __slots__ = ("ctx", "nvars", "terms", "_hash", "_lm")
 
     def __init__(self, ctx: ChainRingCtx, nvars: int, terms=None):
         mod = ctx.modulus
@@ -60,6 +69,7 @@ class Poly:
         self.nvars = nvars
         self.terms = clean
         self._hash = None
+        self._lm = None
 
     @classmethod
     def zero(cls, ctx, nvars):
@@ -100,17 +110,21 @@ class Poly:
         """Terms in descending monomial order."""
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
+    def leading_monomial(self):
+        # only the monomial is cached: a (monomial, coefficient) pair per
+        # polynomial raised peak memory measurably
+        if self._lm is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            self._lm = max(self.terms, key=grevlex_key)
+        return self._lm
+
     def leading_term(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=grevlex_key)
+        mono = self.leading_monomial()
         return mono, self.terms[mono]
 
-    def leading_monomial(self):
-        return self.leading_term()[0]
-
     def leading_coeff(self):
-        return self.leading_term()[1]
+        return self.terms[self.leading_monomial()]
 
     def min_coeff_val(self):
         """Least valuation over the coefficients; m+1 for the zero polynomial."""
@@ -366,7 +380,7 @@ def phi_decompose(f: Poly, lift: FrobeniusLift, e: int) -> dict:
     rounds = 0
     while not pending.is_zero():
         if rounds > lift.ctx.m:
-            raise AssertionError("decomposition failed to converge")
+            raise InvariantError("decomposition failed to converge")
         rounds += 1
         step = _split_base_q(pending, q)
         rebuilt = Poly.zero(f.ctx, f.nvars)

@@ -2,15 +2,22 @@
 
 Everything here is deliberately naive and engine-free: exhaustive
 enumeration, double loops, and closed-form floor arithmetic for powers of a
-single variable. Slow but obviously correct on small inputs.
+single variable. Slow but obviously correct on small inputs. The one
+exception is the reference Groebner completion at the end: it is the
+engine's earlier, non-incremental code, kept to pin the outputs of the
+current one term for term.
 """
 
+import heapq
+import itertools
 import math
 import random
 from fractions import Fraction
 from itertools import product
 
 from bsroots import ChainRingCtx, Poly
+from bsroots.cartier import _gen_sort_key
+from bsroots.poly import grevlex_key, mono_divides, mono_lcm, mono_quot
 
 
 def exhaustive_span(rows, ncols, modulus):
@@ -94,3 +101,121 @@ def int_val(p, n, cap):
         n //= p
         v += 1
     return v
+
+
+# Strong Groebner completion and normal form as they were before completion
+# became incremental: the basis index is rebuilt on every insertion and each
+# reduction step builds new polynomials. Completion and reduction recompute
+# leading terms from the support, so they do not read Poly's cache; only
+# the final sort shares the engine's generator order (cartier._gen_sort_key).
+
+
+def _lt(g):
+    if not g.terms:
+        raise ValueError("zero polynomial has no leading term")
+    mono = max(g.terms, key=grevlex_key)
+    return mono, g.terms[mono]
+
+
+class ReferenceBasis:
+    """Element tuple plus the (lm, lc, element) index, built in one go."""
+
+    def __init__(self, ctx, nvars, elements):
+        self.ctx = ctx
+        self.nvars = nvars
+        self.elements = tuple(elements)
+        self._lts = tuple(_lt(g) + (g,) for g in self.elements)
+
+
+def _normalize_unit_reference(g):
+    u = g.ctx.unit_part(_lt(g)[1])
+    if u == 1:
+        return g
+    return g * g.ctx.invert(u)
+
+
+def normal_form_reference(g, basis):
+    """Remainder of g by a ReferenceBasis, first divisor first."""
+    ctx = g.ctx
+    out = {}
+    work = g
+    while not work.is_zero():
+        mono, c = _lt(work)
+        cval = ctx.val(c)
+        hit = None
+        for lm, lc, b in basis._lts:
+            if ctx.val(lc) <= cval and mono_divides(lm, mono):
+                hit = (lm, lc, b)
+                break
+        if hit is None:
+            out[mono] = c
+            work = work - Poly.monomial(ctx, g.nvars, mono, c)
+        else:
+            lm, lc, b = hit
+            q = ctx.divide_exact(c, lc)
+            work = work - b.term_mul(mono_quot(lm, mono), q)
+    return Poly(ctx, g.nvars, out)
+
+
+def _s_poly_reference(f, g):
+    ctx = f.ctx
+    lmf, lcf = _lt(f)
+    lmg, lcg = _lt(g)
+    gamma = mono_lcm(lmf, lmg)
+    jf, jg = ctx.val(lcf), ctx.val(lcg)
+    j = max(jf, jg)
+    sf = f.term_mul(mono_quot(lmf, gamma), ctx.p ** (j - jf))
+    sg = g.term_mul(mono_quot(lmg, gamma), ctx.p ** (j - jg))
+    return sf - sg
+
+
+def _annihilator_step_reference(g):
+    ctx = g.ctx
+    jmax = g.max_coeff_val()
+    a = g * ctx.p ** (ctx.m + 1 - jmax)
+    return None if a.is_zero() else a
+
+
+def strong_groebner_reference(J):
+    """Completed, tidied and sorted strong basis of the IdealGens J."""
+    ctx, nvars = J.ctx, J.nvars
+    elements = []
+    seen = set()
+    pairs = []
+    counter = itertools.count()
+
+    def push_pairs(h):
+        k = len(elements) - 1
+        for i in range(k):
+            gamma = mono_lcm(_lt(elements[i])[0], _lt(h)[0])
+            heapq.heappush(pairs, (sum(gamma), next(counter), i, k))
+
+    def add(h, reduce_first):
+        if reduce_first:
+            h = normal_form_reference(h, ReferenceBasis(ctx, nvars, elements))
+        if h.is_zero():
+            return
+        h = _normalize_unit_reference(h)
+        if h in seen:
+            return
+        seen.add(h)
+        elements.append(h)
+        push_pairs(h)
+        a = _annihilator_step_reference(h)
+        if a is not None:
+            add(a, reduce_first=False)
+
+    for g in J.gens:
+        add(g, reduce_first=False)
+    while pairs:
+        _, _, i, k = heapq.heappop(pairs)
+        add(_s_poly_reference(elements[i], elements[k]), reduce_first=True)
+
+    final = ReferenceBasis(ctx, nvars, elements)
+    tidied = []
+    for g in elements:
+        mono, c = _lt(g)
+        head = Poly.monomial(ctx, nvars, mono, c)
+        tidied.append(head + normal_form_reference(g - head, final))
+    tidied.sort(key=_gen_sort_key)
+    return ReferenceBasis(ctx, nvars, tidied)

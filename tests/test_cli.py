@@ -283,3 +283,42 @@ def test_installed_console_script():
                          text=True, env=_child_env(), timeout=SUBPROCESS_TIMEOUT_S)
     assert out.returncode == 0, out.stderr
     assert "--mode" in out.stdout
+
+
+@pytest.mark.parametrize("module", ["bsroots", "bsroots.cli"])
+def test_module_entry_points(module):
+    out = subprocess.run([sys.executable, "-m", module, "--help"], capture_output=True,
+                         text=True, env=_child_env(), timeout=SUBPROCESS_TIMEOUT_S)
+    assert out.returncode == 0, out.stderr
+    assert "--mode" in out.stdout
+    assert "RuntimeWarning" not in out.stderr, out.stderr
+
+
+def test_invariant_failure_exits_3_under_optimize():
+    # the child replaces nu_set by one whose level set breaks the cardinality
+    # bound; under -O a bare assert would be stripped and the run would pass
+    child = """
+import sys
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+from bsroots import NuLevelSet, bsr
+from bsroots.cli import run
+real = bsr.nu_set
+def bloated(f, lift, e):
+    ns = real(f, lift, e)
+    return NuLevelSet(f=f, lift=lift, e=e, window=ns.window,
+                      members=tuple(range(ns.window)))
+bsr.nu_set = bloated
+code, text = run(sys.argv[1:])
+print(text)
+sys.exit(code)
+"""
+    argv = ["--p=2", "--m=1", "--vars=x", "--poly=x", "--mode=roots", "--max-level=3",
+            "--den-bound=1", "--num-bound=1", "--format=structured"]
+    out = subprocess.run([sys.executable, "-O", "-c", child] + argv,
+                         capture_output=True, text=True, env=_child_env(),
+                         timeout=SUBPROCESS_TIMEOUT_S)
+    assert out.returncode == 3, out.stderr
+    error = json.loads(out.stdout)["error"]
+    assert error == {"type": "InvariantError",
+                     "message": "level set exceeded cardinality bound"}

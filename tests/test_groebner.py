@@ -14,7 +14,7 @@ from bsroots import (
     strong_groebner,
 )
 
-from _oracles import random_poly
+from _oracles import normal_form_reference, random_poly, strong_groebner_reference
 
 Z4 = ChainRingCtx(2, 1)
 Z9 = ChainRingCtx(3, 1)
@@ -148,3 +148,24 @@ def test_empty_ideal():
 def test_groebner_idempotent_passthrough():
     gb = strong_groebner(IdealGens([Poly.variable(Z4, 1, 0)]))
     assert strong_groebner(gb) is gb
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_incremental_completion_matches_reference(p, m):
+    """Element tuples and remainders equal the rebuild-per-insertion version."""
+    ctx = ChainRingCtx(p, m)
+    rng = random.Random(1000 * p + m)
+    for _ in range(30):
+        nv = rng.randint(1, 3)
+        gens = [random_poly(rng, ctx, nv, 3, 3) for _ in range(rng.randint(1, 3))]
+        J = IdealGens(gens, ctx=ctx, nvars=nv)
+        gb = strong_groebner(J)
+        ref = strong_groebner_reference(J)
+        assert gb.elements == ref.elements, J
+        for _ in range(5):
+            # a random ideal element plus noise makes reduction do real work
+            g = random_poly(rng, ctx, nv, 4, 3)
+            for f in J.gens:
+                mono = tuple(rng.randint(0, 1) for _ in range(nv))
+                g = g + f.term_mul(mono, rng.randrange(ctx.modulus))
+            assert normal_form(g, gb) == normal_form_reference(g, ref), (J, g)

@@ -9,6 +9,7 @@ from bsroots import (
     nu_of_ideal,
     nu_set,
 )
+from bsroots.nu import _descent_gb
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)
@@ -117,3 +118,31 @@ def test_nu_of_ideal_error_cases():
 def test_unit_polynomial_has_empty_level_sets():
     u = Poly.const(Z9, 2, 2)
     assert nu_set(u, STD9, 1).members == ()
+
+
+def _containment_violations(f, lift, e):
+    """Steps n in the window where descent of (f^(n+1)) escapes that of (f^n)."""
+    window = f.ctx.p ** (e + f.ctx.m)
+    bad = []
+    power = Poly.one(f.ctx, f.nvars)
+    _, gb = _descent_gb(power, lift, e)
+    for n in range(window):
+        power = power * f
+        next_gens, next_gb = _descent_gb(power, lift, e)
+        if not all(gb.contains(h) for h in next_gens.gens):
+            bad.append(n)
+        gb = next_gb
+    return bad
+
+
+def test_descent_ideals_shrink_along_the_power_chain():
+    """The one-sided jump test in nu_set relies on this containment."""
+    assert _containment_violations(F23Y(), STD9, 2) == []
+    z9 = ChainRingCtx(3, 1)
+    x, y, z = (Poly.variable(z9, 3, i) for i in range(3))
+    std3 = FrobeniusLift.standard(z9, 3)
+    assert _containment_violations(x * y + y * z + z * x, std3, 3) == []
+    z8 = ChainRingCtx(2, 2)
+    x, y = Poly.variable(z8, 2, 0), Poly.variable(z8, 2, 1)
+    lift = FrobeniusLift(z8, 2, [x * y + y**2, x])
+    assert _containment_violations(x**3 + y**2, lift, 2) == []

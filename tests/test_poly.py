@@ -155,3 +155,51 @@ def test_nonzerodivisor_flag():
     assert F23Y().has_unit_coeff()
     assert not Poly(Z9, 2, {(1, 0): 3}).has_unit_coeff()
     assert not Poly.zero(Z9, 2).has_unit_coeff()
+
+
+def _uncached_lead(f):
+    mono = max(f.terms, key=grevlex_key)
+    return mono, f.terms[mono]
+
+
+def test_cached_leading_term_matches_support():
+    rng = random.Random(77)
+    Z27 = ChainRingCtx(3, 2)
+    lift = FrobeniusLift(Z9, 2, [Poly(Z9, 2, {(1, 1): 1, (0, 2): 2}), None])
+    for _ in range(40):
+        f, g = random_poly(rng, Z9, 2, 3, 4), random_poly(rng, Z9, 2, 3, 4)
+        if not f.is_zero():
+            f.leading_term()  # one operand enters with its cache filled
+        built = [
+            f + g,
+            f - g,
+            f * g,
+            f.term_mul((rng.randint(0, 2), rng.randint(0, 2)), rng.randrange(1, 9)),
+            f.with_ctx(Z27),
+            frobenius_apply(f, lift, 1),
+        ]
+        for h in built:
+            if h.is_zero():
+                continue
+            assert h.leading_term() == _uncached_lead(h)
+            assert h.leading_term() == _uncached_lead(h)  # served from the cache
+            assert (h.leading_monomial(), h.leading_coeff()) == _uncached_lead(h)
+
+
+def test_zero_leading_term_raises_on_every_call():
+    zero = Poly.zero(Z9, 2)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="no leading term"):
+            zero.leading_term()
+    with pytest.raises(ValueError):
+        zero.leading_monomial()
+    with pytest.raises(ValueError):
+        zero.leading_coeff()
+
+
+def test_equality_and_hash_ignore_the_leading_term_cache():
+    fresh, filled = F23Y(), F23Y()
+    filled.leading_term()
+    assert fresh == filled and filled == fresh
+    assert hash(fresh) == hash(filled)
+    assert len({fresh, filled}) == 1
