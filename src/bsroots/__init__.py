@@ -30,18 +30,16 @@ from .cfun import (
     stalk,
     support_module,
 )
-from .chainring import ChainRingCtx, RingScalar
+from .chainring import ChainRingCtx
 from .errors import InvariantError
 from .groebner import (
     GroebnerBasis,
     ideal_contains,
     ideal_equal,
-    membership_bruteforce,
     min_p_power_in,
     normal_form,
     strong_groebner,
 )
-from .linalg import Matrix, howell_form, span_contains, spans_equal
 from .nu import NuLevelSet, is_nu, nu_of_ideal, nu_set
 from .padic import PAdicRational, fraction_val, reconstruct
 from .poly import FrobeniusLift, Poly, frobenius_apply, phi_decompose
@@ -50,12 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainRingCtx",
-    "RingScalar",
     "InvariantError",
-    "Matrix",
-    "howell_form",
-    "span_contains",
-    "spans_equal",
     "Poly",
     "FrobeniusLift",
     "frobenius_apply",
@@ -72,7 +65,6 @@ __all__ = [
     "ideal_contains",
     "ideal_equal",
     "min_p_power_in",
-    "membership_bruteforce",
     "NuLevelSet",
     "is_nu",
     "nu_set",

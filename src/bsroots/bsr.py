@@ -118,6 +118,21 @@ def candidate_residues(f: Poly, lift: FrobeniusLift, top_level: int) -> ResidueT
     )
 
 
+def require_reconstruction_bound(
+    ctx: ChainRingCtx, top_level: int, den_bound: int, num_bound: int
+):
+    """Refuse a top level at which bounded reconstruction could be ambiguous.
+
+    Bounded fractions are unique modulo p^(top_level+m) only when it exceeds
+    2 * num_bound * den_bound; the default top level always does.
+    """
+    if ctx.p ** (top_level + ctx.m) <= 2 * den_bound * num_bound:
+        raise ValueError(
+            "p^(top_level+m) must exceed 2 * num_bound * den_bound "
+            "for unambiguous reconstruction"
+        )
+
+
 def detect_roots(
     f: Poly,
     lift: FrobeniusLift,
@@ -137,12 +152,8 @@ def detect_roots(
         raise ValueError("bounds must be positive")
     if top_level is None:
         top_level = _default_top_level(p, m, den_bound, num_bound)
+    require_reconstruction_bound(ctx, top_level, den_bound, num_bound)
     modulus = p ** (top_level + m)
-    if modulus <= 2 * den_bound * num_bound:
-        raise ValueError(
-            "p^(top_level+m) must exceed 2 * num_bound * den_bound "
-            "for unambiguous reconstruction"
-        )
     tree = candidate_residues(f, lift, top_level)
     member_sets = [set(level.members) for level in tree.levels]
     roots = []
@@ -233,25 +244,14 @@ def bfunction_report(
     num_bound: int = 100,
     e_start: int = 1,
     e_stop: int = None,
-    mapper=None,
 ) -> RootReport:
-    """Root report with strengths attached: the structured b-function data.
-
-    ``mapper`` may be an order-preserving parallel map (per-root jobs are
-    independent); the default is the builtin map.
-    """
+    """Root report with strengths attached: the structured b-function data."""
     report = detect_roots(f, lift, top_level, den_bound, num_bound)
     if e_stop is None:
         e_stop = min(4, report.verified_to_level)
-    run = mapper if mapper is not None else map
-    results = list(
-        run(
-            lambda entry: strength(f, lift, entry.alpha, e_start, e_stop),
-            report.roots,
-        )
-    )
     graded = []
-    for entry, res in zip(report.roots, results):
+    for entry in report.roots:
+        res = strength(f, lift, entry.alpha, e_start, e_stop)
         if res.value < 1:
             raise InvariantError("verified root with vanishing strength")
         graded.append(

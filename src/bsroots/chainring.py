@@ -2,9 +2,8 @@
 
 Every coefficient in the engine lives in V. Its ideals are totally ordered,
 (1) > (p) > (p^2) > ... > (0), and every element is a unit times a power of
-p, so valuation data decides divisibility. Operations work on plain Python
-integers reduced into [0, modulus); ``RingScalar`` bundles a value with its
-cached valuation for callers that want both.
+p, so valuation data decides divisibility. Operations take plain Python
+integers and reduce them into [0, modulus).
 
 Conventions:
   * val(0) = m+1, not infinity, so strength values stay in [0, m+1].
@@ -13,8 +12,6 @@ Conventions:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -33,18 +30,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-@dataclass(frozen=True)
-class RingScalar:
-    """An element of V together with its p-adic valuation."""
-
-    value: int
-    val: int
-
-
-def _value_of(x) -> int:
-    return x.value if isinstance(x, RingScalar) else int(x)
 
 
 class ChainRingCtx:
@@ -77,9 +62,9 @@ class ChainRingCtx:
     def __hash__(self):
         return hash((self.p, self.m))
 
-    def val(self, x) -> int:
+    def val(self, x: int) -> int:
         """p-adic valuation of x in V; val(0) = m+1 by convention."""
-        x = _value_of(x) % self.modulus
+        x %= self.modulus
         if x == 0:
             return self.m + 1
         v = 0
@@ -88,36 +73,32 @@ class ChainRingCtx:
             v += 1
         return v
 
-    def unit_part(self, x) -> int:
+    def unit_part(self, x: int) -> int:
         """The unit u with x = u * p^val(x); unit_part(0) = 1."""
-        x = _value_of(x) % self.modulus
+        x %= self.modulus
         if x == 0:
             return 1
         while x % self.p == 0:
             x //= self.p
         return x
 
-    def normalize(self, n) -> RingScalar:
-        v = _value_of(n) % self.modulus
-        return RingScalar(v, self.val(v))
+    def is_unit(self, x: int) -> bool:
+        return x % self.p != 0
 
-    def is_unit(self, x) -> bool:
-        return _value_of(x) % self.p != 0
-
-    def invert(self, x) -> int:
-        x = _value_of(x) % self.modulus
+    def invert(self, x: int) -> int:
+        x %= self.modulus
         if x % self.p == 0:
             raise ValueError("not a unit")
         return pow(x, -1, self.modulus)
 
-    def divide_exact(self, a, b):
+    def divide_exact(self, a: int, b: int):
         """Least nonnegative q with q*b = a in V, or None if none exists.
 
         A quotient exists exactly when val(b) <= val(a). The solution class is
         q0 + p^(m+1-val(b)) * V; the least representative is returned.
         """
-        a = _value_of(a) % self.modulus
-        b = _value_of(b) % self.modulus
+        a %= self.modulus
+        b %= self.modulus
         jb = self.val(b)
         if self.val(a) < jb:
             return None

@@ -18,22 +18,21 @@ Expression grammar (no implicit multiplication):
 Exit codes: 0 success, 2 configuration or parse error, 3 engine error or
 crosscheck mismatch. Structured output is deterministic byte for byte for a
 given configuration: work counters are derived from the computed data, never
-from the clock, and thread count (BSROOTS_THREADS) does not change results.
+from the clock.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .bsr import (
     bfunction_report,
     crosscheck_mod_p,
     detect_roots,
+    require_reconstruction_bound,
     strength,
 )
 from .chainring import ChainRingCtx
@@ -223,17 +222,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("BSROOTS_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"BSROOTS_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise ConfigError("BSROOTS_THREADS must be >= 1")
-    return threads
-
-
 def _root_entry_doc(entry):
     return {
         "fraction": str(entry.alpha.frac),
@@ -284,7 +272,6 @@ def run(argv=None):
     ap = build_arg_parser()
     args = ap.parse_args(argv)
     try:
-        threads = _threads_from_env()
         ctx = ChainRingCtx(args.p, args.m)
         names = _parse_var_names(args.vars)
         f = parse_poly(args.poly, ctx, names)
@@ -301,6 +288,11 @@ def run(argv=None):
             raise ConfigError("bounds must be positive")
         if args.max_level is not None and args.max_level < 1:
             raise ConfigError("--max-level must be >= 1")
+        reconstructs = args.mode in ("roots", "bfunction", "crosscheck")
+        if reconstructs and args.max_level is not None:
+            require_reconstruction_bound(
+                ctx, args.max_level, args.den_bound, args.num_bound
+            )
     except (ConfigError, ExprError, ValueError) as exc:
         return 2, _render_error(args, exc)
 
@@ -321,7 +313,7 @@ def run(argv=None):
         "alpha": str(alpha.frac) if alpha is not None else None,
     }
     try:
-        code, doc, lines = _dispatch(args, ctx, names, f, lift, alpha, threads, config)
+        code, doc, lines = _dispatch(args, ctx, names, f, lift, alpha, config)
     except (ValueError, InvariantError) as exc:
         return 3, _render_error(args, exc)
     if args.format == "structured":
@@ -338,16 +330,12 @@ def _render_error(args, exc):
     return f"error: {exc}"
 
 
-def _dispatch(args, ctx, names, f, lift, alpha, threads, config):
+def _dispatch(args, ctx, names, f, lift, alpha, config):
     header = f"p={args.p} m={args.m} f={config['poly']}"
     if args.mode == "nu":
         top = args.max_level if args.max_level is not None else 2
         config["max_level"] = top
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                sets = list(pool.map(lambda e: nu_set(f, lift, e), range(1, top + 1)))
-        else:
-            sets = [nu_set(f, lift, e) for e in range(1, top + 1)]
+        sets = [nu_set(f, lift, e) for e in range(1, top + 1)]
         windows = [_window_doc(s) for s in sets]
         doc = {
             "config": config,
@@ -388,23 +376,9 @@ def _dispatch(args, ctx, names, f, lift, alpha, threads, config):
                 f, lift, args.max_level, args.den_bound, args.num_bound
             )
         else:
-            mapper = None
-            pool = None
-            if threads > 1:
-                pool = ThreadPoolExecutor(max_workers=threads)
-                mapper = pool.map
-            try:
-                report = bfunction_report(
-                    f,
-                    lift,
-                    args.max_level,
-                    args.den_bound,
-                    args.num_bound,
-                    mapper=mapper,
-                )
-            finally:
-                if pool is not None:
-                    pool.shutdown()
+            report = bfunction_report(
+                f, lift, args.max_level, args.den_bound, args.num_bound
+            )
         config["max_level"] = report.verified_to_level
         windows = _windows_from_tree(report.tree)
         doc = {

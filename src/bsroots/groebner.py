@@ -28,13 +28,11 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .cartier import IdealGens, _gen_sort_key
+from .cartier import _gen_sort_key
 from .errors import InvariantError
-from .linalg import Matrix, span_contains
 from .poly import (
     Poly,
     grevlex_desc_key,
-    grevlex_key,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -231,49 +229,3 @@ def min_p_power_in(J, g: Poly) -> int:
         if gb.contains(g * ctx.p**t):
             return t
     raise InvariantError("p^(m+1) annihilates everything")
-
-
-def _monomials_upto(nvars, cap):
-    for total in range(cap + 1):
-        for bars in itertools.combinations(range(total + nvars - 1), nvars - 1):
-            prev = -1
-            parts = []
-            for b in bars:
-                parts.append(b - prev - 1)
-                prev = b
-            parts.append(total + nvars - 1 - prev - 1)
-            yield tuple(parts)
-
-
-def membership_bruteforce(J: IdealGens, g: Poly, degree_cap: int):
-    """Certificate search: is g a V-combination of mu * f_i, deg(mu) <= cap?
-
-    Returns True on success and None when no certificate exists within the
-    cap; None is inconclusive, not a refutation. Independent of the Groebner
-    machinery: reduces to a row-span membership over V.
-    """
-    ctx, nvars = J.ctx, J.nvars
-    if g.is_zero():
-        return True
-    products = []
-    for f in J.gens:
-        for mu in _monomials_upto(nvars, degree_cap):
-            products.append(f.term_mul(mu, 1))
-    columns = sorted(
-        {m for q in products for m in q.terms} | set(g.terms),
-        key=grevlex_key,
-        reverse=True,
-    )
-    index = {m: i for i, m in enumerate(columns)}
-    rows = []
-    for q in products:
-        row = [0] * len(columns)
-        for m, c in q.terms.items():
-            row[index[m]] = c
-        rows.append(row)
-    vec = [0] * len(columns)
-    for m, c in g.terms.items():
-        vec[index[m]] = c
-    if span_contains(Matrix(ctx, len(columns), rows), vec):
-        return True
-    return None

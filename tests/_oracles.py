@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive and engine-free: exhaustive
 enumeration, double loops, and closed-form floor arithmetic for powers of a
-single variable. Slow but obviously correct on small inputs. The one
-exception is the reference Groebner completion at the end: it is the
-engine's earlier, non-incremental code, kept to pin the outputs of the
-current one term for term.
+single variable. Slow but obviously correct on small inputs. Two pieces
+are more than naive. The Howell normal form (Storjohann & Mulders 1998)
+decides row spans over V, and the brute-force membership search reduces to
+it; exhaustive span enumeration checks it in turn. The reference Groebner
+completion at the end is the engine's earlier, non-incremental code, kept
+to pin the outputs of the current one term for term.
 """
 
 import heapq
@@ -101,6 +103,173 @@ def int_val(p, n, cap):
         n //= p
         v += 1
     return v
+
+
+# Matrices over V = Z/p^(m+1) and the Howell normal form.
+#
+# Row spans over a chain ring are not determined by ordinary echelon forms:
+# unit row operations cannot expose the submodule hiding below a pivot like
+# 2 * (2, 1) = (0, 2) over Z/4. The Howell form repairs this by adjoining the
+# annihilator multiples of every pivot row and is canonical: two matrices
+# have the same row span exactly when their Howell forms agree entrywise.
+# Span membership reduces to greedy elimination against the form.
+
+
+class Matrix:
+    """Immutable matrix over V with rows reduced into [0, modulus)."""
+
+    __slots__ = ("ctx", "nrows", "ncols", "rows")
+
+    def __init__(self, ctx: ChainRingCtx, ncols: int, rows):
+        if ncols < 0:
+            raise ValueError("ncols must be >= 0")
+        mod = ctx.modulus
+        norm = []
+        for r in rows:
+            r = tuple(int(x) % mod for x in r)
+            if len(r) != ncols:
+                raise ValueError("row length does not match ncols")
+            norm.append(r)
+        self.ctx = ctx
+        self.ncols = ncols
+        self.rows = tuple(norm)
+        self.nrows = len(norm)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Matrix)
+            and other.ctx == self.ctx
+            and other.ncols == self.ncols
+            and other.rows == self.rows
+        )
+
+    def __hash__(self):
+        return hash((self.ctx, self.ncols, self.rows))
+
+    def __repr__(self):
+        return f"Matrix({self.ctx!r}, ncols={self.ncols}, rows={list(self.rows)})"
+
+
+def howell_form(mat: Matrix) -> Matrix:
+    """Canonical Howell normal form of the row span of ``mat``.
+
+    Worklist elimination: each pending row is reduced against the current
+    pivot rows by exact division at the pivot column; a row that improves a
+    pivot (smaller valuation) displaces it and the old pivot is re-queued.
+    Every installed pivot row p^j * (unit row) contributes its annihilator
+    multiple p^(m+1-j) * row back to the worklist, which is what closes the
+    span. A final pass reduces entries above each pivot modulo p^j.
+    """
+    ctx = mat.ctx
+    p, mod = ctx.p, ctx.modulus
+    pivots = {}  # column -> row (leading entry at that column is p^j)
+    pending = [list(r) for r in mat.rows if any(r)]
+    while pending:
+        r = pending.pop()
+        while True:
+            lead = next((c for c, x in enumerate(r) if x), None)
+            if lead is None:
+                break
+            v = ctx.val(r[lead])
+            q = pivots.get(lead)
+            if q is None or ctx.val(q[lead]) > v:
+                u_inv = pow(ctx.unit_part(r[lead]), -1, mod)
+                r = [(x * u_inv) % mod for x in r]
+                pivots[lead] = r
+                ann = mod // p**v
+                if ann % mod:
+                    pending.append([(x * ann) % mod for x in r])
+                if q is not None:
+                    pending.append(q)
+                break
+            scale = r[lead] // q[lead]
+            r = [(x - scale * y) % mod for x, y in zip(r, q)]
+    cols = sorted(pivots)
+    out = [list(pivots[c]) for c in cols]
+    for i, c in enumerate(cols):
+        pj = out[i][c]
+        for k in range(i):
+            scale = out[k][c] // pj
+            if scale:
+                out[k] = [(x - scale * y) % mod for x, y in zip(out[k], out[i])]
+    return Matrix(ctx, mat.ncols, out)
+
+
+def spans_equal(a: Matrix, b: Matrix) -> bool:
+    if a.ctx != b.ctx or a.ncols != b.ncols:
+        raise ValueError("span comparison requires matching ring and width")
+    return howell_form(a).rows == howell_form(b).rows
+
+
+def span_contains(mat: Matrix, vec) -> bool:
+    """Whether ``vec`` lies in the row span of ``mat``.
+
+    Reduces the vector greedily against the Howell form: at each pivot
+    column the entry must be divisible by the pivot p^j, otherwise the
+    vector escapes the span.
+    """
+    ctx = mat.ctx
+    mod = ctx.modulus
+    v = [int(x) % mod for x in vec]
+    if len(v) != mat.ncols:
+        raise ValueError("vector length does not match ncols")
+    for row in howell_form(mat).rows:
+        c = next((i for i, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        if v[c] == 0:
+            continue
+        if v[c] % row[c]:
+            return False
+        scale = v[c] // row[c]
+        v = [(x - scale * y) % mod for x, y in zip(v, row)]
+    return not any(v)
+
+
+def _monomials_upto(nvars, cap):
+    for total in range(cap + 1):
+        for bars in itertools.combinations(range(total + nvars - 1), nvars - 1):
+            prev = -1
+            parts = []
+            for b in bars:
+                parts.append(b - prev - 1)
+                prev = b
+            parts.append(total + nvars - 1 - prev - 1)
+            yield tuple(parts)
+
+
+def membership_bruteforce(J, g, degree_cap):
+    """Certificate search: is g a V-combination of mu * f_i, deg(mu) <= cap?
+
+    Returns True on success and None when no certificate exists within the
+    cap; None is inconclusive, not a refutation. Independent of the Groebner
+    machinery: reduces to a row-span membership over V.
+    """
+    ctx, nvars = J.ctx, J.nvars
+    if g.is_zero():
+        return True
+    products = []
+    for f in J.gens:
+        for mu in _monomials_upto(nvars, degree_cap):
+            products.append(f.term_mul(mu, 1))
+    columns = sorted(
+        {m for q in products for m in q.terms} | set(g.terms),
+        key=grevlex_key,
+        reverse=True,
+    )
+    index = {m: i for i, m in enumerate(columns)}
+    rows = []
+    for q in products:
+        row = [0] * len(columns)
+        for m, c in q.terms.items():
+            row[index[m]] = c
+        rows.append(row)
+    vec = [0] * len(columns)
+    for m, c in g.terms.items():
+        vec[index[m]] = c
+    if span_contains(Matrix(ctx, len(columns), rows), vec):
+        return True
+    return None
 
 
 # Strong Groebner completion and normal form as they were before completion

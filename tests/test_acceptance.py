@@ -12,19 +12,23 @@ from bsroots import (
     ChainRingCtx,
     FrobeniusLift,
     IdealGens,
-    Matrix,
     Poly,
     candidate_residues,
     crosscheck_mod_p,
     detect_roots,
-    howell_form,
-    membership_bruteforce,
     strength,
     strength_vs_bsato,
     strong_groebner,
 )
 
-from _oracles import exhaustive_span, monomial_root_set, random_poly
+from _oracles import (
+    Matrix,
+    exhaustive_span,
+    howell_form,
+    membership_bruteforce,
+    monomial_root_set,
+    random_poly,
+)
 from _properties import run_all
 
 

@@ -192,10 +192,24 @@ def test_config_error_structured_shape():
     assert "at offset 4" in doc["error"]["message"]
 
 
-def test_bad_thread_env_exits_2(monkeypatch):
-    monkeypatch.setenv("BSROOTS_THREADS", "many")
-    code, text = run(["--p=2", "--m=1", "--vars=x", "--poly=x", "--mode=nu"])
-    assert code == 2 and "BSROOTS_THREADS" in text
+@pytest.mark.parametrize("mode", ["roots", "bfunction", "crosscheck"])
+def test_reconstruction_bound_exits_2_before_work(monkeypatch, mode):
+    # 3^(1+1) = 9 cannot separate fractions with |num| <= 100, den <= 50
+    def no_work(*args, **kwargs):
+        raise AssertionError("engine work started")
+
+    for name in ("detect_roots", "bfunction_report", "crosscheck_mod_p"):
+        monkeypatch.setattr(f"bsroots.cli.{name}", no_work)
+    code, text = run(
+        ["--p=3", "--m=1", "--vars=x", "--poly=x", f"--mode={mode}",
+         "--max-level=1", "--den-bound=50", "--format=structured"]
+    )
+    assert code == 2
+    assert json.loads(text)["error"] == {
+        "type": "ValueError",
+        "message": "p^(top_level+m) must exceed 2 * num_bound * den_bound "
+                   "for unambiguous reconstruction",
+    }
 
 
 def test_engine_error_exits_3():
@@ -210,14 +224,10 @@ def test_missing_required_flag_raises_system_exit():
         run(["--p=2", "--m=1", "--vars=x", "--mode=nu"])
 
 
-def test_thread_count_does_not_change_output(monkeypatch):
+def test_repeat_runs_are_byte_identical():
     argv = BASE + ["--mode=bfunction", "--max-level=4", "--den-bound=10",
                    "--num-bound=10", "--format=structured"]
-    monkeypatch.setenv("BSROOTS_THREADS", "1")
-    one = run(argv)
-    monkeypatch.setenv("BSROOTS_THREADS", "4")
-    four = run(argv)
-    assert one == four
+    assert run(argv) == run(argv)
     nu_argv = ["--p=2", "--m=1", "--vars=x", "--poly=x", "--mode=nu",
                "--max-level=3", "--format=structured"]
     assert run(nu_argv) == run(nu_argv)
@@ -266,14 +276,45 @@ def test_console_script_subprocess():
         "--format=structured",
     ]
     runs = []
-    for threads in ("1", "3"):
-        env = _child_env(BSROOTS_THREADS=threads)
+    for seed in ("1", "2"):
+        env = _child_env(PYTHONHASHSEED=seed)
         out = subprocess.run(argv, capture_output=True, env=env, timeout=SUBPROCESS_TIMEOUT_S)
         assert out.returncode == 0, out.stderr
         runs.append(out.stdout)
     assert runs[0] == runs[1]
     doc = json.loads(runs[0])
     assert [r["fraction"] for r in doc["roots"]] == ["-1", "-1/2", "1/2"]
+
+
+def test_runs_without_numpy_or_a_thread_pool():
+    # the child refuses any import of numpy and records the attempt, so a
+    # guarded ``try: import numpy`` is caught as well as a plain one
+    child = """
+import json, sys
+attempts = []
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            attempts.append(name)
+            raise ImportError(f"{name} is blocked")
+        return None
+sys.meta_path.insert(0, Block())
+from bsroots.cli import run
+code, text = run(sys.argv[1:])
+print(json.dumps({"code": code, "doc": json.loads(text), "numpy_attempts": attempts,
+                  "loaded": sorted(m for m in ("numpy", "concurrent.futures")
+                                   if m in sys.modules)}))
+"""
+    argv = BASE + ["--mode=bfunction", "--max-level=4", "--den-bound=10",
+                   "--num-bound=10", "--format=structured"]
+    out = subprocess.run([sys.executable, "-c", child] + argv, capture_output=True,
+                         text=True, env=_child_env(), timeout=SUBPROCESS_TIMEOUT_S)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["code"] == 0
+    assert [r["fraction"] for r in result["doc"]["roots"]] == ["-1", "-1/2", "1/2"]
+    assert result["numpy_attempts"] == []
+    assert result["loaded"] == []
 
 
 @pytest.mark.skipif(shutil.which("bsroots") is None,

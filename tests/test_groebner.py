@@ -8,13 +8,17 @@ from bsroots import (
     Poly,
     ideal_contains,
     ideal_equal,
-    membership_bruteforce,
     min_p_power_in,
     normal_form,
     strong_groebner,
 )
 
-from _oracles import normal_form_reference, random_poly, strong_groebner_reference
+from _oracles import (
+    membership_bruteforce,
+    normal_form_reference,
+    random_poly,
+    strong_groebner_reference,
+)
 
 Z4 = ChainRingCtx(2, 1)
 Z9 = ChainRingCtx(3, 1)
