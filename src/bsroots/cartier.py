@@ -13,15 +13,34 @@ Degrees drop by the factor p^e, which is the engine's source of finiteness.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 from .chainring import ChainRingCtx
 from .poly import FrobeniusLift, Poly, frobenius_apply, grevlex_desc_key, phi_decompose
 
 
-def _gen_sort_key(g: Poly):
+def _head_key(g: Poly):
     lm = g.leading_monomial()
-    lc = g.leading_coeff()
-    # descending degrevlex on the leading monomial, then ascending coefficient
-    return (grevlex_desc_key(lm), lc, g.sort_key())
+    return grevlex_desc_key(lm), g.terms[lm]
+
+
+def _sorted_gens(gens):
+    """Generators in canonical order, as a new list.
+
+    Descending degrevlex on the leading monomial, then ascending leading
+    coefficient, then the whole support (``Poly.sort_key``). The support key
+    sorts every term, so it is only computed inside runs that tie on the
+    leading term; both sorts are stable, so the order is that of the full key.
+    """
+    keyed = sorted(((_head_key(g), g) for g in gens), key=itemgetter(0))
+    out = []
+    for _, run in groupby(keyed, key=itemgetter(0)):
+        run = [g for _, g in run]
+        if len(run) > 1:
+            run.sort(key=Poly.sort_key)
+        out.extend(run)
+    return out
 
 
 class IdealGens:
@@ -39,15 +58,10 @@ class IdealGens:
         for g in gens:
             if g.ctx != ctx or g.nvars != nvars:
                 raise ValueError("mixed polynomial rings")
-        seen = set()
-        unique = []
-        for g in sorted(gens, key=_gen_sort_key):
-            if g not in seen:
-                seen.add(g)
-                unique.append(g)
         self.ctx = ctx
         self.nvars = nvars
-        self.gens = tuple(unique)
+        # duplicates go first, so only distinct generators can tie in the sort
+        self.gens = tuple(_sorted_gens(dict.fromkeys(gens)))
 
     def __eq__(self, other):
         return (

@@ -13,14 +13,25 @@ generators under two kinds of syzygies:
     their leading terms are often reducible while their tails carry new
     information, and reduction first would lose it.
 
-Completion is incremental: one basis grows by appending, and its
-leading-term index with it. Elements are unit-normalized (leading
-coefficient an exact power of p), each tail is reduced by the completed
-basis at the end, and the result is sorted. The result is deterministic for
-a given generating set, but no redundant element is removed, so generating
-sets of one ideal can complete to different tuples: (x) gives (x,) while
-(x, x*y) gives (x*y, x). Tuples become canonical across generating sets only
-once bases are reduced.
+Completion is incremental and keeps the basis minimal. One basis grows by
+insertion, and its leading-term index with it. A new element h with leading
+term (lm, v = val(lc)) retires every unretired g with v <= val(lc(g)) and
+lm | lm(g); if an unretired element dominates h in the same way, h starts
+out retired. h is paired with every unretired element before anything
+retires: the S-polynomial g - c * x^a * h of a g that h dominates carries
+g's tail, and dropping that pair loses it. Retired elements keep the pairs
+already queued for them, but they form no new pairs and drop out of the
+index that reduction scans (Buchberger's minimal-basis step with the update
+of Gebauer and Moeller, for strong bases over a chain ring as in Norton and
+Salagean).
+
+Elements are unit-normalized (leading coefficient an exact power of p); the
+result holds the unretired elements only, each tail reduced by them, sorted.
+No two share a leading term, and the unit ideal completes to (1,). The
+result is deterministic for a given generating set but still not canonical
+across generating sets: reduced tails are not coefficient-canonical, so two
+generating sets of one ideal can complete to tuples that differ in the
+tails.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from .cartier import _gen_sort_key
+from .cartier import _sorted_gens
 from .errors import InvariantError
 from .poly import (
     Poly,
@@ -43,8 +54,10 @@ from .poly import (
 class GroebnerBasis:
     """Completed strong basis; supports membership queries.
 
-    ``_lts`` is the leading-term index that reduction scans, one
-    (lm, val(lc), lc, element) entry per element in basis order.
+    ``_lts`` is the leading-term index that reduction scans: one
+    (lm, val(lc), lc, element) entry per unretired element, in basis order.
+    A completed basis retires nothing, so its index covers ``elements``;
+    during completion only the index grows and shrinks.
     """
 
     __slots__ = ("ctx", "nvars", "elements", "_lts")
@@ -52,16 +65,11 @@ class GroebnerBasis:
     def __init__(self, ctx, nvars, elements):
         self.ctx = ctx
         self.nvars = nvars
-        self.elements = ()
+        self.elements = tuple(elements)
         self._lts = []
-        for g in elements:
-            self._append(g)
-
-    def _append(self, g: Poly):
-        """Grow the basis by g; only completion calls this, before it returns."""
-        lm, lc = g.leading_term()
-        self.elements += (g,)
-        self._lts.append((lm, self.ctx.val(lc), lc, g))
+        for g in self.elements:
+            lm, lc = g.leading_term()
+            self._lts.append((lm, ctx.val(lc), lc, g))
 
     def __eq__(self, other):
         return (
@@ -134,7 +142,7 @@ def normal_form(g: Poly, basis: GroebnerBasis) -> Poly:
                 break
         else:
             out[mono] = c
-    return Poly(ctx, g.nvars, out)
+    return Poly._from_terms(ctx, g.nvars, out)
 
 
 def _s_poly(f: Poly, g: Poly) -> Poly:
@@ -167,16 +175,10 @@ def strong_groebner(J) -> GroebnerBasis:
         return J
     ctx, nvars = J.ctx, J.nvars
     live = GroebnerBasis(ctx, nvars, ())
+    lts = live._lts
     seen = set()
     pairs = []
     counter = itertools.count()
-
-    def push_pairs(h):
-        elements = live.elements
-        k = len(elements) - 1
-        for i in range(k):
-            gamma = mono_lcm(elements[i].leading_monomial(), h.leading_monomial())
-            heapq.heappush(pairs, (sum(gamma), next(counter), i, k))
 
     def add(h: Poly, reduce_first: bool):
         if reduce_first:
@@ -187,8 +189,23 @@ def strong_groebner(J) -> GroebnerBasis:
         if h in seen:
             return
         seen.add(h)
-        live._append(h)
-        push_pairs(h)
+        lm, lc = h.leading_term()
+        v = ctx.val(lc)
+        # pair h with every unretired element before anything retires: the
+        # pair (g, h) of an element g that h dominates carries g's tail
+        dominated = dominates = False
+        for glm, gval, _, g in lts:
+            heapq.heappush(pairs, (sum(mono_lcm(glm, lm)), next(counter), g, h))
+            if gval <= v and mono_divides(glm, lm):
+                dominated = True
+            elif v <= gval and mono_divides(lm, glm):
+                dominates = True
+        if not dominated:
+            if dominates:
+                lts[:] = [
+                    t for t in lts if not (v <= t[1] and mono_divides(lm, t[0]))
+                ]
+            lts.append((lm, v, lc, h))
         a = _annihilator_step(h)
         if a is not None:
             add(a, reduce_first=False)
@@ -196,16 +213,14 @@ def strong_groebner(J) -> GroebnerBasis:
     for g in J.gens:
         add(g, reduce_first=False)
     while pairs:
-        _, _, i, k = heapq.heappop(pairs)
-        add(_s_poly(live.elements[i], live.elements[k]), reduce_first=True)
+        _, _, g, h = heapq.heappop(pairs)
+        add(_s_poly(g, h), reduce_first=True)
 
     tidied = []
-    for g in live.elements:
-        mono, c = g.leading_term()
-        head = Poly.monomial(ctx, nvars, mono, c)
+    for lm, _, lc, g in lts:
+        head = Poly.monomial(ctx, nvars, lm, lc)
         tidied.append(head + normal_form(g - head, live))
-    tidied.sort(key=_gen_sort_key)
-    return GroebnerBasis(ctx, nvars, tidied)
+    return GroebnerBasis(ctx, nvars, _sorted_gens(tidied))
 
 
 def ideal_contains(J, g: Poly) -> bool:

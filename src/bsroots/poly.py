@@ -72,6 +72,24 @@ class Poly:
         self._lm = None
 
     @classmethod
+    def _from_terms(cls, ctx: ChainRingCtx, nvars: int, terms) -> "Poly":
+        """Internal constructor for the results of arithmetic on polynomials.
+
+        Reduces coefficients mod p^(m+1) and drops zeros like the public
+        constructor, but trusts the exponent tuples, which arithmetic on
+        valid polynomials keeps valid; re-checking them dominated the cost of
+        small products and sums.
+        """
+        mod = ctx.modulus
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.nvars = nvars
+        self.terms = {mono: r for mono, c in terms.items() if (r := c % mod)}
+        self._hash = None
+        self._lm = None
+        return self
+
+    @classmethod
     def zero(cls, ctx, nvars):
         return cls(ctx, nvars)
 
@@ -157,7 +175,7 @@ class Poly:
         acc = dict(self.terms)
         for mono, c in other.terms.items():
             acc[mono] = acc.get(mono, 0) + sign * c
-        return Poly(self.ctx, self.nvars, acc)
+        return Poly._from_terms(self.ctx, self.nvars, acc)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -169,13 +187,17 @@ class Poly:
         return self._binop(other, -1)
 
     def __neg__(self):
-        return Poly(self.ctx, self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly._from_terms(
+            self.ctx, self.nvars, {m: -c for m, c in self.terms.items()}
+        )
 
     def __mul__(self, other):
         if isinstance(other, int):
             if other % self.ctx.modulus == 0:
                 return Poly.zero(self.ctx, self.nvars)
-            return Poly(self.ctx, self.nvars, {m: c * other for m, c in self.terms.items()})
+            return Poly._from_terms(
+                self.ctx, self.nvars, {m: c * other for m, c in self.terms.items()}
+            )
         if other.ctx != self.ctx or other.nvars != self.nvars:
             raise ValueError("mixed polynomial rings")
         mod = self.ctx.modulus
@@ -184,7 +206,7 @@ class Poly:
             for m2, c2 in other.terms.items():
                 key = mono_mul(m1, m2)
                 acc[key] = (acc.get(key, 0) + c1 * c2) % mod
-        return Poly(self.ctx, self.nvars, acc)
+        return Poly._from_terms(self.ctx, self.nvars, acc)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -192,7 +214,9 @@ class Poly:
     def term_mul(self, mono, c):
         """Multiply by the single term c * x^mono."""
         mono = tuple(mono)
-        return Poly(
+        if len(mono) != self.nvars or any(e < 0 for e in mono):
+            raise ValueError(f"bad exponent tuple {mono} for {self.nvars} variables")
+        return Poly._from_terms(
             self.ctx,
             self.nvars,
             {mono_mul(m, mono): cc * c for m, cc in self.terms.items()},
@@ -337,7 +361,7 @@ def frobenius_apply(f: Poly, lift: FrobeniusLift, e: int) -> Poly:
         raise ValueError("negative iteration count")
     if lift.is_standard:
         q = lift.ctx.p**e
-        return Poly(
+        return Poly._from_terms(
             f.ctx, f.nvars, {tuple(x * q for x in m): c for m, c in f.terms.items()}
         )
     for _ in range(e):
@@ -356,7 +380,8 @@ def _split_base_q(f: Poly, q: int):
         beta = tuple(x // q for x in mono)
         comps.setdefault(alpha, {})[beta] = c
     return {
-        alpha: Poly(f.ctx, f.nvars, terms) for alpha, terms in sorted(comps.items())
+        alpha: Poly._from_terms(f.ctx, f.nvars, terms)
+        for alpha, terms in sorted(comps.items())
     }
 
 

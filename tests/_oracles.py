@@ -6,8 +6,9 @@ single variable. Slow but obviously correct on small inputs. Two pieces
 are more than naive. The Howell normal form (Storjohann & Mulders 1998)
 decides row spans over V, and the brute-force membership search reduces to
 it; exhaustive span enumeration checks it in turn. The reference Groebner
-completion at the end is the engine's earlier, non-incremental code, kept
-to pin the outputs of the current one term for term.
+completion at the end is the engine's earlier, non-incremental code that
+never retires an element; the engine's minimal bases must generate the same
+ideals and give the same membership verdicts.
 """
 
 import heapq
@@ -18,8 +19,13 @@ from fractions import Fraction
 from itertools import product
 
 from bsroots import ChainRingCtx, Poly
-from bsroots.cartier import _gen_sort_key
-from bsroots.poly import grevlex_key, mono_divides, mono_lcm, mono_quot
+from bsroots.poly import (
+    grevlex_desc_key,
+    grevlex_key,
+    mono_divides,
+    mono_lcm,
+    mono_quot,
+)
 
 
 def exhaustive_span(rows, ncols, modulus):
@@ -273,10 +279,10 @@ def membership_bruteforce(J, g, degree_cap):
 
 
 # Strong Groebner completion and normal form as they were before completion
-# became incremental: the basis index is rebuilt on every insertion and each
-# reduction step builds new polynomials. Completion and reduction recompute
-# leading terms from the support, so they do not read Poly's cache; only
-# the final sort shares the engine's generator order (cartier._gen_sort_key).
+# became incremental and minimal: the basis index is rebuilt on every
+# insertion, each reduction step builds new polynomials, and no element is
+# ever retired. Completion and reduction recompute leading terms from the
+# support, so they do not read Poly's cache.
 
 
 def _lt(g):
@@ -284,6 +290,13 @@ def _lt(g):
         raise ValueError("zero polynomial has no leading term")
     mono = max(g.terms, key=grevlex_key)
     return mono, g.terms[mono]
+
+
+def gen_sort_key(g):
+    """The canonical generator order as one full key per generator."""
+    lm, lc = _lt(g)
+    # descending degrevlex on the leading monomial, then ascending coefficient
+    return (grevlex_desc_key(lm), lc, g.sort_key())
 
 
 class ReferenceBasis:
@@ -386,5 +399,5 @@ def strong_groebner_reference(J):
         mono, c = _lt(g)
         head = Poly.monomial(ctx, nvars, mono, c)
         tidied.append(head + normal_form_reference(g - head, final))
-    tidied.sort(key=_gen_sort_key)
+    tidied.sort(key=gen_sort_key)
     return ReferenceBasis(ctx, nvars, tidied)

@@ -12,8 +12,9 @@ from bsroots import (
     ideal_contains,
     ideal_equal,
 )
+from bsroots.cartier import _sorted_gens
 
-from _oracles import random_poly, random_unit_poly
+from _oracles import gen_sort_key, random_poly, random_unit_poly
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)
@@ -48,6 +49,24 @@ def test_generator_ordering_is_canonical():
     assert a.gens == b.gens
     # descending leading monomials, duplicates removed
     assert IdealGens([x, x]).gens == (x,)
+
+
+def test_generator_order_matches_full_key_sort():
+    """Tail keys computed only on leading-term ties give the full-key order."""
+    rng = random.Random(101)
+    for ctx in (Z4, Z9):
+        for _ in range(40):
+            gens = []
+            for _ in range(rng.randint(1, 8)):
+                # few heads and coefficients, so (lm, lc) ties are common
+                head = Poly.monomial(ctx, 2, rng.choice([(4, 0), (3, 1), (0, 4)]))
+                tail = random_poly(rng, ctx, 2, 3, 3)
+                gens.append(head * rng.choice([1, 2, ctx.p]) + tail)
+            gens += rng.sample(gens, rng.randint(0, len(gens)))  # duplicates
+            rng.shuffle(gens)
+            expected = sorted(gens, key=gen_sort_key)
+            assert _sorted_gens(gens) == expected
+            assert list(IdealGens(gens).gens) == list(dict.fromkeys(expected))
 
 
 def test_pullback_standard():

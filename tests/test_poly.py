@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, frobenius_apply, phi_decompose
-from bsroots.poly import NEG_INF, grevlex_key
+from bsroots.poly import NEG_INF, _split_base_q, grevlex_key
 
 from _oracles import random_poly
 
@@ -203,3 +203,53 @@ def test_equality_and_hash_ignore_the_leading_term_cache():
     assert fresh == filled and filled == fresh
     assert hash(fresh) == hash(filled)
     assert len({fresh, filled}) == 1
+
+
+def _assert_clean(h):
+    mod = h.ctx.modulus
+    assert all(0 < c < mod for c in h.terms.values()), h.terms
+
+
+def test_internal_constructor_matches_public():
+    rng = random.Random(78)
+    for ctx in (Z4, Z9, ChainRingCtx(3, 2)):
+        mod = ctx.modulus
+        for _ in range(30):
+            nv = rng.randint(1, 3)
+            # unreduced, negative and vanishing coefficients on purpose
+            terms = {}
+            for _ in range(rng.randint(0, 5)):
+                mono = tuple(rng.randint(0, 3) for _ in range(nv))
+                terms[mono] = rng.randint(-3 * mod, 3 * mod)
+            terms[(0,) * nv] = mod * rng.randint(-2, 2)
+            built = Poly._from_terms(ctx, nv, terms)
+            assert built == Poly(ctx, nv, terms)
+            _assert_clean(built)
+
+
+def test_arithmetic_results_are_reduced():
+    rng = random.Random(79)
+    lift = FrobeniusLift.standard(Z9, 2)
+    for _ in range(40):
+        f, g = random_poly(rng, Z9, 2, 3, 4), random_poly(rng, Z9, 2, 3, 4)
+        built = [
+            f + g,
+            f - g,
+            -f,
+            f * g,
+            f * rng.randint(-20, 20),
+            f.term_mul((rng.randint(0, 2), rng.randint(0, 2)), rng.randint(-20, 20)),
+            frobenius_apply(f, lift, 1),
+            *_split_base_q(f * g, 3).values(),
+        ]
+        for h in built:
+            _assert_clean(h)
+            assert h == Poly(Z9, 2, h.terms)
+
+
+def test_public_entry_points_validate_exponents():
+    for bad in ((1,), (1, 0, 0), (1, -1)):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            Poly(Z9, 2, {bad: 1})
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            F23Y().term_mul(bad, 1)
