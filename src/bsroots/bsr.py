@@ -23,11 +23,10 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .cartier import IdealGens, cartier_generators
 from .chainring import ChainRingCtx
 from .errors import InvariantError
-from .groebner import min_p_power_in, strong_groebner
-from .nu import NuLevelSet, nu_set, require_nonzerodivisor
+from .groebner import min_p_power_in
+from .nu import NuLevelSet, descent_basis, nu_set, require_nonzerodivisor
 from .padic import PAdicRational, fraction_val, reconstruct
 from .poly import FrobeniusLift, Poly, phi_decompose
 
@@ -193,34 +192,29 @@ def detect_roots(
     )
 
 
-def strength(
-    f: Poly, lift: FrobeniusLift, alpha, e_start: int = 1, e_stop: int = 4
-) -> StrengthResult:
+def strength(f: Poly, lift: FrobeniusLift, alpha, e_stop: int = 4) -> StrengthResult:
     """Largest p-power gap left by the coordinates of f^a, a the truncation.
 
     At each level e, a = truncate_below(alpha, e+m) and the value is
     max over coordinates g of f^a of the least t with p^t * g inside the
-    descent image of (f^(a+1)). The level sequence is nonincreasing; the
-    walk stops early once two consecutive levels agree or the value 0 is
-    reached, both of which are final.
+    descent image of (f^(a+1)). The walk runs from level 1 to ``e_stop``.
+    The level sequence is nonincreasing; the walk stops early once two
+    consecutive levels agree or the value 0 is reached, both of which are
+    final.
     """
     require_nonzerodivisor(f)
     if not isinstance(alpha, PAdicRational):
         alpha = PAdicRational(f.ctx.p, alpha)
-    if not 1 <= e_start <= e_stop:
-        raise ValueError("need 1 <= e_start <= e_stop")
+    if e_stop < 1:
+        raise ValueError("need e_stop >= 1")
     ctx = f.ctx
     computed = []
     stabilized = False
-    for e in range(e_start, e_stop + 1):
+    for e in range(1, e_stop + 1):
         a = alpha.truncate_below(e + ctx.m)
         f_a = f**a
         coords = phi_decompose(f_a, lift, e).values()
-        gb = strong_groebner(
-            cartier_generators(
-                IdealGens([f_a * f], ctx=ctx, nvars=f.nvars), lift, e
-            )
-        )
+        gb = descent_basis(f_a * f, lift, e)
         value = max(min_p_power_in(gb, g) for g in coords)
         if computed and value > computed[-1][1]:
             raise InvariantError("strength increased with the level")
@@ -242,7 +236,6 @@ def bfunction_report(
     top_level: int = None,
     den_bound: int = 50,
     num_bound: int = 100,
-    e_start: int = 1,
     e_stop: int = None,
 ) -> RootReport:
     """Root report with strengths attached: the structured b-function data."""
@@ -251,7 +244,7 @@ def bfunction_report(
         e_stop = min(4, report.verified_to_level)
     graded = []
     for entry in report.roots:
-        res = strength(f, lift, entry.alpha, e_start, e_stop)
+        res = strength(f, lift, entry.alpha, e_stop)
         if res.value < 1:
             raise InvariantError("verified root with vanishing strength")
         graded.append(
@@ -315,7 +308,6 @@ def strength_vs_bsato(
     lift: FrobeniusLift,
     b_values,
     m_range,
-    e_start: int = 1,
     e_stop: int = 4,
 ):
     """Compare strengths against the p-adic size of classical root data.
@@ -338,7 +330,7 @@ def strength_vs_bsato(
         )
         for alpha_in, b_value in b_values:
             alpha = PAdicRational(p, alpha_in)
-            res = strength(f_m, lift_m, alpha, e_start, e_stop)
+            res = strength(f_m, lift_m, alpha, e_stop)
             b_val = fraction_val(p, b_value)
             prev = previous.get(alpha.frac)
             rows.append(

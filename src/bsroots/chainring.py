@@ -5,31 +5,23 @@ Every coefficient in the engine lives in V. Its ideals are totally ordered,
 p, so valuation data decides divisibility. Operations take plain Python
 integers and reduce them into [0, modulus).
 
-Conventions:
-  * val(0) = m+1, not infinity, so strength values stay in [0, m+1].
-  * divide_exact returns the least nonnegative quotient, which makes the
-    reduction steps of the Groebner machinery reproducible.
+Convention: val(0) = m+1, not infinity, so strength values stay in
+[0, m+1].
 """
 
 from __future__ import annotations
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in _SMALL_PRIMES:
-        if n == q:
-            return True
-        if n % q == 0:
-            return False
-    d = 41
+def smallest_prime_factor(n: int) -> int:
+    """Least prime dividing n >= 2, by trial division."""
+    if n % 2 == 0:
+        return 2
+    d = 3
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 2
-    return True
+    return n
 
 
 class ChainRingCtx:
@@ -38,7 +30,7 @@ class ChainRingCtx:
     __slots__ = ("p", "m", "modulus")
 
     def __init__(self, p: int, m: int):
-        if not _is_prime(p):
+        if p < 2 or smallest_prime_factor(p) != p:
             raise ValueError(f"p must be prime, got {p}")
         if m < 0:
             raise ValueError(f"m must be >= 0, got {m}")
@@ -90,20 +82,3 @@ class ChainRingCtx:
         if x % self.p == 0:
             raise ValueError("not a unit")
         return pow(x, -1, self.modulus)
-
-    def divide_exact(self, a: int, b: int):
-        """Least nonnegative q with q*b = a in V, or None if none exists.
-
-        A quotient exists exactly when val(b) <= val(a). The solution class is
-        q0 + p^(m+1-val(b)) * V; the least representative is returned.
-        """
-        a %= self.modulus
-        b %= self.modulus
-        jb = self.val(b)
-        if self.val(a) < jb:
-            return None
-        if b == 0:
-            return 0
-        q = (a * pow(self.unit_part(b), -1, self.modulus)) % self.modulus
-        q //= self.p**jb
-        return q % (self.modulus // self.p**jb)

@@ -27,11 +27,13 @@ Salagean).
 
 Elements are unit-normalized (leading coefficient an exact power of p); the
 result holds the unretired elements only, each tail reduced by them, sorted.
-No two share a leading term, and the unit ideal completes to (1,). The
-result is deterministic for a given generating set but still not canonical
-across generating sets: reduced tails are not coefficient-canonical, so two
-generating sets of one ideal can complete to tuples that differ in the
-tails.
+No two share a leading term, and the unit ideal completes to (1,).
+Reduction leaves every remaining coefficient at its canonical coset
+representative, so the result is the reduced strong basis of the ideal. It
+is unique over a finite chain ring (Norton and Salagean, "Strong Groebner
+bases and cyclic codes over a finite-chain ring", 2001): two generating
+sets of one ideal complete to the same tuple, and ideal equality is a tuple
+comparison.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ class GroebnerBasis:
     ``_lts`` is the leading-term index that reduction scans: one
     (lm, val(lc), lc, element) entry per unretired element, in basis order.
     A completed basis retires nothing, so its index covers ``elements``;
-    during completion only the index grows and shrinks.
+    during completion only the index grows and shrinks. Every leading
+    coefficient must be an exact power of p, which reduction relies on.
     """
 
     __slots__ = ("ctx", "nvars", "elements", "_lts")
@@ -69,9 +72,20 @@ class GroebnerBasis:
         self._lts = []
         for g in self.elements:
             lm, lc = g.leading_term()
-            self._lts.append((lm, ctx.val(lc), lc, g))
+            v = ctx.val(lc)
+            if lc != ctx.p**v:
+                raise ValueError(
+                    f"leading coefficient {lc} of a basis element "
+                    f"is not a power of p={ctx.p}"
+                )
+            self._lts.append((lm, v, lc, g))
 
     def __eq__(self, other):
+        """Equality of the ideals, for completed bases.
+
+        A completed basis is the reduced strong basis of its ideal, so two
+        of them hold the same tuple exactly when their ideals are equal.
+        """
         return (
             isinstance(other, GroebnerBasis)
             and other.ctx == self.ctx
@@ -101,14 +115,18 @@ def _normalize_unit(g: Poly) -> Poly:
 
 
 def normal_form(g: Poly, basis: GroebnerBasis) -> Poly:
-    """Fully reduced remainder of g; zero exactly on (certified) members.
+    """Canonical remainder of g; zero exactly on (certified) members.
 
-    Repeatedly reduces the current leading term by the first basis element
-    whose leading term divides it; irreducible leading terms move to the
-    output and reduction continues on the strictly smaller rest. The rest is
-    one mutable term dict with a heap of its monomials, largest first; a
-    monomial can sit in the heap twice after it cancels and reappears, and
-    the stale entry finds no term left.
+    Each term c * x^b, largest first, is divided by the basis elements whose
+    leading monomial divides x^b, in basis order: with lc = p^v, c becomes
+    c mod p^v and the quotient times the element's shifted tail joins the
+    rest. The term goes to the output if a coefficient is left, which is
+    c mod p^w for w the least such v. Over a completed basis p^w generates
+    the leading coefficients of the ideal at x^b, so the remainder is the
+    same for every g in one coset of the ideal. The rest is one mutable term
+    dict with a heap of its monomials, largest first; a monomial can sit in
+    the heap twice after it cancels and reappears, and the stale entry finds
+    no term left.
     """
     ctx = g.ctx
     mod = ctx.modulus
@@ -121,24 +139,25 @@ def normal_form(g: Poly, basis: GroebnerBasis) -> Poly:
         c = work.pop(mono, 0)
         if not c:
             continue
-        cval = ctx.val(c)
-        for lm, lval, lc, b in basis._lts:
-            if lval <= cval and mono_divides(lm, mono):
-                # q * lc = c exactly, so the term at mono cancels
-                q = ctx.divide_exact(c, lc)
-                shift = mono_quot(lm, mono)
-                for bm, bc in b.terms.items():
-                    if bm == lm:
-                        continue
-                    t = mono_mul(bm, shift)
-                    old = work.get(t)
-                    new = ((old or 0) - q * bc) % mod
-                    if new:
-                        work[t] = new
-                        if old is None:
-                            heapq.heappush(heap, (grevlex_desc_key(t), t))
-                    elif old is not None:
-                        del work[t]
+        for lm, _, lc, b in basis._lts:
+            # c < lc leaves the quotient 0: nothing to do
+            if lc > c or not mono_divides(lm, mono):
+                continue
+            q, c = divmod(c, lc)
+            shift = mono_quot(lm, mono)
+            for bm, bc in b.terms.items():
+                if bm == lm:
+                    continue
+                t = mono_mul(bm, shift)
+                old = work.get(t)
+                new = ((old or 0) - q * bc) % mod
+                if new:
+                    work[t] = new
+                    if old is None:
+                        heapq.heappush(heap, (grevlex_desc_key(t), t))
+                elif old is not None:
+                    del work[t]
+            if not c:
                 break
         else:
             out[mono] = c
@@ -228,12 +247,7 @@ def ideal_contains(J, g: Poly) -> bool:
 
 
 def ideal_equal(A, B) -> bool:
-    ga, gb = strong_groebner(A), strong_groebner(B)
-    if ga.elements == gb.elements:
-        return True
-    return all(ga.contains(h) for h in gb.elements) and all(
-        gb.contains(h) for h in ga.elements
-    )
+    return strong_groebner(A).elements == strong_groebner(B).elements
 
 
 def min_p_power_in(J, g: Poly) -> int:

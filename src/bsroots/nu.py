@@ -42,23 +42,16 @@ class NuLevelSet:
         return n % self.window in self.members
 
 
-def _descent_gb(f_power: Poly, lift: FrobeniusLift, e: int):
+def descent_basis(f_power: Poly, lift: FrobeniusLift, e: int) -> GroebnerBasis:
+    """Completed basis of the level-e descent ideal of (f_power).
+
+    Bases are canonical, so two descent ideals are equal exactly when their
+    bases are.
+    """
     gens = cartier_generators(
         IdealGens([f_power], ctx=f_power.ctx, nvars=f_power.nvars), lift, e
     )
-    return gens, strong_groebner(gens)
-
-
-def _gens_equal(outer_gens, outer_gb: GroebnerBasis, inner_gb: GroebnerBasis) -> bool:
-    """Whether the descent ideal of (f^n) equals that of (f^(n+1)).
-
-    ``outer_*`` belong to step n, ``inner_gb`` to step n+1. Since (f^(n+1))
-    lies inside (f^n), the inner descent ideal lies inside the outer one,
-    so equality only needs every outer generator to be an inner member.
-    """
-    if outer_gb.elements == inner_gb.elements:
-        return True
-    return all(inner_gb.contains(h) for h in outer_gens.gens)
+    return strong_groebner(gens)
 
 
 def is_nu(f: Poly, lift: FrobeniusLift, e: int, n: int) -> bool:
@@ -67,9 +60,7 @@ def is_nu(f: Poly, lift: FrobeniusLift, e: int, n: int) -> bool:
     if e < 1:
         raise ValueError("level must be >= 1")
     n %= f.ctx.p ** (e + f.ctx.m)
-    gens, gb = _descent_gb(f**n, lift, e)
-    _, next_gb = _descent_gb(f ** (n + 1), lift, e)
-    return not _gens_equal(gens, gb, next_gb)
+    return descent_basis(f**n, lift, e) != descent_basis(f ** (n + 1), lift, e)
 
 
 def nu_set(f: Poly, lift: FrobeniusLift, e: int) -> NuLevelSet:
@@ -80,49 +71,40 @@ def nu_set(f: Poly, lift: FrobeniusLift, e: int) -> NuLevelSet:
     window = f.ctx.p ** (e + f.ctx.m)
     members = []
     power = Poly.one(f.ctx, f.nvars)
-    gens, gb = _descent_gb(power, lift, e)
+    gb = descent_basis(power, lift, e)
     for n in range(window):
         power = power * f
-        next_gens, next_gb = _descent_gb(power, lift, e)
-        if not _gens_equal(gens, gb, next_gb):
+        next_gb = descent_basis(power, lift, e)
+        if gb != next_gb:
             members.append(n)
-        gens, gb = next_gens, next_gb
+        gb = next_gb
     return NuLevelSet(f=f, lift=lift, e=e, window=window, members=tuple(members))
 
 
-def nu_of_ideal(
-    f: Poly,
-    J: IdealGens,
-    lift: FrobeniusLift,
-    e: int,
-    power_cap: int = None,
-    check_member: bool = True,
-) -> int:
+def nu_of_ideal(f: Poly, J: IdealGens, lift: FrobeniusLift, e: int) -> int:
     """max{n >= 0 : f^n not in the e-fold pullback of J}.
 
     Scans upward to the first member; the set of members is upward closed
     along the power chain, so first membership decides the maximum. Raises
     when f^0 is already inside (the maximum does not exist) or when no power
-    lands inside the pullback within the cap (J does not become full after
-    inverting f, so the invariant is undefined).
+    up to 4 * p^(e+m) + 4 lands inside the pullback (J does not become full
+    after inverting f, so the invariant is undefined).
     """
     require_nonzerodivisor(f)
     if e < 1:
         raise ValueError("level must be >= 1")
-    if power_cap is None:
-        power_cap = 4 * f.ctx.p ** (e + f.ctx.m) + 4
+    cap = 4 * f.ctx.p ** (e + f.ctx.m) + 4
     pulled = strong_groebner(frobenius_pullback_ideal(J, lift, e))
     power = Poly.one(f.ctx, f.nvars)
     n = 0
     while not pulled.contains(power):
         power = power * f
         n += 1
-        if n > power_cap:
+        if n > cap:
             raise ValueError("J does not become full along powers of f")
     if n == 0:
         raise ValueError("f^0 already lies in the pulled-back ideal")
     result = n - 1
-    if check_member:
-        if not is_nu(f, lift, e, result):
-            raise InvariantError("relative invariant escaped the level set")
+    if not is_nu(f, lift, e, result):
+        raise InvariantError("relative invariant escaped the level set")
     return result

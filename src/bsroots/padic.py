@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+from .chainring import smallest_prime_factor
 
 
 def prime_power_base(modulus: int) -> tuple[int, int]:
@@ -24,20 +24,7 @@ def prime_power_base(modulus: int) -> tuple[int, int]:
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     n = modulus
-    p = None
-    for q in _SMALL:
-        if n % q == 0:
-            p = q
-            break
-    if p is None:
-        d = 49
-        while d * d <= n:
-            if n % d == 0:
-                p = d
-                break
-            d += 2
-        if p is None:
-            p = n
+    p = smallest_prime_factor(n)
     k = 0
     while n % p == 0:
         n //= p

@@ -316,6 +316,24 @@ def _normalize_unit_reference(g):
     return g * g.ctx.invert(u)
 
 
+def divide_exact(ctx, a, b):
+    """Least nonnegative q with q*b = a in V, or None if none exists.
+
+    A quotient exists exactly when val(b) <= val(a). The solution class is
+    q0 + p^(m+1-val(b)) * V; the least representative is returned.
+    """
+    a %= ctx.modulus
+    b %= ctx.modulus
+    jb = ctx.val(b)
+    if ctx.val(a) < jb:
+        return None
+    if b == 0:
+        return 0
+    q = (a * pow(ctx.unit_part(b), -1, ctx.modulus)) % ctx.modulus
+    q //= ctx.p**jb
+    return q % (ctx.modulus // ctx.p**jb)
+
+
 def normal_form_reference(g, basis):
     """Remainder of g by a ReferenceBasis, first divisor first."""
     ctx = g.ctx
@@ -334,7 +352,7 @@ def normal_form_reference(g, basis):
             work = work - Poly.monomial(ctx, g.nvars, mono, c)
         else:
             lm, lc, b = hit
-            q = ctx.divide_exact(c, lc)
+            q = divide_exact(ctx, c, lc)
             work = work - b.term_mul(mono_quot(lm, mono), q)
     return Poly(ctx, g.nvars, out)
 

@@ -142,8 +142,8 @@ def test_reconstruction_guard_and_bounds():
 
 def test_strength_validation_and_nonroot():
     f, lift = _setup(3, 1, {(1,): 1}, 1)
-    with pytest.raises(ValueError, match="e_start"):
-        strength(f, lift, Fraction(-1), e_start=3, e_stop=2)
+    with pytest.raises(ValueError, match="e_stop"):
+        strength(f, lift, Fraction(-1), e_stop=0)
     res = strength(f, lift, Fraction(-2))
     assert res.value == 0 and res.stabilized
     assert res.per_level == ((1, 0),)

@@ -4,6 +4,7 @@ import pytest
 
 from bsroots import (
     ChainRingCtx,
+    GroebnerBasis,
     IdealGens,
     Poly,
     ideal_contains,
@@ -132,6 +133,87 @@ def test_ideal_equal_on_rearranged_generators():
     b = IdealGens([x - y, 2 * x, x + y])
     assert ideal_equal(a, b)
     assert not ideal_equal(a, IdealGens([x]))
+    # two generating sets of one ideal each: x^2+3x+1 = (x^2+x+1) + 2x over
+    # Z/4, and x^2+4x = (x^2+x) + 3x over Z/27. Without coefficient-canonical
+    # tails they completed to different tuples (x^2+3x+1 and x^2+4x stayed)
+    u = Poly.variable(Z4, 1, 0)
+    c = IdealGens([u**2 + u + 1, Poly.const(Z4, 1, 2)])
+    d = IdealGens([u**2 + 3 * u + 1, Poly.const(Z4, 1, 2)])
+    assert [g.terms for g in strong_groebner(d).elements] == [
+        {(2,): 1, (1,): 1, (0,): 1},
+        {(0,): 2},
+    ]
+    assert ideal_equal(c, d)
+    t = Poly.variable(Z27, 1, 0)
+    assert ideal_equal(IdealGens([t**2 + t, 3 * t]), IdealGens([t**2 + 4 * t, 3 * t]))
+
+
+def _random_unit(rng, ctx):
+    while True:
+        u = rng.randrange(1, ctx.modulus)
+        if ctx.is_unit(u):
+            return u
+
+
+def _ideal_element(rng, J):
+    """A random element sum c_i * x^a_i * f_i of J, exponents 0 or 1."""
+    h = Poly.zero(J.ctx, J.nvars)
+    for f in J.gens:
+        mono = tuple(rng.randint(0, 1) for _ in range(J.nvars))
+        h = h + f.term_mul(mono, rng.randrange(J.ctx.modulus))
+    return h
+
+
+def same_ideal_family(ctx, seed, count=60):
+    """Seeded pairs (A, B) of generating sets of one ideal of V[x].
+
+    A holds 1-3 random generators in 1-2 variables; B holds a unit multiple
+    of each of them plus 1-2 further elements of the ideal.
+    """
+    rng = random.Random(seed)
+    while count:
+        nv = rng.randint(1, 2)
+        gens = [random_poly(rng, ctx, nv, 3, 4) for _ in range(rng.randint(1, 3))]
+        A = IdealGens(gens, ctx=ctx, nvars=nv)
+        if not A.gens:
+            continue
+        other = [g * _random_unit(rng, ctx) for g in A.gens]
+        other += [_ideal_element(rng, A) for _ in range(rng.randint(1, 2))]
+        count -= 1
+        yield A, IdealGens(other, ctx=ctx, nvars=nv)
+
+
+RINGS = [(2, 1), (2, 2), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("p,m", RINGS)
+def test_generating_sets_of_one_ideal_complete_to_one_tuple(p, m):
+    """Reduced strong bases are unique: the tuple depends on the ideal only."""
+    ctx = ChainRingCtx(p, m)
+    for A, B in same_ideal_family(ctx, 7000 + 100 * p + m):
+        assert strong_groebner(A).elements == strong_groebner(B).elements, (A, B)
+
+
+@pytest.mark.parametrize("p,m", RINGS)
+def test_normal_form_is_constant_on_cosets(p, m):
+    """f - g in the ideal gives equal remainders, three cases per ideal."""
+    ctx = ChainRingCtx(p, m)
+    rng = random.Random(8000 + 100 * p + m)
+    for A, _ in same_ideal_family(ctx, 7000 + 100 * p + m):
+        gb = strong_groebner(A)
+        for _ in range(3):
+            f = random_poly(rng, ctx, A.nvars, 4, 4)
+            g = f + _ideal_element(rng, A)
+            assert normal_form(f, gb) == normal_form(g, gb), (A, f, g)
+
+
+def test_basis_refuses_leading_coefficients_off_the_powers_of_p():
+    x = Poly.variable(Z9, 1, 0)
+    with pytest.raises(ValueError, match="not a power of p"):
+        GroebnerBasis(Z9, 1, [x * 2 + 1])
+    with pytest.raises(ValueError, match="not a power of p"):
+        GroebnerBasis(Z9, 1, [x, Poly.const(Z9, 1, 6)])
+    GroebnerBasis(Z9, 1, [x * 3 + 1, Poly.const(Z9, 1, 1)])
 
 
 def test_min_p_power_frozen():
@@ -159,11 +241,7 @@ def _random_instance(rng, ctx):
         gens = [Poly.variable(ctx, nv, 0)]
     J = IdealGens(gens)
     if rng.random() < 0.5:
-        g = Poly.zero(ctx, nv)
-        for f in J.gens:
-            g = g + f.term_mul(
-                (rng.randint(0, 1), rng.randint(0, 1)), rng.randrange(ctx.modulus)
-            )
+        g = _ideal_element(rng, J)
     else:
         g = random_poly(rng, ctx, nv, 3, 3)
     return J, g
@@ -200,7 +278,7 @@ def test_groebner_idempotent_passthrough():
     assert strong_groebner(gb) is gb
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("p,m", RINGS)
 def test_incremental_completion_matches_reference(p, m):
     """Same ideal and membership verdicts as the non-minimal reference.
 
@@ -222,9 +300,6 @@ def test_incremental_completion_matches_reference(p, m):
         _assert_minimal(gb)
         for _ in range(5):
             # a random ideal element plus noise makes reduction do real work
-            g = random_poly(rng, ctx, nv, 4, 3)
-            for f in J.gens:
-                mono = tuple(rng.randint(0, 1) for _ in range(nv))
-                g = g + f.term_mul(mono, rng.randrange(ctx.modulus))
+            g = random_poly(rng, ctx, nv, 4, 3) + _ideal_element(rng, J)
             verdict = normal_form_reference(g, ref).is_zero()
             assert normal_form(g, gb).is_zero() == verdict, (J, g)
