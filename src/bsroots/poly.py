@@ -278,9 +278,12 @@ class Poly:
 
 
 class FrobeniusLift:
-    """Endomorphism of V[x1..xn] with F(xi) = xi^p + p*hi, identity on V."""
+    """Endomorphism of V[x1..xn] with F(xi) = xi^p + p*hi, identity on V.
 
-    __slots__ = ("ctx", "nvars", "corrections", "_images")
+    Equality and hashing read the corrections, never the memo of images.
+    """
+
+    __slots__ = ("ctx", "nvars", "corrections", "_powers")
 
     def __init__(self, ctx: ChainRingCtx, nvars: int, corrections=None):
         if corrections is None:
@@ -296,7 +299,7 @@ class FrobeniusLift:
         self.corrections = tuple(
             None if (h is None or h.is_zero()) else h for h in corrections
         )
-        self._images = {}
+        self._powers = {}
 
     @classmethod
     def standard(cls, ctx, nvars):
@@ -308,15 +311,33 @@ class FrobeniusLift:
 
     def image(self, i) -> Poly:
         """F(xi) as a polynomial."""
-        if i not in self._images:
-            xi_p = Poly.monomial(
-                self.ctx,
-                self.nvars,
-                tuple(self.ctx.p if k == i else 0 for k in range(self.nvars)),
-            )
+        return self._power(tuple(int(k == i) for k in range(self.nvars)), 1)
+
+    def _power(self, beta, e) -> Poly:
+        """F^e(x^beta), memoized on the lift.
+
+        x^beta splits into x^head * xi^k at its last variable xi, xi^k into
+        two halves, and F^e(xi) = F^(e-1)(F(xi)); so the stack grows with
+        log(degree), never with the degree.
+        """
+        if (beta, e) in self._powers:
+            return self._powers[(beta, e)]
+        n, p = self.nvars, self.ctx.p
+        i = max((j for j in range(n) if beta[j]), default=0)
+        head = beta[:i] + (0,) * (n - i)
+        if e == 0 or not beta[i]:
+            img = Poly.monomial(self.ctx, n, beta)
+        elif any(head) or beta[i] > 1:
+            a = head if any(head) else head[:i] + (beta[i] // 2,) + head[i + 1 :]
+            img = self._power(a, e) * self._power(mono_quot(a, beta), e)
+        elif e > 1:
+            img = frobenius_apply(self._power(beta, 1), self, e - 1)
+        else:
             h = self.corrections[i]
-            self._images[i] = xi_p if h is None else xi_p + h * self.ctx.p
-        return self._images[i]
+            img = Poly.monomial(self.ctx, n, tuple(p * x for x in beta))
+            img = img if h is None else img + h * p
+        self._powers[(beta, e)] = img
+        return img
 
     def __eq__(self, other):
         return (
@@ -330,43 +351,20 @@ class FrobeniusLift:
         return hash((self.ctx, self.nvars, self.corrections))
 
 
-def _apply_lift_once(f: Poly, lift: FrobeniusLift) -> Poly:
-    pow_cache = [{0: Poly.one(f.ctx, f.nvars)} for _ in range(f.nvars)]
-
-    def var_pow(i, e):
-        cache = pow_cache[i]
-        if e not in cache:
-            if e == 1:
-                cache[e] = lift.image(i)
-            elif e % 2 == 0:
-                half = var_pow(i, e // 2)
-                cache[e] = half * half
-            else:
-                cache[e] = var_pow(i, e - 1) * lift.image(i)
-        return cache[e]
-
-    out = Poly.zero(f.ctx, f.nvars)
-    for mono, c in f.sorted_terms():
-        t = Poly.const(f.ctx, f.nvars, c)
-        for i, e in enumerate(mono):
-            if e:
-                t = t * var_pow(i, e)
-        out = out + t
-    return out
-
-
 def frobenius_apply(f: Poly, lift: FrobeniusLift, e: int) -> Poly:
-    """F^e(f): substitute each variable by its lift image, e times."""
+    """F^e(f) as the sum of c * F^e(x^beta) over the terms c*x^beta of f.
+
+    F^e is additive and fixes coefficients, so one loop serves every lift.
+    """
     if e < 0:
         raise ValueError("negative iteration count")
-    if lift.is_standard:
-        q = lift.ctx.p**e
-        return Poly._from_terms(
-            f.ctx, f.nvars, {tuple(x * q for x in m): c for m, c in f.terms.items()}
-        )
-    for _ in range(e):
-        f = _apply_lift_once(f, lift)
-    return f
+    if f.ctx != lift.ctx or f.nvars != lift.nvars:
+        raise ValueError("mixed polynomial rings")
+    acc = {}
+    for beta, c in f.terms.items():
+        for mono, d in lift._power(beta, e).terms.items():
+            acc[mono] = acc.get(mono, 0) + c * d
+    return Poly._from_terms(f.ctx, f.nvars, acc)
 
 
 def _split_base_q(f: Poly, q: int):
@@ -395,6 +393,8 @@ def phi_decompose(f: Poly, lift: FrobeniusLift, e: int) -> dict:
     """
     if e < 0:
         raise ValueError("negative level")
+    if f.ctx != lift.ctx or f.nvars != lift.nvars:
+        raise ValueError("mixed polynomial rings")
     if e == 0:
         return {} if f.is_zero() else {(0,) * f.nvars: f}
     q = lift.ctx.p**e

@@ -5,7 +5,9 @@ enumeration, double loops, and closed-form floor arithmetic for powers of a
 single variable. Slow but obviously correct on small inputs. Two pieces
 are more than naive. The Howell normal form (Storjohann & Mulders 1998)
 decides row spans over V, and the brute-force membership search reduces to
-it; exhaustive span enumeration checks it in turn. The reference Groebner
+it; exhaustive span enumeration checks it in turn. The reference Frobenius
+substitution applies a lift one step at a time, as the engine once did,
+and reads nothing the lift has memoized. The reference Groebner
 completion at the end is the engine's earlier, non-incremental code that
 never retires an element; the engine's minimal bases must generate the same
 ideals and give the same membership verdicts.
@@ -109,6 +111,31 @@ def int_val(p, n, cap):
         n //= p
         v += 1
     return v
+
+
+def frobenius_apply_reference(f, lift, e):
+    """F^e(f) by e single substitution steps xi -> xi^p + p*hi.
+
+    The engine's earlier path: each step rebuilds F(xi) from the corrections
+    and a fresh table of its powers, so it never reads the lift's memo.
+    """
+    ctx, n = f.ctx, f.nvars
+    images = []
+    for i, h in enumerate(lift.corrections):
+        xi_p = Poly.monomial(ctx, n, tuple(ctx.p if k == i else 0 for k in range(n)))
+        images.append(xi_p if h is None else xi_p + h * ctx.p)
+    for _ in range(e):
+        powers = [[Poly.one(ctx, n)] for _ in range(n)]
+        out = Poly.zero(ctx, n)
+        for mono, c in f.sorted_terms():
+            t = Poly.const(ctx, n, c)
+            for i, k in enumerate(mono):
+                while len(powers[i]) <= k:
+                    powers[i].append(powers[i][-1] * images[i])
+                t = t * powers[i][k]
+            out = out + t
+        f = out
+    return f
 
 
 # Matrices over V = Z/p^(m+1) and the Howell normal form.

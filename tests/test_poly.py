@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsroots import ChainRingCtx, FrobeniusLift, Poly, frobenius_apply, phi_decompose
+from bsroots import ChainRingCtx, FrobeniusLift, Poly, frobenius_apply, nu_set, phi_decompose
 from bsroots.poly import NEG_INF, _split_base_q, grevlex_key
 
-from _oracles import random_poly
+from _oracles import frobenius_apply_reference, random_poly
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)
+RINGS = [(2, 1), (2, 2), (3, 1), (3, 2)]
 
 
 def F23Y():
@@ -89,20 +90,36 @@ def test_frozen_decompose_under_nonstandard_lift():
     }
 
 
-@pytest.mark.parametrize("e", [1, 2])
+def _descent_lifts(ctx):
+    """The standard lift and the lifts of the lift-descent workload.
+
+    Corrections x:y, x:x*y, x:x*y+y^2, y:x^2 and y:x+y, alone and in pairs.
+    """
+    x, y = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)
+    for_x, for_y = [y, x * y, x * y + y * y], [x * x, x + y]
+    return (
+        [FrobeniusLift.standard(ctx, 2)]
+        + [FrobeniusLift(ctx, 2, [h, None]) for h in for_x]
+        + [FrobeniusLift(ctx, 2, [None, h]) for h in for_y]
+        + [FrobeniusLift(ctx, 2, [a, b]) for a in for_x for b in for_y]
+    )
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
 def test_decompose_resubstitution_identity(e):
     rng = random.Random(60 + e)
-    lifts = [FrobeniusLift.standard(Z4, 2), _lift_f2()]
-    for _ in range(15):
-        f = random_poly(rng, Z4, 2, 4, 4)
-        for lift in lifts:
-            comps = phi_decompose(f, lift, e)
-            rebuilt = Poly.zero(Z4, 2)
-            for alpha, g in comps.items():
-                assert not g.is_zero()
-                assert all(0 <= t < Z4.p**e for t in alpha)
-                rebuilt = rebuilt + frobenius_apply(g, lift, e).term_mul(alpha, 1)
-            assert rebuilt == f
+    for p, m in RINGS:
+        ctx = ChainRingCtx(p, m)
+        for lift in _descent_lifts(ctx):
+            for _ in range(4):
+                f = random_poly(rng, ctx, 2, 2 * p**e + 2, 5)
+                comps = phi_decompose(f, lift, e)
+                rebuilt = Poly.zero(ctx, 2)
+                for alpha, g in comps.items():
+                    assert not g.is_zero()
+                    assert all(0 <= t < p**e for t in alpha)
+                    rebuilt = rebuilt + frobenius_apply(g, lift, e).term_mul(alpha, 1)
+                assert rebuilt == f, (p, m, lift.corrections, f)
 
 
 def test_decompose_level_zero():
@@ -125,6 +142,49 @@ def test_standard_frobenius_scales_exponents():
     f = F23Y()
     g = frobenius_apply(f, FrobeniusLift.standard(Z9, 2), 2)
     assert g.terms == {(18, 0): 1, (0, 9): 3}
+
+
+@pytest.mark.parametrize("p,m", RINGS)
+def test_frobenius_apply_matches_reference(p, m):
+    ctx = ChainRingCtx(p, m)
+    rng = random.Random(90 + 10 * p + m)
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        corrections = [
+            None if rng.random() < 0.3 else random_poly(rng, ctx, nvars, p, 3)
+            for _ in range(nvars)
+        ]
+        fresh, warm = (FrobeniusLift(ctx, nvars, corrections) for _ in range(2))
+        for _ in range(3):  # other polynomials at other levels fill the memo
+            frobenius_apply(random_poly(rng, ctx, nvars, 3, 4), warm, rng.randint(0, 3))
+        assert warm == fresh and hash(warm) == hash(fresh)
+        f, e = random_poly(rng, ctx, nvars, 3, 4), rng.randint(0, 3)
+        want = frobenius_apply_reference(f, FrobeniusLift(ctx, nvars, corrections), e)
+        assert frobenius_apply(f, fresh, e).terms == want.terms
+        assert frobenius_apply(f, warm, e).terms == want.terms
+        assert len({warm, fresh, FrobeniusLift(ctx, nvars, corrections)}) == 1
+
+
+def test_frobenius_apply_of_high_degree_keeps_the_stack_shallow():
+    x = Poly.variable(Z4, 1, 0)
+    for lift in (FrobeniusLift.standard(Z4, 1), FrobeniusLift(Z4, 1, [x])):
+        assert frobenius_apply(x**1500, lift, 2).terms == {(6000,): 1}
+
+
+def test_mixed_rings_are_refused():
+    x9 = Poly.variable(Z9, 1, 0)
+    xy = Poly.variable(Z4, 2, 0) * Poly.variable(Z4, 2, 1)
+    x4 = Poly.variable(Z4, 1, 0)
+    lifts = (FrobeniusLift.standard(Z4, 1), FrobeniusLift(Z4, 1, [x4]))
+    for f in (x9**2, xy):
+        for lift in lifts:
+            for e in (0, 1, 2):
+                with pytest.raises(ValueError, match="mixed polynomial rings"):
+                    frobenius_apply(f, lift, e)
+                with pytest.raises(ValueError, match="mixed polynomial rings"):
+                    phi_decompose(f, lift, e)
+    with pytest.raises(ValueError, match="mixed polynomial rings"):
+        nu_set(x9**2, lifts[0], 1)
 
 
 small_coeff = st.integers(min_value=0, max_value=8)
