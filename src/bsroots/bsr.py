@@ -3,12 +3,13 @@
 A candidate root is a p-adically integral rational alpha all of whose
 truncations land in the level sets: truncate_below(alpha, e+m) must be a
 level-e invariant for every e. The residue tree materializes this test up
-to a chosen level E: level 0 is the full window [0, p^m), and a level-e
-residue survives when it is a level-e invariant refining a survivor below.
-Surviving residues at level E are then lifted back to bounded fractions;
-when p^(E+m) exceeds twice the bound box, at most one fraction fits per
-residue, so survivors either resolve to a unique root or are reported
-unresolved, never guessed.
+to a chosen level E without walking whole level windows: level 0 is the
+full window [0, p^m), and at level e only the p refinements
+s + k*p^(e-1+m) of each level-(e-1) survivor s are jump-tested; those that
+are level-e invariants survive. Surviving residues at level E are then
+lifted back to bounded fractions; when p^(E+m) exceeds twice the bound box,
+at most one fraction fits per residue, so survivors either resolve to a
+unique root or are reported unresolved, never guessed.
 
 The strength of a root grades how strongly the jump certifying each
 truncation holds: the least power of p that pushes the coordinates of f^a
@@ -26,7 +27,7 @@ from fractions import Fraction
 from .chainring import ChainRingCtx
 from .errors import InvariantError
 from .groebner import min_p_power_in
-from .nu import NuLevelSet, descent_basis, nu_set, require_nonzerodivisor
+from .nu import descent_basis, require_nonzerodivisor
 from .padic import PAdicRational, fraction_val, reconstruct
 from .poly import FrobeniusLift, Poly, phi_decompose
 
@@ -36,8 +37,7 @@ class ResidueTree:
     p: int
     m: int
     top_level: int
-    levels: tuple  # NuLevelSet per level 0..top_level (level 0 synthetic)
-    survivors: tuple  # per level, residues whose whole truncation chain held
+    survivors: tuple  # per level 0..top_level, residues whose whole chain held
 
 
 @dataclass(frozen=True)
@@ -90,31 +90,54 @@ def _default_top_level(p: int, m: int, den_bound: int, num_bound: int) -> int:
 
 
 def candidate_residues(f: Poly, lift: FrobeniusLift, top_level: int) -> ResidueTree:
-    """Level sets 0..top_level with the surviving residues at each level."""
+    """Surviving residues at levels 0..top_level, by the pruned walk.
+
+    Level 0 is the whole window [0, p^m). At level e only the refinements
+    n = s + k*p^(e-1+m), k < p, of the level-(e-1) survivors s are
+    jump-tested, in ascending order, and n survives when it is a level-e
+    invariant. Each f^n is built as f^s * (f^(p^(e-1+m)))^k from the
+    survivors' powers, the only powers kept from one level to the next;
+    the descent basis of f^(n+1) is reused when n+1 is the next candidate.
+    """
     require_nonzerodivisor(f)
     if top_level < 1:
         raise ValueError("top level must be >= 1")
     ctx = f.ctx
     p, m = ctx.p, ctx.m
     card_bound = (m + 1) * math.comb(int(f.degree()) * p**m + f.nvars, f.nvars)
-    base = tuple(range(p**m))
-    levels = [NuLevelSet(f=f, lift=lift, e=0, window=p**m, members=base)]
-    survivors = [base]
+    powers = {}  # survivor s -> f^s
+    power = Poly.one(ctx, f.nvars)
+    for s in range(p**m):
+        powers[s] = power
+        power = power * f
+    step_power = power  # f^(p^(e-1+m)) at level e
+    survivors = [tuple(powers)]
     for e in range(1, top_level + 1):
-        ns = nu_set(f, lift, e)
-        if len(ns.members) > card_bound:
-            raise InvariantError("level set exceeded cardinality bound")
-        below = set(survivors[-1])
         step = p ** (e - 1 + m)
-        levels.append(ns)
-        survivors.append(tuple(r for r in ns.members if r % step in below))
-    return ResidueTree(
-        p=p,
-        m=m,
-        top_level=top_level,
-        levels=tuple(levels),
-        survivors=tuple(survivors),
-    )
+        kept = {}
+        next_n = next_power = next_basis = None
+        shift = step_power  # (f^step)^k for k >= 1
+        for k in range(p):
+            if k > 1:
+                shift = shift * step_power
+            for s, f_s in powers.items():
+                n = s + k * step
+                if n == next_n:
+                    f_n, basis = next_power, next_basis
+                else:
+                    f_n = f_s * shift if k else f_s
+                    basis = descent_basis(f_n, lift, e)
+                next_n, next_power = n + 1, f_n * f
+                next_basis = descent_basis(next_power, lift, e)
+                if basis != next_basis:  # the top level's powers are never read
+                    kept[n] = f_n if e < top_level else None
+        if len(kept) > card_bound:
+            raise InvariantError("level set exceeded cardinality bound")
+        survivors.append(tuple(kept))
+        powers = kept
+        if e < top_level:
+            step_power = shift * step_power
+    return ResidueTree(p=p, m=m, top_level=top_level, survivors=tuple(survivors))
 
 
 def require_reconstruction_bound(
@@ -154,7 +177,7 @@ def detect_roots(
     require_reconstruction_bound(ctx, top_level, den_bound, num_bound)
     modulus = p ** (top_level + m)
     tree = candidate_residues(f, lift, top_level)
-    member_sets = [set(level.members) for level in tree.levels]
+    survivor_sets = [set(level) for level in tree.survivors]
     roots = []
     unresolved = []
     for r in tree.survivors[top_level]:
@@ -162,7 +185,7 @@ def detect_roots(
             alpha
             for alpha in reconstruct(r, modulus, den_bound, num_bound)
             if all(
-                alpha.truncate_below(e + m) in member_sets[e]
+                alpha.truncate_below(e + m) in survivor_sets[e]
                 for e in range(top_level + 1)
             )
         ]

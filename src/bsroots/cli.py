@@ -15,7 +15,8 @@ Expression grammar (no implicit multiplication):
   factor := base ('^' uint)?
   base   := int | var | '(' expr ')'
 
-Exit codes: 0 success, 2 configuration or parse error, 3 engine error or
+Exit codes: 0 success, 2 configuration or parse error (a ``--mode=nu`` run
+over ``NU_CHAIN_STEP_BUDGET`` chain steps included), 3 engine error or
 crosscheck mismatch. Structured output is deterministic byte for byte for a
 given configuration: work counters are derived from the computed data, never
 from the clock.
@@ -40,6 +41,14 @@ from .errors import InvariantError
 from .nu import nu_set
 from .padic import PAdicRational
 from .poly import FrobeniusLift, Poly
+
+
+# --mode=nu walks p^(e+m) chain steps at each level e <= max_level, each a
+# Groebner completion; a run whose sum exceeds this is refused up front. It
+# stops runaway levels (p=2 to level 40 is 2^41 steps), not slow runs: a step
+# of the nu-dense benchmark averages about 29 ms, so 2^20 such steps would
+# take some 8 hours.
+NU_CHAIN_STEP_BUDGET = 2**20
 
 
 class ExprError(ValueError):
@@ -234,16 +243,21 @@ def _root_entry_doc(entry):
     }
 
 
-def _window_doc(level_set):
-    return {
-        "e": level_set.e,
-        "window": level_set.window,
-        "members": list(level_set.members),
-    }
+def _window_doc(e, window, members):
+    return {"e": e, "window": window, "members": list(members)}
 
 
 def _windows_from_tree(tree):
-    return [_window_doc(level) for level in tree.levels[1:]]
+    """Level windows of a residue tree: the survivors at each level e >= 1.
+
+    Only refinements of surviving residues are tested, so ``members`` lists
+    the level-e invariants on surviving chains; ``--mode=nu`` lists whole
+    level sets.
+    """
+    return [
+        _window_doc(e, tree.p ** (e + tree.m), tree.survivors[e])
+        for e in range(1, tree.top_level + 1)
+    ]
 
 
 def _chain_steps(windows):
@@ -267,6 +281,17 @@ def _text_roots(doc, lines):
         lines.append("no surviving residues")
 
 
+def _require_nu_budget(ctx, top):
+    steps = 0
+    for e in range(1, top + 1):
+        steps += ctx.p ** (e + ctx.m)
+        if steps > NU_CHAIN_STEP_BUDGET:
+            raise ConfigError(
+                f"--mode=nu to level {top} walks more than {NU_CHAIN_STEP_BUDGET} "
+                "chain steps (the sum of p^(e+m) over the levels)"
+            )
+
+
 def run(argv=None):
     """Parse arguments, run the requested mode, return (exit_code, text)."""
     ap = build_arg_parser()
@@ -288,6 +313,10 @@ def run(argv=None):
             raise ConfigError("bounds must be positive")
         if args.max_level is not None and args.max_level < 1:
             raise ConfigError("--max-level must be >= 1")
+        if args.mode == "nu":
+            if args.max_level is None:
+                args.max_level = 2
+            _require_nu_budget(ctx, args.max_level)
         reconstructs = args.mode in ("roots", "bfunction", "crosscheck")
         if reconstructs and args.max_level is not None:
             require_reconstruction_bound(
@@ -333,10 +362,9 @@ def _render_error(args, exc):
 def _dispatch(args, ctx, names, f, lift, alpha, config):
     header = f"p={args.p} m={args.m} f={config['poly']}"
     if args.mode == "nu":
-        top = args.max_level if args.max_level is not None else 2
-        config["max_level"] = top
+        top = args.max_level
         sets = [nu_set(f, lift, e) for e in range(1, top + 1)]
-        windows = [_window_doc(s) for s in sets]
+        windows = [_window_doc(s.e, s.window, s.members) for s in sets]
         doc = {
             "config": config,
             "nu_windows": windows,

@@ -60,7 +60,8 @@ def is_nu(f: Poly, lift: FrobeniusLift, e: int, n: int) -> bool:
     if e < 1:
         raise ValueError("level must be >= 1")
     n %= f.ctx.p ** (e + f.ctx.m)
-    return descent_basis(f**n, lift, e) != descent_basis(f ** (n + 1), lift, e)
+    f_n = f**n
+    return descent_basis(f_n, lift, e) != descent_basis(f_n * f, lift, e)
 
 
 def nu_set(f: Poly, lift: FrobeniusLift, e: int) -> NuLevelSet:

@@ -10,7 +10,10 @@ substitution applies a lift one step at a time, as the engine once did,
 and reads nothing the lift has memoized. The reference Groebner
 completion at the end is the engine's earlier, non-incremental code that
 never retires an element; the engine's minimal bases must generate the same
-ideals and give the same membership verdicts.
+ideals and give the same membership verdicts. The reference residue tree is
+the engine's earlier full walk: every level set in full from ``nu_set``,
+then the survivors filtered out of it, against which the pruned tree must
+give the same survivors, roots and unresolved residues.
 """
 
 import heapq
@@ -20,7 +23,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from bsroots import ChainRingCtx, Poly
+from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu_set
 from bsroots.poly import (
     grevlex_desc_key,
     grevlex_key,
@@ -56,6 +59,49 @@ def reconstruct_double_loop(residue, modulus, den_bound, num_bound, p):
             if (u - residue * v) % modulus == 0:
                 out.append(Fraction(u, v))
     return sorted(set(out))
+
+
+def residue_tree_reference(f, lift, top_level):
+    """(level sets, survivors) per level 0..top_level, by full windows.
+
+    Level 0 is the whole window [0, p^m). Level e is ``nu_set`` over
+    [0, p^(e+m)); a member survives when it refines a survivor below.
+    """
+    p, m = f.ctx.p, f.ctx.m
+    base = tuple(range(p**m))
+    level_sets, survivors = [base], [base]
+    for e in range(1, top_level + 1):
+        members = nu_set(f, lift, e).members
+        below = set(survivors[-1])
+        step = p ** (e - 1 + m)
+        level_sets.append(members)
+        survivors.append(tuple(r for r in members if r % step in below))
+    return tuple(level_sets), tuple(survivors)
+
+
+def roots_reference(f, lift, top_level, den_bound, num_bound):
+    """(roots, unresolved) of the full walk: roots as sorted (fraction,
+    residue) pairs, each fraction found by the double loop and with every
+    truncation mod p^(e+m) inside the full level-e set."""
+    p, m = f.ctx.p, f.ctx.m
+    level_sets, survivors = residue_tree_reference(f, lift, top_level)
+    roots, unresolved = [], []
+    for r in survivors[top_level]:
+        fits = [
+            a
+            for a in reconstruct_double_loop(
+                r, p ** (top_level + m), den_bound, num_bound, p
+            )
+            if all(
+                a.numerator * pow(a.denominator, -1, p ** (e + m)) % p ** (e + m)
+                in level_sets[e]
+                for e in range(top_level + 1)
+            )
+        ]
+        roots.extend((a, r) for a in fits)
+        if not fits:
+            unresolved.append(r)
+    return sorted(roots), tuple(sorted(unresolved))
 
 
 def monomial_nu_member(a, p, e, n):
@@ -101,6 +147,20 @@ def random_unit_poly(rng, ctx, nvars, max_deg, max_terms):
         f = random_poly(rng, ctx, nvars, max_deg, max_terms)
         if f.has_unit_coeff():
             return f
+
+
+def descent_lifts(ctx):
+    """The standard lift of two variables and the lifts of the lift-descent
+    workload: corrections x:y, x:x*y, x:x*y+y^2, y:x^2 and y:x+y, alone and
+    in pairs."""
+    x, y = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)
+    for_x, for_y = [y, x * y, x * y + y * y], [x * x, x + y]
+    return (
+        [FrobeniusLift.standard(ctx, 2)]
+        + [FrobeniusLift(ctx, 2, [h, None]) for h in for_x]
+        + [FrobeniusLift(ctx, 2, [None, h]) for h in for_y]
+        + [FrobeniusLift(ctx, 2, [a, b]) for a in for_x for b in for_y]
+    )
 
 
 def int_val(p, n, cap):

@@ -12,17 +12,10 @@ levels e <= 2.
 import math
 import random
 
-from bsroots import (
-    ChainRingCtx,
-    FrobeniusLift,
-    IdealGens,
-    Poly,
-    cartier_generators,
-    frobenius_apply,
-    frobenius_pullback_ideal,
-    ideal_equal,
-    nu_set,
-)
+from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu_set
+from bsroots.cartier import IdealGens, cartier_generators, frobenius_pullback_ideal
+from bsroots.groebner import ideal_equal
+from bsroots.poly import frobenius_apply
 
 from _oracles import random_poly, random_unit_poly
 

@@ -11,15 +11,15 @@ from fractions import Fraction
 from bsroots import (
     ChainRingCtx,
     FrobeniusLift,
-    IdealGens,
     Poly,
     candidate_residues,
-    crosscheck_mod_p,
     detect_roots,
+    nu_set,
     strength,
-    strength_vs_bsato,
-    strong_groebner,
 )
+from bsroots.bsr import crosscheck_mod_p, strength_vs_bsato
+from bsroots.cartier import IdealGens
+from bsroots.groebner import strong_groebner
 
 from _oracles import (
     Matrix,
@@ -46,7 +46,9 @@ def test_criterion_1_running_example_levels_and_roots():
     f, lift = _setup(3, 1, {(2, 0): 1, (0, 1): 3}, 2)
 
     tree = candidate_residues(f, lift, 3)
-    assert set(tree.levels[2].members) == {4, 5, 8, 13, 14, 17, 22, 23, 26}
+    level2 = {4, 5, 8, 13, 14, 17, 22, 23, 26}
+    assert set(tree.survivors[2]) == level2
+    assert set(nu_set(f, lift, 2).members) == level2
 
     window = 3 ** (3 + 1)
     step = 3**3
@@ -61,7 +63,8 @@ def test_criterion_1_running_example_levels_and_roots():
         formula.add((k * step + 1) // 2)
         k += 2
     formula = {n for n in formula if n < window}
-    assert set(tree.levels[3].members) == formula
+    assert set(tree.survivors[3]) == formula
+    assert set(nu_set(f, lift, 3).members) == formula
 
     report = detect_roots(f, lift, top_level=4, den_bound=10, num_bound=10)
     roots = {e.alpha.frac for e in report.roots}
@@ -89,9 +92,9 @@ def test_criterion_3_lift_dependence_of_levels_but_not_roots():
     F1 = FrobeniusLift.standard(ctx, 2)
     F2 = FrobeniusLift(ctx, 2, [x * y + y * y, None])
 
-    assert candidate_residues(x, F1, 1).levels[1].members == (1, 3)
-    assert candidate_residues(x + y, F1, 1).levels[1].members == (1, 2, 3)
-    assert candidate_residues(x, F2, 1).levels[1].members == (1, 2, 3)
+    for g, lift, members in ((x, F1, (1, 3)), (x + y, F1, (1, 2, 3)), (x, F2, (1, 2, 3))):
+        assert candidate_residues(g, lift, 1).survivors[1] == members
+        assert nu_set(g, lift, 1).members == members
 
     r1 = detect_roots(x, F1, top_level=7, den_bound=10, num_bound=10)
     r2 = detect_roots(x, F2, top_level=7, den_bound=10, num_bound=10)

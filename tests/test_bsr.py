@@ -6,6 +6,7 @@ the descent chains before the pipeline existed. Monomial cases are checked
 against the independent floor-arithmetic oracle.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,18 +14,24 @@ import pytest
 from bsroots import (
     ChainRingCtx,
     FrobeniusLift,
-    PAdicRational,
     Poly,
     bfunction_report,
     candidate_residues,
-    crosscheck_mod_p,
     detect_roots,
+    nu_set,
     strength,
-    strength_vs_bsato,
 )
-from bsroots.bsr import _default_top_level
+from bsroots import bsr, nu
+from bsroots.bsr import _default_top_level, crosscheck_mod_p, strength_vs_bsato
+from bsroots.padic import PAdicRational
 
-from _oracles import monomial_root_set
+from _oracles import (
+    descent_lifts,
+    monomial_root_set,
+    random_unit_poly,
+    residue_tree_reference,
+    roots_reference,
+)
 
 
 def _setup(p, m, terms, nvars):
@@ -40,12 +47,17 @@ def running_example_report():
 
 
 def test_running_example_level_sets(running_example_report):
-    _, _, rep = running_example_report
+    f, lift, rep = running_example_report
     tree = rep.tree
     assert tree.survivors[0] == (0, 1, 2)
-    assert tree.levels[1].members == (1, 2, 4, 5, 7, 8)
-    assert tree.levels[2].members == (4, 5, 8, 13, 14, 17, 22, 23, 26)
-    assert tree.levels[3].members == (13, 14, 26, 40, 41, 53, 67, 68, 80)
+    frozen = {
+        1: (1, 2, 4, 5, 7, 8),
+        2: (4, 5, 8, 13, 14, 17, 22, 23, 26),
+        3: (13, 14, 26, 40, 41, 53, 67, 68, 80),
+    }
+    for e, members in frozen.items():
+        assert tree.survivors[e] == members
+        assert nu_set(f, lift, e).members == members
     assert tree.survivors[4] == (40, 41, 80, 121, 122, 161, 202, 203, 242)
 
 
@@ -106,10 +118,10 @@ def test_lift_changes_levels_but_not_roots():
     std = FrobeniusLift.standard(ctx, 2)
     bent = FrobeniusLift(ctx, 2, [x * y + y * y, None])
     assert bent.image(0).terms == {(2, 0): 1, (1, 1): 2, (0, 2): 2}
-    t_std = candidate_residues(x, std, 1).levels[1].members
-    t_bent = candidate_residues(x, bent, 1).levels[1].members
-    assert t_std == (1, 3)
-    assert t_bent == (1, 2, 3)
+    assert candidate_residues(x, std, 1).survivors[1] == (1, 3)
+    assert nu_set(x, std, 1).members == (1, 3)
+    assert candidate_residues(x, bent, 1).survivors[1] == (1, 2, 3)
+    assert nu_set(x, bent, 1).members == (1, 2, 3)
     r_std = detect_roots(x, std, top_level=7, den_bound=10, num_bound=10)
     r_bent = detect_roots(x, bent, top_level=7, den_bound=10, num_bound=10)
     assert [e.alpha.frac for e in r_std.roots] == [e.alpha.frac for e in r_bent.roots]
@@ -157,7 +169,8 @@ def test_binomial_strength_over_z4():
     assert [(str(e.alpha.frac), e.strength, e.stabilized) for e in rep.roots] == [
         ("-1", 2, True)
     ]
-    assert rep.tree.levels[2].members == (3, 7)
+    assert rep.tree.survivors[2] == (3, 7)
+    assert nu_set(f, lift, 2).members == (3, 7)
 
 
 def test_crosscheck_all_three_examples():
@@ -192,3 +205,81 @@ def test_strength_vs_bsato_rows():
         assert table[(m, Fraction(-1, 2))] == (m + 1, float("inf"))
         assert table[(m, Fraction(-2))] == (0, 1)
         assert table[(m, Fraction(1, 2))] == (0, 1)
+
+
+def _assert_matches_full_walk(f, lift, top, den_bound, num_bound):
+    rep = detect_roots(f, lift, top, den_bound, num_bound)
+    _, survivors = residue_tree_reference(f, lift, top)
+    assert rep.tree.survivors == survivors, (f.terms, lift.corrections)
+    roots, unresolved = roots_reference(f, lift, top, den_bound, num_bound)
+    assert [(e.alpha.frac, e.residue) for e in rep.roots] == roots
+    assert rep.unresolved == unresolved
+
+
+# Z/2, Z/4, Z/8, Z/3, Z/9, Z/5 and Z/25, each at the least top level that
+# reconstructs fractions within bounds 3/3 (Z/25 one higher, so that one
+# level is pruned)
+TREE_RINGS = [(2, 0, 5), (2, 1, 4), (2, 2, 3), (3, 0, 3), (3, 1, 2), (5, 0, 2), (5, 1, 2)]
+
+
+@pytest.mark.parametrize("p,m,top", TREE_RINGS, ids=[f"{p}-{m}" for p, m, _ in TREE_RINGS])
+def test_pruned_tree_matches_full_walk(p, m, top):
+    # four 1-variable cases under the standard lift, then one 2-variable case
+    # per lift: the standard lift and every lift-descent correction
+    rng = random.Random(800 + 10 * p + m)
+    ctx = ChainRingCtx(p, m)
+    cases = [
+        (random_unit_poly(rng, ctx, 1, 3, 3), FrobeniusLift.standard(ctx, 1))
+        for _ in range(4)
+    ]
+    cases += [(random_unit_poly(rng, ctx, 2, 3, 3), lift) for lift in descent_lifts(ctx)]
+    for f, lift in cases:
+        _assert_matches_full_walk(f, lift, top, 3, 3)
+
+
+def test_pruned_tree_matches_full_walk_on_acceptance_examples():
+    ctx = ChainRingCtx(2, 1)
+    x, y = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)
+    std = FrobeniusLift.standard(ctx, 2)
+    bent = FrobeniusLift(ctx, 2, [x * y + y * y, None])
+    cases = [
+        (_setup(3, 1, {(2, 0): 1, (0, 1): 3}, 2), 4),
+        (_setup(2, 1, {(1,): 1}, 1), 7),
+        (_setup(2, 1, {(1, 0): 1, (0, 1): 2}, 2), 7),
+        ((x, std), 7),
+        ((x + y, std), 7),
+        ((x, bent), 7),
+    ]
+    for (f, lift), top in cases:
+        _assert_matches_full_walk(f, lift, top, 10, 10)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1)])
+def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
+    # The descent basis of x^n is replaced by the number of chosen jumps
+    # below n, so n is a level-e invariant exactly when level e's jump set
+    # holds it. The sets mix refinements of survivors with exponents off the
+    # tree, which no real level set has shown; the pruned tree must still
+    # match the full walk, so it must test the right exponents and reuse a
+    # basis only for the exponent it belongs to.
+    rng = random.Random(900 + 10 * p + m)
+    ctx = ChainRingCtx(p, m)
+    x = Poly.variable(ctx, 1, 0)
+    lift = FrobeniusLift.standard(ctx, 1)
+    top = 4
+    for _ in range(5):
+        jumps = {}
+        survivors = set(range(p**m))
+        for e in range(1, top + 1):
+            step = p ** (e - 1 + m)
+            refining = [s + k * step for s in sorted(survivors) for k in range(p)]
+            jumps[e] = set(rng.sample(refining, min(2, len(refining))))
+            jumps[e] |= set(rng.sample(range(p ** (e + m)), 2))
+            survivors = {n for n in jumps[e] if n % step in survivors}
+        def jump_count(power, lift, e):
+            return sum(j < power.degree() for j in jumps[e])
+
+        monkeypatch.setattr(nu, "descent_basis", jump_count)
+        monkeypatch.setattr(bsr, "descent_basis", jump_count)
+        _, expected = residue_tree_reference(x, lift, top)
+        assert candidate_residues(x, lift, top).survivors == expected, jumps

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from bsroots import (
     ChainRingCtx,
-    FiniteSupportModule,
     FrobeniusLift,
     LevelFunction,
-    PAdicRational,
     Poly,
     bfunction_contains,
     bfunction_report,
@@ -21,6 +19,8 @@ from bsroots import (
     stalk,
     support_module,
 )
+from bsroots.cfun import FiniteSupportModule
+from bsroots.padic import PAdicRational
 
 Z4 = ChainRingCtx(2, 1)
 Z9 = ChainRingCtx(3, 1)

@@ -13,7 +13,8 @@ import pytest
 import bsroots
 from bsroots import ChainRingCtx, Poly, detect_roots, FrobeniusLift
 from bsroots.bsr import CrosscheckResult
-from bsroots.cli import ExprError, parse_poly, run
+from bsroots.cli import NU_CHAIN_STEP_BUDGET, ExprError, parse_poly, run
+from bsroots.nu import NuLevelSet
 
 from _oracles import random_poly
 
@@ -212,6 +213,31 @@ def test_reconstruction_bound_exits_2_before_work(monkeypatch, mode):
     }
 
 
+def test_nu_mode_over_the_chain_step_budget_exits_2_before_work(monkeypatch):
+    # p=2, m=0: levels 1..L walk 2^(L+1) - 2 chain steps, so level 19 is the
+    # last within 2^20; the stub level sets keep the accepted run free
+    calls = []
+
+    def stub(f, lift, e):
+        calls.append(e)
+        return NuLevelSet(f=f, lift=lift, e=e, window=2**e, members=())
+
+    monkeypatch.setattr("bsroots.cli.nu_set", stub)
+    argv = ["--p=2", "--m=0", "--vars=x", "--poly=x", "--mode=nu",
+            "--format=structured"]
+    for level in (40, 20):
+        code, text = run(argv + [f"--max-level={level}"])
+        assert code == 2
+        error = json.loads(text)["error"]
+        assert error["type"] == "ConfigError"
+        assert f"more than {NU_CHAIN_STEP_BUDGET} chain steps" in error["message"]
+    assert calls == []
+    code, text = run(argv + ["--max-level=19"])
+    assert code == 0
+    assert json.loads(text)["counters"]["chain_steps"] == 2**20 - 2
+    assert calls == list(range(1, 20))
+
+
 def test_engine_error_exits_3():
     # 2*x is a zerodivisor over Z/4; the chain walk refuses it
     code, text = run(["--p=2", "--m=1", "--vars=x", "--poly=2*x", "--mode=nu"])
@@ -336,20 +362,17 @@ def test_module_entry_points(module):
 
 
 def test_invariant_failure_exits_3_under_optimize():
-    # the child replaces nu_set by one whose level set breaks the cardinality
-    # bound; under -O a bare assert would be stripped and the run would pass
+    # the child replaces the residue tree's descent basis by a fresh object
+    # per call, unequal to every other, so every candidate jumps and the
+    # survivors break the cardinality bound; under -O a bare assert would be
+    # stripped and the run would pass
     child = """
 import sys
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-from bsroots import NuLevelSet, bsr
+from bsroots import bsr
 from bsroots.cli import run
-real = bsr.nu_set
-def bloated(f, lift, e):
-    ns = real(f, lift, e)
-    return NuLevelSet(f=f, lift=lift, e=e, window=ns.window,
-                      members=tuple(range(ns.window)))
-bsr.nu_set = bloated
+bsr.descent_basis = lambda f_power, lift, e: object()
 code, text = run(sys.argv[1:])
 print(text)
 sys.exit(code)

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from bsroots import (
-    ChainRingCtx,
+from bsroots import ChainRingCtx, Poly
+from bsroots.cartier import IdealGens
+from bsroots.groebner import (
     GroebnerBasis,
-    IdealGens,
-    Poly,
     ideal_contains,
     ideal_equal,
     min_p_power_in,

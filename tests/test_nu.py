@@ -1,15 +1,8 @@
 import pytest
 
-from bsroots import (
-    ChainRingCtx,
-    FrobeniusLift,
-    IdealGens,
-    Poly,
-    is_nu,
-    nu_of_ideal,
-    nu_set,
-)
-from bsroots.nu import descent_basis
+from bsroots import ChainRingCtx, FrobeniusLift, Poly, is_nu, nu_set
+from bsroots.cartier import IdealGens
+from bsroots.nu import descent_basis, nu_of_ideal
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)
@@ -62,7 +55,7 @@ def test_nu_levels_are_nested():
 
 def test_frobenius_shift_identity():
     """Level e of f equals level e+1 of F(f), periodically extended."""
-    from bsroots import frobenius_apply
+    from bsroots.poly import frobenius_apply
 
     f = F23Y()
     base = nu_set(f, STD9, 1)

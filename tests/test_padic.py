@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bsroots import PAdicRational, fraction_val, reconstruct
+from bsroots.padic import PAdicRational, fraction_val, reconstruct
 from bsroots.padic import prime_power_base
 
 from _oracles import reconstruct_double_loop

@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsroots import ChainRingCtx, FrobeniusLift, Poly, frobenius_apply, nu_set, phi_decompose
-from bsroots.poly import NEG_INF, _split_base_q, grevlex_key
+from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu_set
+from bsroots.poly import (
+    NEG_INF,
+    _split_base_q,
+    frobenius_apply,
+    grevlex_key,
+    phi_decompose,
+)
 
-from _oracles import frobenius_apply_reference, random_poly
+from _oracles import descent_lifts, frobenius_apply_reference, random_poly
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)
@@ -90,27 +96,12 @@ def test_frozen_decompose_under_nonstandard_lift():
     }
 
 
-def _descent_lifts(ctx):
-    """The standard lift and the lifts of the lift-descent workload.
-
-    Corrections x:y, x:x*y, x:x*y+y^2, y:x^2 and y:x+y, alone and in pairs.
-    """
-    x, y = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)
-    for_x, for_y = [y, x * y, x * y + y * y], [x * x, x + y]
-    return (
-        [FrobeniusLift.standard(ctx, 2)]
-        + [FrobeniusLift(ctx, 2, [h, None]) for h in for_x]
-        + [FrobeniusLift(ctx, 2, [None, h]) for h in for_y]
-        + [FrobeniusLift(ctx, 2, [a, b]) for a in for_x for b in for_y]
-    )
-
-
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_decompose_resubstitution_identity(e):
     rng = random.Random(60 + e)
     for p, m in RINGS:
         ctx = ChainRingCtx(p, m)
-        for lift in _descent_lifts(ctx):
+        for lift in descent_lifts(ctx):
             for _ in range(4):
                 f = random_poly(rng, ctx, 2, 2 * p**e + 2, 5)
                 comps = phi_decompose(f, lift, e)
