@@ -223,11 +223,13 @@ def strength(f: Poly, lift: FrobeniusLift, alpha, e_stop: int = 4) -> StrengthRe
     descent image of (f^(a+1)). The walk runs from level 1 to ``e_stop``.
     The level sequence is nonincreasing; the walk stops early once two
     consecutive levels agree or the value 0 is reached, both of which are
-    final.
+    final. A ``PAdicRational`` over a prime other than the ring's is refused.
     """
     require_nonzerodivisor(f)
     if not isinstance(alpha, PAdicRational):
         alpha = PAdicRational(f.ctx.p, alpha)
+    elif alpha.p != f.ctx.p:
+        raise ValueError(f"alpha is {alpha.p}-adic but the ring has p={f.ctx.p}")
     if e_stop < 1:
         raise ValueError("need e_stop >= 1")
     ctx = f.ctx
@@ -259,12 +261,13 @@ def bfunction_report(
     top_level: int = None,
     den_bound: int = 50,
     num_bound: int = 100,
-    e_stop: int = None,
 ) -> RootReport:
-    """Root report with strengths attached: the structured b-function data."""
+    """Root report with strengths attached: the structured b-function data.
+
+    Each strength walks levels 1..min(4, verified_to_level).
+    """
     report = detect_roots(f, lift, top_level, den_bound, num_bound)
-    if e_stop is None:
-        e_stop = min(4, report.verified_to_level)
+    e_stop = min(4, report.verified_to_level)
     graded = []
     for entry in report.roots:
         res = strength(f, lift, entry.alpha, e_stop)

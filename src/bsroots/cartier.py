@@ -77,18 +77,6 @@ class IdealGens:
     def __repr__(self):
         return f"IdealGens({list(self.gens)!r})"
 
-    def has_unit_constant(self):
-        one_mono = (0,) * self.nvars
-        return any(
-            set(g.terms) == {one_mono} and self.ctx.is_unit(g.terms[one_mono])
-            for g in self.gens
-        )
-
-    def max_degree(self):
-        if not self.gens:
-            return 0
-        return max(g.degree() for g in self.gens)
-
 
 def frobenius_pullback_ideal(J: IdealGens, lift: FrobeniusLift, e: int) -> IdealGens:
     """Generators of the extension of F^e(J) to the whole ring."""
@@ -101,13 +89,10 @@ def cartier_generators(J: IdealGens, lift: FrobeniusLift, e: int) -> IdealGens:
     """Generators of the image of J under all level-e descent operators.
 
     These are the coordinates g_alpha of every generator of J in the free
-    basis over the e-fold Frobenius image. A unit constant among the inputs
-    short-circuits to the unit ideal: its own coordinates already give (1).
+    basis over the e-fold Frobenius image.
     """
     if e < 0:
         raise ValueError("negative level")
-    if J.has_unit_constant():
-        return IdealGens([Poly.one(J.ctx, J.nvars)], ctx=J.ctx, nvars=J.nvars)
     comps = []
     for g in J.gens:
         comps.extend(phi_decompose(g, lift, e).values())

@@ -21,9 +21,9 @@ out retired. h is paired with every unretired element before anything
 retires: the S-polynomial g - c * x^a * h of a g that h dominates carries
 g's tail, and dropping that pair loses it. Retired elements keep the pairs
 already queued for them, but they form no new pairs and drop out of the
-index that reduction scans (Buchberger's minimal-basis step with the update
-of Gebauer and Moeller, for strong bases over a chain ring as in Norton and
-Salagean).
+index that reduction scans (Buchberger's minimal-basis step, for strong
+bases over a chain ring as in Norton and Salagean). Every pair formed is
+reduced: no criterion skips a pair that would reduce to zero.
 
 Elements are unit-normalized (leading coefficient an exact power of p); the
 result holds the unretired elements only, each tail reduced by them, sorted.
@@ -190,8 +190,7 @@ def _annihilator_step(g: Poly):
 
 
 def strong_groebner(J) -> GroebnerBasis:
-    if isinstance(J, GroebnerBasis):
-        return J
+    """The reduced strong basis of the ideal the generators ``J`` span."""
     ctx, nvars = J.ctx, J.nvars
     live = GroebnerBasis(ctx, nvars, ())
     lts = live._lts
@@ -242,17 +241,8 @@ def strong_groebner(J) -> GroebnerBasis:
     return GroebnerBasis(ctx, nvars, _sorted_gens(tidied))
 
 
-def ideal_contains(J, g: Poly) -> bool:
-    return strong_groebner(J).contains(g)
-
-
-def ideal_equal(A, B) -> bool:
-    return strong_groebner(A).elements == strong_groebner(B).elements
-
-
-def min_p_power_in(J, g: Poly) -> int:
-    """Least t with p^t * g in J; always <= m+1 since p^(m+1) = 0."""
-    gb = strong_groebner(J)
+def min_p_power_in(gb: GroebnerBasis, g: Poly) -> int:
+    """Least t with p^t * g in the ideal of ``gb``; <= m+1 since p^(m+1) = 0."""
     ctx = g.ctx
     for t in range(ctx.m + 2):
         if gb.contains(g * ctx.p**t):

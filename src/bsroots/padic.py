@@ -91,20 +91,6 @@ class PAdicRational:
     def __lt__(self, other):
         return self.frac < (other.frac if isinstance(other, PAdicRational) else other)
 
-    def __le__(self, other):
-        return self.frac <= (other.frac if isinstance(other, PAdicRational) else other)
-
-    def __neg__(self):
-        return PAdicRational(self.p, -self.frac)
-
-    def __add__(self, other):
-        other = other.frac if isinstance(other, PAdicRational) else Fraction(other)
-        return PAdicRational(self.p, self.frac + other)
-
-    def __sub__(self, other):
-        other = other.frac if isinstance(other, PAdicRational) else Fraction(other)
-        return PAdicRational(self.p, self.frac - other)
-
     def __repr__(self):
         return f"PAdicRational({self.p}, {self.frac})"
 

@@ -115,9 +115,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(sum(m) == 0 for m in self.terms)
-
     def degree(self):
         """Total degree; NEG_INF for the zero polynomial."""
         if not self.terms:
@@ -144,12 +141,6 @@ class Poly:
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]
 
-    def min_coeff_val(self):
-        """Least valuation over the coefficients; m+1 for the zero polynomial."""
-        if not self.terms:
-            return self.ctx.m + 1
-        return min(self.ctx.val(c) for c in self.terms.values())
-
     def max_coeff_val(self):
         if not self.terms:
             return self.ctx.m + 1
@@ -159,9 +150,6 @@ class Poly:
         """True iff f is a nonzerodivisor on V[x], i.e. some coefficient is a unit."""
         p = self.ctx.p
         return any(c % p for c in self.terms.values())
-
-    def coeff(self, mono):
-        return self.terms.get(tuple(mono), 0)
 
     def with_ctx(self, ctx: ChainRingCtx) -> "Poly":
         """Reinterpret the integer coefficients over another chain ring."""
@@ -395,8 +383,6 @@ def phi_decompose(f: Poly, lift: FrobeniusLift, e: int) -> dict:
         raise ValueError("negative level")
     if f.ctx != lift.ctx or f.nvars != lift.nvars:
         raise ValueError("mixed polynomial rings")
-    if e == 0:
-        return {} if f.is_zero() else {(0,) * f.nvars: f}
     q = lift.ctx.p**e
     if lift.is_standard:
         return _split_base_q(f, q)

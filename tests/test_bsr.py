@@ -163,6 +163,14 @@ def test_strength_validation_and_nonroot():
     assert strength(f, lift, PAdicRational(3, Fraction(-1))).value == 2
 
 
+def test_strength_refuses_alpha_over_another_prime():
+    f, lift = _setup(3, 1, {(1,): 1}, 1)
+    # -1 over p=2 would truncate to other residues; 1/3 is a 5-adic integer
+    for alpha in (PAdicRational(2, -1), PAdicRational(5, -1, 3)):
+        with pytest.raises(ValueError, match="-adic but the ring has p=3"):
+            strength(f, lift, alpha)
+
+
 def test_binomial_strength_over_z4():
     f, lift = _setup(2, 1, {(1, 0): 1, (0, 1): 2}, 2)
     rep = bfunction_report(f, lift, top_level=7, den_bound=10, num_bound=10)

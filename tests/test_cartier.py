@@ -4,10 +4,11 @@ import pytest
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly
 from bsroots.cartier import IdealGens, cartier_generators, frobenius_pullback_ideal
-from bsroots.groebner import ideal_contains, ideal_equal
+from bsroots.groebner import strong_groebner
 from bsroots.cartier import _sorted_gens
+from bsroots.poly import phi_decompose
 
-from _oracles import gen_sort_key, random_poly, random_unit_poly
+from _oracles import descent_lifts, gen_sort_key, random_poly, random_unit_poly
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)
@@ -25,13 +26,31 @@ def test_frozen_components_of_f4_level2():
     J = IdealGens([F23Y() ** 4])
     C = cartier_generators(J, std(Z9, 2), 2)
     assert [g.terms for g in C.gens] == [{(0, 0): 1}, {(0, 0): 3}]
-    assert ideal_equal(C, IdealGens([Poly.one(Z9, 2)]))
+    assert strong_groebner(C) == strong_groebner(IdealGens([Poly.one(Z9, 2)]))
 
 
-def test_unit_constant_short_circuit():
+def test_unit_constant_generates_the_unit_ideal():
     two = Poly.const(Z9, 2, 2)
     C = cartier_generators(IdealGens([two, F23Y()]), std(Z9, 2), 1)
-    assert [g.terms for g in C.gens] == [{(0, 0): 1}]
+    assert strong_groebner(C).elements == (Poly.one(Z9, 2),)
+
+
+@pytest.mark.parametrize("ctx", [Z4, Z9], ids=["Z4", "Z9"])
+def test_level_zero_and_unit_constants_on_every_lift(ctx):
+    """Level 0 decomposes f to itself, and a unit constant among the
+    generators completes to the unit ideal at every level, for the standard
+    lift and the lift-descent corrections alike."""
+    rng = random.Random(ctx.modulus)
+    units = [u for u in range(1, ctx.modulus) if u % ctx.p]
+    one = Poly.one(ctx, 2)
+    for lift in descent_lifts(ctx):
+        assert phi_decompose(Poly.zero(ctx, 2), lift, 0) == {}
+        for _ in range(3):
+            f = random_unit_poly(rng, ctx, 2, 4, 4)
+            assert phi_decompose(f, lift, 0) == {(0, 0): f}
+            J = IdealGens([f, Poly.const(ctx, 2, rng.choice(units))])
+            for e in (0, 1, 2):
+                assert strong_groebner(cartier_generators(J, lift, e)).elements == (one,)
 
 
 def test_generator_ordering_is_canonical():
@@ -97,7 +116,7 @@ def test_roundtrip_descent_of_pullback():
                     continue
                 I = IdealGens(gens)
                 back = cartier_generators(frobenius_pullback_ideal(I, lift, e), lift, e)
-                assert ideal_equal(I, back)
+                assert strong_groebner(I) == strong_groebner(back)
 
 
 def test_roundtrip_under_nonstandard_lift():
@@ -109,7 +128,7 @@ def test_roundtrip_under_nonstandard_lift():
         g = random_unit_poly(rng, Z4, 2, 2, 3)
         I = IdealGens([g])
         back = cartier_generators(frobenius_pullback_ideal(I, f2, 1), f2, 1)
-        assert ideal_equal(I, back)
+        assert strong_groebner(I) == strong_groebner(back)
 
 
 def test_power_chain_is_descending():
@@ -120,7 +139,8 @@ def test_power_chain_is_descending():
     for n in range(6):
         C = cartier_generators(IdealGens([f**n]), lift, 1)
         if prev is not None:
-            assert all(ideal_contains(prev, g) for g in C.gens)
+            prev_gb = strong_groebner(prev)
+            assert all(prev_gb.contains(g) for g in C.gens)
         prev = C
 
 
