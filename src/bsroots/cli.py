@@ -46,8 +46,10 @@ from .poly import FrobeniusLift, Poly
 # --mode=nu walks p^(e+m) chain steps at each level e <= max_level, each a
 # Groebner completion; a run whose sum exceeds this is refused up front. It
 # stops runaway levels (p=2 to level 40 is 2^41 steps), not slow runs: a step
-# of the nu-dense benchmark averages about 29 ms, so 2^20 such steps would
-# take some 8 hours.
+# of the nu-dense benchmark averages about 1.7 ms (nu.nu_set.s over
+# nu.jump_tests of `perfbench/run.py --workload nu-dense --trace 1`, seed 1,
+# 2-vCPU host), so 2^20 such steps would take about half an hour; a step
+# costs more as the power f^n it multiplies grows.
 NU_CHAIN_STEP_BUDGET = 2**20
 
 

@@ -40,17 +40,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from operator import add
 
 from .cartier import _sorted_gens
 from .errors import InvariantError
-from .poly import (
-    Poly,
-    grevlex_desc_key,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    mono_quot,
-)
+from .poly import Poly, grevlex_desc_key, mono_divides, mono_lcm, mono_quot
 
 
 class GroebnerBasis:
@@ -148,7 +142,7 @@ def normal_form(g: Poly, basis: GroebnerBasis) -> Poly:
             for bm, bc in b.terms.items():
                 if bm == lm:
                     continue
-                t = mono_mul(bm, shift)
+                t = tuple(map(add, bm, shift))
                 old = work.get(t)
                 new = ((old or 0) - q * bc) % mod
                 if new:
@@ -165,16 +159,28 @@ def normal_form(g: Poly, basis: GroebnerBasis) -> Poly:
 
 
 def _s_poly(f: Poly, g: Poly) -> Poly:
+    """p^(j-jf) * x^uf * f - p^(j-jg) * x^ug * g, built in one term dict.
+
+    x^uf * lm(f) = x^ug * lm(g) = lcm(lm(f), lm(g)), jf and jg are the
+    valuations of the leading coefficients and j = max(jf, jg). Both
+    arguments must be unit-normalized, lc = p^v exactly: then both scaled
+    leading terms are p^j at the lcm and cancel exactly, so neither is built.
+    """
     ctx = f.ctx
     lmf, lcf = f.leading_term()
     lmg, lcg = g.leading_term()
     gamma = mono_lcm(lmf, lmg)
     jf, jg = ctx.val(lcf), ctx.val(lcg)
     j = max(jf, jg)
-    # elements are unit-normalized, so scaling by p powers alone matches lts
-    sf = f.term_mul(mono_quot(lmf, gamma), ctx.p ** (j - jf))
-    sg = g.term_mul(mono_quot(lmg, gamma), ctx.p ** (j - jg))
-    return sf - sg
+    uf, cf = mono_quot(lmf, gamma), ctx.p ** (j - jf)
+    ug, cg = mono_quot(lmg, gamma), ctx.p ** (j - jg)
+    acc = {tuple(map(add, m, uf)): c * cf for m, c in f.terms.items() if m != lmf}
+    get = acc.get
+    for m, c in g.terms.items():
+        if m != lmg:
+            t = tuple(map(add, m, ug))
+            acc[t] = get(t, 0) - c * cg
+    return Poly._from_terms(ctx, f.nvars, acc)
 
 
 def _annihilator_step(g: Poly):

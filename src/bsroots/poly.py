@@ -2,8 +2,10 @@
 
 A polynomial is a map from exponent tuples to nonzero residues. The ambient
 monomial order everywhere is degree reverse lexicographic with
-x1 > x2 > ... > xn; ``grevlex_key`` realizes it as a sortable key, so the
-leading monomial is the max over the support.
+x1 > x2 > ... > xn; ``grevlex_key`` realizes it as a sortable key. The
+leading monomial is found in one scan: the total degrees of the support,
+then, among the monomials of top degree, the least reversed exponent tuple,
+which is the degrevlex tie-break.
 
 ``FrobeniusLift`` models ring endomorphisms F with F(xi) = xi^p + p*hi and
 F identity on coefficients. ``phi_decompose`` inverts the induced module
@@ -12,6 +14,8 @@ F^e(g_alpha) * x^alpha, the coordinates the descent operators act on.
 """
 
 from __future__ import annotations
+
+from operator import add, le, sub
 
 from .chainring import ChainRingCtx
 from .errors import InvariantError
@@ -26,24 +30,20 @@ def grevlex_key(mono):
 
 def grevlex_desc_key(mono):
     """Sort key whose ascending order is descending degrevlex; a heap key."""
-    return (-sum(mono), tuple(reversed(mono)))
-
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return (-sum(mono), mono[::-1])
 
 
 def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_quot(divisor, dividend):
     """Exponent difference dividend - divisor (caller checks divisibility)."""
-    return tuple(y - x for x, y in zip(divisor, dividend))
+    return tuple(map(sub, dividend, divisor))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Poly:
@@ -129,9 +129,16 @@ class Poly:
         # only the monomial is cached: a (monomial, coefficient) pair per
         # polynomial raised peak memory measurably
         if self._lm is None:
-            if not self.terms:
+            terms = self.terms
+            if not terms:
                 raise ValueError("zero polynomial has no leading term")
-            self._lm = max(self.terms, key=grevlex_key)
+            # one pass for the total degrees; among the monomials of top
+            # degree the largest in degrevlex has the least reversed tuple
+            degs = list(map(sum, terms))
+            top = max(degs)
+            self._lm = min(
+                (m for m, d in zip(terms, degs) if d == top), key=lambda m: m[::-1]
+            )
         return self._lm
 
     def leading_term(self):
@@ -188,12 +195,13 @@ class Poly:
             )
         if other.ctx != self.ctx or other.nvars != self.nvars:
             raise ValueError("mixed polynomial rings")
-        mod = self.ctx.modulus
         acc = {}
+        get = acc.get
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = mono_mul(m1, m2)
-                acc[key] = (acc.get(key, 0) + c1 * c2) % mod
+            for m2, c2 in right:
+                key = tuple(map(add, m1, m2))
+                acc[key] = get(key, 0) + c1 * c2
         return Poly._from_terms(self.ctx, self.nvars, acc)
 
     def __rmul__(self, other):
@@ -207,7 +215,7 @@ class Poly:
         return Poly._from_terms(
             self.ctx,
             self.nvars,
-            {mono_mul(m, mono): cc * c for m, cc in self.terms.items()},
+            {tuple(map(add, m, mono)): cc * c for m, cc in self.terms.items()},
         )
 
     def __pow__(self, n):
@@ -215,12 +223,13 @@ class Poly:
             raise ValueError("negative power")
         result = Poly.one(self.ctx, self.nvars)
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -362,8 +371,8 @@ def _split_base_q(f: Poly, q: int):
     """
     comps = {}
     for mono, c in f.terms.items():
-        alpha = tuple(x % q for x in mono)
-        beta = tuple(x // q for x in mono)
+        alpha = tuple(map(q.__rmod__, mono))
+        beta = tuple(map(q.__rfloordiv__, mono))
         comps.setdefault(alpha, {})[beta] = c
     return {
         alpha: Poly._from_terms(f.ctx, f.nvars, terms)

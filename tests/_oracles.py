@@ -7,7 +7,10 @@ are more than naive. The Howell normal form (Storjohann & Mulders 1998)
 decides row spans over V, and the brute-force membership search reduces to
 it; exhaustive span enumeration checks it in turn. The reference Frobenius
 substitution applies a lift one step at a time, as the engine once did,
-and reads nothing the lift has memoized. The reference Groebner
+and reads nothing the lift has memoized. The reference product is the
+schoolbook double loop with generator exponent sums and a reduction at
+every step, as the engine computed it before its monomial kernels moved to
+``map``. The reference Groebner
 completion at the end is the engine's earlier, non-incremental code that
 never retires an element; the engine's minimal bases must generate the same
 ideals and give the same membership verdicts. The reference residue tree is
@@ -24,13 +27,7 @@ from fractions import Fraction
 from itertools import product
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu_set
-from bsroots.poly import (
-    grevlex_desc_key,
-    grevlex_key,
-    mono_divides,
-    mono_lcm,
-    mono_quot,
-)
+from bsroots.poly import grevlex_desc_key, grevlex_key
 
 
 def exhaustive_span(rows, ncols, modulus):
@@ -128,6 +125,37 @@ def monomial_root_set(a, p, m, den_bound, num_bound, depth=12):
             if ok:
                 roots.add(Fraction(u, v))
     return roots
+
+
+# Exponent arithmetic as the engine spelled it before its monomial kernels
+# moved to C-level ``map``: one generator over ``zip`` per operation.
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_quot(divisor, dividend):
+    return tuple(y - x for x, y in zip(divisor, dividend))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def poly_mul_reference(f, g):
+    """Schoolbook product, every accumulation reduced mod p^(m+1)."""
+    mod = f.ctx.modulus
+    acc = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            key = mono_mul(m1, m2)
+            acc[key] = (acc.get(key, 0) + c1 * c2) % mod
+    return Poly(f.ctx, f.nvars, acc)
 
 
 def random_poly(rng: random.Random, ctx: ChainRingCtx, nvars, max_deg, max_terms):
@@ -451,8 +479,12 @@ def _s_poly_reference(f, g):
     gamma = mono_lcm(lmf, lmg)
     jf, jg = ctx.val(lcf), ctx.val(lcg)
     j = max(jf, jg)
-    sf = f.term_mul(mono_quot(lmf, gamma), ctx.p ** (j - jf))
-    sg = g.term_mul(mono_quot(lmg, gamma), ctx.p ** (j - jg))
+    sf = poly_mul_reference(
+        f, Poly.monomial(ctx, f.nvars, mono_quot(lmf, gamma), ctx.p ** (j - jf))
+    )
+    sg = poly_mul_reference(
+        g, Poly.monomial(ctx, g.nvars, mono_quot(lmg, gamma), ctx.p ** (j - jg))
+    )
     return sf - sg
 
 

@@ -6,6 +6,7 @@ from bsroots import ChainRingCtx, Poly
 from bsroots.cartier import IdealGens
 from bsroots.groebner import (
     GroebnerBasis,
+    _s_poly,
     min_p_power_in,
     normal_form,
     strong_groebner,
@@ -13,6 +14,8 @@ from bsroots.groebner import (
 from bsroots.poly import mono_divides
 
 from _oracles import (
+    _normalize_unit_reference,
+    _s_poly_reference,
     membership_bruteforce,
     normal_form_reference,
     random_poly,
@@ -271,6 +274,25 @@ def test_empty_ideal():
     assert gb.elements == ()
     assert gb.contains(Poly.zero(Z4, 1))
     assert not gb.contains(Poly.one(Z4, 1))
+
+
+@pytest.mark.parametrize("p,m", RINGS)
+def test_s_poly_matches_reference(p, m):
+    """The one-dict S-polynomial equals the shifted difference built in full."""
+    ctx = ChainRingCtx(p, m)
+    rng = random.Random(2000 * p + m)
+    pairs = 0
+    while pairs < 60:
+        nv = rng.randint(1, 3)
+        f, g = (
+            random_poly(rng, ctx, nv, 3, 5) * p ** rng.randint(0, m) for _ in range(2)
+        )
+        if f.is_zero() or g.is_zero():
+            continue
+        f, g = _normalize_unit_reference(f), _normalize_unit_reference(g)
+        for a, b in ((f, g), (g, f), (f, f)):
+            assert _s_poly(a, b).terms == _s_poly_reference(a, b).terms, (a, b)
+        pairs += 1
 
 
 @pytest.mark.parametrize("p,m", RINGS)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,12 @@ from bsroots.poly import (
     phi_decompose,
 )
 
-from _oracles import descent_lifts, frobenius_apply_reference, random_poly
+from _oracles import (
+    descent_lifts,
+    frobenius_apply_reference,
+    poly_mul_reference,
+    random_poly,
+)
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)
@@ -55,6 +61,33 @@ def test_pow_matches_repeated_multiplication():
         for k in range(6):
             assert f**k == acc
             acc = acc * f
+
+
+@pytest.mark.parametrize("p,m", RINGS)
+def test_mul_matches_schoolbook_reference(p, m):
+    ctx = ChainRingCtx(p, m)
+    rng = random.Random(80 + 10 * p + m)
+    cases = []
+    for _ in range(30):
+        nvars = rng.randint(1, 3)
+        # a dense operand on a small box against a short one: products land
+        # on the same monomial and their coefficients sum, often to 0 mod p^(m+1)
+        f = random_poly(rng, ctx, nvars, 3, 12) * p ** rng.randint(0, m)
+        cases.append((f, random_poly(rng, ctx, nvars, 2, 3)))
+    x = Poly.variable(ctx, 1, 0)
+    geometric = Poly(ctx, 1, {(k,): 1 for k in range(5)})
+    assert poly_mul_reference(geometric, x - 1) == x**5 - 1  # the middle cancels
+    cases.append((geometric, x - 1))
+    cases.append((x * p + p, x * p - p))  # p^2 * (x^2 - 1): zero when m = 1
+    for f, g in cases:
+        want = poly_mul_reference(f, g).terms
+        assert (f * g).terms == want, (f, g)
+        assert (g * f).terms == want, (f, g)
+        if not g.is_zero():
+            mono, c = g.leading_term()
+            assert f.term_mul(mono, c).terms == poly_mul_reference(
+                f, Poly.monomial(ctx, f.nvars, mono, c)
+            ).terms
 
 
 def test_frozen_decompose_standard():
@@ -213,22 +246,41 @@ def _uncached_lead(f):
     return mono, f.terms[mono]
 
 
+def _tied_poly(rng, ctx, nvars, deg, nterms):
+    """Random terms of one total degree deg, plus the constant 1."""
+    terms = {(0,) * nvars: 1}
+    for _ in range(nterms):
+        mono = [0] * nvars
+        for _ in range(deg):
+            mono[rng.randrange(nvars)] += 1
+        terms[tuple(mono)] = rng.randrange(1, ctx.modulus)
+    return Poly(ctx, nvars, terms)
+
+
 def test_cached_leading_term_matches_support():
     rng = random.Random(77)
-    Z27 = ChainRingCtx(3, 2)
-    lift = FrobeniusLift(Z9, 2, [Poly(Z9, 2, {(1, 1): 1, (0, 2): 2}), None])
+    for (p, m), nvars in product([(2, 1), (3, 1), (3, 2)], [1, 2, 3]):
+        _check_cached_leading_terms(rng, ChainRingCtx(p, m), nvars)
+
+
+def _check_cached_leading_terms(rng, ctx, nvars):
+    p, mod = ctx.p, ctx.modulus
+    other = ChainRingCtx(p, 2 if ctx.m == 1 else 1)  # a lift or a reduction of V
+    corrections = [random_poly(rng, ctx, nvars, p, 3)] + [None] * (nvars - 1)
+    lift = FrobeniusLift(ctx, nvars, corrections)
     for _ in range(40):
-        f, g = random_poly(rng, Z9, 2, 3, 4), random_poly(rng, Z9, 2, 3, 4)
+        f = random_poly(rng, ctx, nvars, 3, 4)
+        g = _tied_poly(rng, ctx, nvars, rng.randint(1, 4), rng.randint(1, 5))
         if not f.is_zero():
             f.leading_term()  # one operand enters with its cache filled
-        built = [
-            f + g,
-            f - g,
-            f * g,
-            f.term_mul((rng.randint(0, 2), rng.randint(0, 2)), rng.randrange(1, 9)),
-            f.with_ctx(Z27),
-            frobenius_apply(f, lift, 1),
-        ]
+        built = [g, f + g, f - g, f * g]
+        for h in (f, g):
+            shift = tuple(rng.randint(0, 2) for _ in range(nvars))
+            built += [
+                h.term_mul(shift, rng.randrange(1, mod)),
+                h.with_ctx(other),
+                frobenius_apply(h, lift, 1),
+            ]
         for h in built:
             if h.is_zero():
                 continue
