@@ -13,38 +13,17 @@ Degrees drop by the factor p^e, which is the engine's source of finiteness.
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
-
 from .chainring import ChainRingCtx
-from .poly import FrobeniusLift, Poly, frobenius_apply, grevlex_desc_key, phi_decompose
-
-
-def _head_key(g: Poly):
-    lm = g.leading_monomial()
-    return grevlex_desc_key(lm), g.terms[lm]
-
-
-def _sorted_gens(gens):
-    """Generators in canonical order, as a new list.
-
-    Descending degrevlex on the leading monomial, then ascending leading
-    coefficient, then the whole support (``Poly.sort_key``). The support key
-    sorts every term, so it is only computed inside runs that tie on the
-    leading term; both sorts are stable, so the order is that of the full key.
-    """
-    keyed = sorted(((_head_key(g), g) for g in gens), key=itemgetter(0))
-    out = []
-    for _, run in groupby(keyed, key=itemgetter(0)):
-        run = [g for _, g in run]
-        if len(run) > 1:
-            run.sort(key=Poly.sort_key)
-        out.extend(run)
-    return out
+from .poly import FrobeniusLift, frobenius_apply, head_key, phi_decompose
 
 
 class IdealGens:
-    """Ordered generating set of an ideal; zeros pruned, order canonical."""
+    """Generating set of an ideal, sorted by leading term (``head_key``).
+
+    Zeros and duplicates are dropped. Generators that tie on the leading
+    term keep their input order, so the tuple is as deterministic as the
+    input; the canonical object of an ideal is its completed basis.
+    """
 
     __slots__ = ("ctx", "nvars", "gens")
 
@@ -60,8 +39,7 @@ class IdealGens:
                 raise ValueError("mixed polynomial rings")
         self.ctx = ctx
         self.nvars = nvars
-        # duplicates go first, so only distinct generators can tie in the sort
-        self.gens = tuple(_sorted_gens(dict.fromkeys(gens)))
+        self.gens = tuple(sorted(dict.fromkeys(gens), key=head_key))
 
     def __eq__(self, other):
         return (

@@ -74,9 +74,6 @@ class ChainRingCtx:
             x //= self.p
         return x
 
-    def is_unit(self, x: int) -> bool:
-        return x % self.p != 0
-
     def invert(self, x: int) -> int:
         x %= self.modulus
         if x % self.p == 0:

@@ -26,14 +26,14 @@ bases over a chain ring as in Norton and Salagean). Every pair formed is
 reduced: no criterion skips a pair that would reduce to zero.
 
 Elements are unit-normalized (leading coefficient an exact power of p); the
-result holds the unretired elements only, each tail reduced by them, sorted.
-No two share a leading term, and the unit ideal completes to (1,).
-Reduction leaves every remaining coefficient at its canonical coset
-representative, so the result is the reduced strong basis of the ideal. It
-is unique over a finite chain ring (Norton and Salagean, "Strong Groebner
-bases and cyclic codes over a finite-chain ring", 2001): two generating
-sets of one ideal complete to the same tuple, and ideal equality is a tuple
-comparison.
+result holds the unretired elements only, each tail reduced by them, sorted
+by leading term, which no two elements share (completion checks it); the
+unit ideal completes to (1,). Reduction leaves every remaining coefficient
+at its canonical coset representative, so the result is the reduced strong
+basis of the ideal. It is unique over a finite chain ring (Norton and
+Salagean, "Strong Groebner bases and cyclic codes over a finite-chain
+ring", 2001): two generating sets of one ideal complete to the same tuple,
+and ideal equality is a tuple comparison.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ import heapq
 import itertools
 from operator import add
 
-from .cartier import _sorted_gens
 from .errors import InvariantError
-from .poly import Poly, grevlex_desc_key, mono_divides, mono_lcm, mono_quot
+from .poly import Poly, grevlex_desc_key, head_key, mono_divides, mono_lcm, mono_quot
 
 
 class GroebnerBasis:
@@ -95,10 +94,6 @@ class GroebnerBasis:
 
     def contains(self, g: Poly) -> bool:
         return normal_form(g, self).is_zero()
-
-    def is_unit_ideal(self) -> bool:
-        one = Poly.one(self.ctx, self.nvars)
-        return len(self.elements) == 1 and self.elements[0] == one
 
 
 def _normalize_unit(g: Poly) -> Poly:
@@ -244,7 +239,10 @@ def strong_groebner(J) -> GroebnerBasis:
     for lm, _, lc, g in lts:
         head = Poly.monomial(ctx, nvars, lm, lc)
         tidied.append(head + normal_form(g - head, live))
-    return GroebnerBasis(ctx, nvars, _sorted_gens(tidied))
+    tidied.sort(key=head_key)
+    if any(head_key(a) == head_key(b) for a, b in zip(tidied, tidied[1:])):
+        raise InvariantError("two basis elements share a leading term")
+    return GroebnerBasis(ctx, nvars, tidied)
 
 
 def min_p_power_in(gb: GroebnerBasis, g: Poly) -> int:

@@ -81,9 +81,11 @@ class PAdicRational:
         return PAdicRational(self.p, (self.frac - low) / self.p**k)
 
     def __eq__(self, other):
-        if isinstance(other, PAdicRational):
-            return other.p == self.p and other.frac == self.frac
-        return self.frac == other
+        return (
+            isinstance(other, PAdicRational)
+            and other.p == self.p
+            and other.frac == self.frac
+        )
 
     def __hash__(self):
         return hash((self.p, self.frac))

@@ -2,7 +2,9 @@
 
 A polynomial is a map from exponent tuples to nonzero residues. The ambient
 monomial order everywhere is degree reverse lexicographic with
-x1 > x2 > ... > xn; ``grevlex_key`` realizes it as a sortable key. The
+x1 > x2 > ... > xn, spelled once: ``grevlex_desc_key`` sorts monomials
+largest first. ``head_key`` extends it to polynomials by their leading term,
+the one order that generator lists and completed bases are kept in. The
 leading monomial is found in one scan: the total degrees of the support,
 then, among the monomials of top degree, the least reversed exponent tuple,
 which is the degrevlex tie-break.
@@ -23,14 +25,16 @@ from .errors import InvariantError
 NEG_INF = float("-inf")
 
 
-def grevlex_key(mono):
-    """Sort key for degrevlex with x1 > x2 > ...; max over a support = lead."""
-    return (sum(mono), tuple(-e for e in reversed(mono)))
-
-
 def grevlex_desc_key(mono):
     """Sort key whose ascending order is descending degrevlex; a heap key."""
     return (-sum(mono), mono[::-1])
+
+
+def head_key(g):
+    """Sort key of a nonzero polynomial by its leading term: leading monomials
+    in descending degrevlex, then leading coefficients in ascending order."""
+    lm = g.leading_monomial()
+    return grevlex_desc_key(lm), g.terms[lm]
 
 
 def mono_divides(a, b):
@@ -123,7 +127,7 @@ class Poly:
 
     def sorted_terms(self):
         """Terms in descending monomial order."""
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: grevlex_desc_key(t[0]))
 
     def leading_monomial(self):
         # only the monomial is cached: a (monomial, coefficient) pair per
@@ -232,8 +236,6 @@ class Poly:
             base = base * base
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self == Poly.const(self.ctx, self.nvars, other)
         return (
             isinstance(other, Poly)
             and other.ctx == self.ctx
@@ -245,13 +247,6 @@ class Poly:
         if self._hash is None:
             self._hash = hash((self.ctx, self.nvars, frozenset(self.terms.items())))
         return self._hash
-
-    def sort_key(self):
-        """Deterministic total order key: leading data first, then the tail."""
-        items = self.sorted_terms()
-        return (
-            tuple((grevlex_key(m), c) for m, c in items),
-        )
 
     def to_string(self, names=None):
         """Render in the surface syntax accepted by the expression parser."""

@@ -27,7 +27,17 @@ from fractions import Fraction
 from itertools import product
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu_set
-from bsroots.poly import grevlex_desc_key, grevlex_key
+
+
+# Degrevlex with x1 > x2 > ... > xn, spelled here from its definition so
+# that an ordering bug in the engine cannot hide in a shared key: the larger
+# of two monomials has the larger total degree, or, at equal degree, the
+# smaller exponent at the last variable where they differ.
+
+
+def grevlex_reference_key(mono):
+    """Ascending key for degrevlex: the maximum over a support is the lead."""
+    return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
 def exhaustive_span(rows, ncols, modulus):
@@ -375,7 +385,7 @@ def membership_bruteforce(J, g, degree_cap):
             products.append(f.term_mul(mu, 1))
     columns = sorted(
         {m for q in products for m in q.terms} | set(g.terms),
-        key=grevlex_key,
+        key=grevlex_reference_key,
         reverse=True,
     )
     index = {m: i for i, m in enumerate(columns)}
@@ -403,15 +413,24 @@ def membership_bruteforce(J, g, degree_cap):
 def _lt(g):
     if not g.terms:
         raise ValueError("zero polynomial has no leading term")
-    mono = max(g.terms, key=grevlex_key)
+    mono = max(g.terms, key=grevlex_reference_key)
     return mono, g.terms[mono]
 
 
-def gen_sort_key(g):
-    """The canonical generator order as one full key per generator."""
+def head_key_reference(g):
+    """Descending degrevlex on the leading monomial, then ascending coefficient."""
     lm, lc = _lt(g)
-    # descending degrevlex on the leading monomial, then ascending coefficient
-    return (grevlex_desc_key(lm), lc, g.sort_key())
+    degree, rest = grevlex_reference_key(lm)
+    return ((-degree, tuple(-e for e in rest)), lc)
+
+
+def gen_sort_key(g):
+    """A total order on polynomials: the head key, then every term, largest
+    first. The reference basis keeps elements that share a leading term, so
+    its sort needs the tail to be deterministic."""
+    monos = sorted(g.terms, key=grevlex_reference_key, reverse=True)
+    tail = tuple((grevlex_reference_key(m), g.terms[m]) for m in monos)
+    return head_key_reference(g) + (tail,)
 
 
 class ReferenceBasis:

@@ -5,10 +5,9 @@ import pytest
 from bsroots import ChainRingCtx, FrobeniusLift, Poly
 from bsroots.cartier import IdealGens, cartier_generators, frobenius_pullback_ideal
 from bsroots.groebner import strong_groebner
-from bsroots.cartier import _sorted_gens
 from bsroots.poly import phi_decompose
 
-from _oracles import descent_lifts, gen_sort_key, random_poly, random_unit_poly
+from _oracles import descent_lifts, head_key_reference, random_poly, random_unit_poly
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)
@@ -58,13 +57,17 @@ def test_generator_ordering_is_canonical():
     y = Poly.variable(Z4, 2, 1)
     a = IdealGens([y, x, x + y])
     b = IdealGens([x + y, y, x])
-    assert a.gens == b.gens
-    # descending leading monomials, duplicates removed
+    # descending leading monomials; x and x + y tie on the head x and keep
+    # their input order, so only the completed bases are equal
+    assert a.gens == (x, x + y, y)
+    assert b.gens == (x + y, x, y)
+    assert strong_groebner(a) == strong_groebner(b)
+    # duplicates removed
     assert IdealGens([x, x]).gens == (x,)
 
 
 def test_generator_order_matches_full_key_sort():
-    """Tail keys computed only on leading-term ties give the full-key order."""
+    """Generators are sorted by head, duplicates dropped, ties in input order."""
     rng = random.Random(101)
     for ctx in (Z4, Z9):
         for _ in range(40):
@@ -76,9 +79,15 @@ def test_generator_order_matches_full_key_sort():
                 gens.append(head * rng.choice([1, 2, ctx.p]) + tail)
             gens += rng.sample(gens, rng.randint(0, len(gens)))  # duplicates
             rng.shuffle(gens)
-            expected = sorted(gens, key=gen_sort_key)
-            assert _sorted_gens(gens) == expected
-            assert list(IdealGens(gens).gens) == list(dict.fromkeys(expected))
+            got = IdealGens(gens).gens
+            first_seen = {}
+            for i, g in enumerate(gens):
+                if not g.is_zero():
+                    first_seen.setdefault(g, i)
+            assert sorted(got, key=first_seen.get) == list(first_seen)
+            for a, b in zip(got, got[1:]):
+                ka, kb = head_key_reference(a), head_key_reference(b)
+                assert ka < kb or (ka == kb and first_seen[a] < first_seen[b])
 
 
 def test_pullback_standard():

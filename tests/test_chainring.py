@@ -59,7 +59,7 @@ def test_val_product_rule_exhaustive(p, m):
 def test_invert_is_inverse(p, m):
     ctx = ChainRingCtx(p, m)
     for x in range(ctx.modulus):
-        if ctx.is_unit(x):
+        if x % p:
             assert (x * ctx.invert(x)) % ctx.modulus == 1
         else:
             with pytest.raises(ValueError):
@@ -83,5 +83,5 @@ def test_unit_part_factorization():
     ctx = ChainRingCtx(3, 2)
     for x in range(1, ctx.modulus):
         u = ctx.unit_part(x)
-        assert ctx.is_unit(u)
+        assert u % ctx.p
         assert (u * ctx.p ** ctx.val(x)) % ctx.modulus == x

@@ -297,19 +297,30 @@ def test_console_script_subprocess():
     assert out.returncode == 0, out.stderr
     assert "--mode" in out.stdout
 
-    argv = [sys.executable, "-m", "bsroots.cli"] + BASE + [
+    bfunction = BASE + [
         "--mode=bfunction", "--max-level=4", "--den-bound=10", "--num-bound=10",
-        "--format=structured",
     ]
-    runs = []
-    for seed in ("1", "2"):
-        env = _child_env(PYTHONHASHSEED=seed)
-        out = subprocess.run(argv, capture_output=True, env=env, timeout=SUBPROCESS_TIMEOUT_S)
-        assert out.returncode == 0, out.stderr
-        runs.append(out.stdout)
-    assert runs[0] == runs[1]
-    doc = json.loads(runs[0])
-    assert [r["fraction"] for r in doc["roots"]] == ["-1", "-1/2", "1/2"]
+    # generators that tie on the leading term keep their input order, which
+    # must not follow the hash seed; 12 of the 52 generator lists of this
+    # nonstandard-lift job hold such ties
+    lifted = ["--p=2", "--m=2", "--vars=x,y", "--poly=x^3+y^2", "--lift=x:x*y+y^2",
+              "--lift=y:x", "--mode=nu", "--max-level=2"]
+    docs = []
+    for job in (bfunction, lifted):
+        argv = [sys.executable, "-m", "bsroots.cli"] + job + ["--format=structured"]
+        runs = []
+        for seed in ("1", "2"):
+            env = _child_env(PYTHONHASHSEED=seed)
+            out = subprocess.run(argv, capture_output=True, env=env,
+                                 timeout=SUBPROCESS_TIMEOUT_S)
+            assert out.returncode == 0, out.stderr
+            runs.append(out.stdout)
+        assert runs[0] == runs[1], job
+        docs.append(json.loads(runs[0]))
+    assert [r["fraction"] for r in docs[0]["roots"]] == ["-1", "-1/2", "1/2"]
+    assert [w["members"] for w in docs[1]["nu_windows"]] == [
+        list(range(8)), list(range(1, 16))
+    ]
 
 
 def test_runs_without_numpy_or_a_thread_pool():

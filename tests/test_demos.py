@@ -1,7 +1,8 @@
-"""The demos run as scripts and print what they printed when frozen.
+"""The demos and the README quick start print what they are frozen to print.
 
 Each demo runs in a fresh interpreter that imports the package under test;
-its stdout must match the text below exactly.
+its stdout must match the text below exactly. The quick start must print
+the root lines its own comments show.
 """
 
 import pathlib
@@ -12,7 +13,8 @@ import pytest
 
 from test_cli import SUBPROCESS_TIMEOUT_S, _child_env
 
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 EXPECTED = {
     "01_level_sets": (
@@ -95,3 +97,19 @@ def test_demo_output_is_unchanged(name):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == EXPECTED[name]
+
+
+def test_readme_quick_start():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    assert expected == ["-1 242 2", "-1/2 121 1", "1/2 122 1"]
+    out = subprocess.run(
+        [sys.executable, "-c", block],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=SUBPROCESS_TIMEOUT_S,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[: len(expected)] == expected

@@ -50,6 +50,15 @@ def test_denominator_divisible_by_p_rejected():
         PAdicRational(2, 1, 6)
 
 
+def test_equality_with_a_number_is_false():
+    # equal objects must hash equal, so a p-adic rational never equals a number
+    a = PAdicRational(3, -1)
+    assert a != -1 and not a == -1 and a != Fraction(-1)
+    assert len({a, -1}) == 2
+    b = PAdicRational(3, Fraction(-2, 2))
+    assert a == b and hash(a) == hash(b)
+
+
 def test_prime_power_base():
     assert prime_power_base(243) == (3, 5)
     assert prime_power_base(64) == (2, 6)

@@ -10,13 +10,14 @@ from bsroots.poly import (
     NEG_INF,
     _split_base_q,
     frobenius_apply,
-    grevlex_key,
+    grevlex_desc_key,
     phi_decompose,
 )
 
 from _oracles import (
     descent_lifts,
     frobenius_apply_reference,
+    grevlex_reference_key,
     poly_mul_reference,
     random_poly,
 )
@@ -33,10 +34,29 @@ def F23Y():
 def test_grevlex_order():
     # x1 > x2 and degree dominates: x^2 > x*y > y^2 > x > y > 1
     chain = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
-    keys = [grevlex_key(mono) for mono in chain]
-    assert keys == sorted(keys, reverse=True)
+    assert sorted(chain[::-1], key=grevlex_reference_key, reverse=True) == chain
+    assert sorted(chain[::-1], key=grevlex_desc_key) == chain
     # revlex tie-break, not lex: x1*x3 < x2^2 although lex would say otherwise
-    assert grevlex_key((1, 0, 1)) < grevlex_key((0, 2, 0))
+    assert grevlex_reference_key((1, 0, 1)) < grevlex_reference_key((0, 2, 0))
+    assert grevlex_desc_key((0, 2, 0)) < grevlex_desc_key((1, 0, 1))
+    # the engine's key, term order and leading monomial follow the oracle's
+    # key on supports where most monomials tie in total degree
+    rng = random.Random(33)
+    for nvars in (1, 2, 3):
+        for _ in range(30):
+            f = _tied_poly(rng, Z9, nvars, rng.randint(1, 4), rng.randint(1, 5))
+            expected = sorted(f.terms, key=grevlex_reference_key, reverse=True)
+            assert sorted(f.terms, key=grevlex_desc_key) == expected, f
+            assert [m for m, _ in f.sorted_terms()] == expected, f
+            assert f.leading_monomial() == expected[0], f
+
+
+def test_equality_with_an_int_is_false():
+    # equal objects must hash equal, so a polynomial never equals an int
+    one = Poly.one(Z9, 1)
+    assert one != 1 and not one == 1
+    assert len({one, 1}) == 2
+    assert one == Poly.const(Z9, 1, 10) and hash(one) == hash(Poly.const(Z9, 1, 10))
 
 
 def test_leading_term_and_degree():
@@ -242,7 +262,7 @@ def test_nonzerodivisor_flag():
 
 
 def _uncached_lead(f):
-    mono = max(f.terms, key=grevlex_key)
+    mono = max(f.terms, key=grevlex_reference_key)
     return mono, f.terms[mono]
 
 
