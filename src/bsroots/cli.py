@@ -16,10 +16,11 @@ Expression grammar (no implicit multiplication):
   base   := int | var | '(' expr ')'
 
 Exit codes: 0 success, 2 configuration or parse error (a ``--mode=nu`` run
-over ``NU_CHAIN_STEP_BUDGET`` chain steps included), 3 engine error or
-crosscheck mismatch. Structured output is deterministic byte for byte for a
-given configuration: work counters are derived from the computed data, never
-from the clock.
+over ``NU_CHAIN_STEP_BUDGET`` chain steps, and an exponent or a degree that
+reaches 2^31 in the input or in a ``--mode=nu`` power chain, included), 3
+engine error or crosscheck mismatch. Structured output is deterministic byte
+for byte for a given configuration: work counters are derived from the
+computed data, never from the clock.
 """
 
 from __future__ import annotations
@@ -40,16 +41,17 @@ from .chainring import ChainRingCtx
 from .errors import InvariantError
 from .nu import nu_set
 from .padic import PAdicRational
-from .poly import FrobeniusLift, Poly
+from .poly import EXPONENT_LIMIT, FrobeniusLift, Poly
 
 
 # --mode=nu walks p^(e+m) chain steps at each level e <= max_level, each a
 # Groebner completion; a run whose sum exceeds this is refused up front. It
 # stops runaway levels (p=2 to level 40 is 2^41 steps), not slow runs: a step
-# of the nu-dense benchmark averages about 1.7 ms (nu.nu_set.s over
-# nu.jump_tests of `perfbench/run.py --workload nu-dense --trace 1`, seed 1,
-# 2-vCPU host), so 2^20 such steps would take about half an hour; a step
-# costs more as the power f^n it multiplies grows.
+# of the nu-dense benchmark averages about 1 ms (nu.nu_set.s over
+# nu.jump_tests of `perfbench/run.py --workload nu-dense --trace 1`, seed 1:
+# 0.88-1.09 ms over three runs on a 2-vCPU host running at 0.93-1.10 times
+# the benchmark's reference speed), so 2^20 such steps would take 15-20
+# minutes; a step costs more as the power f^n it multiplies grows.
 NU_CHAIN_STEP_BUDGET = 2**20
 
 
@@ -283,7 +285,7 @@ def _text_roots(doc, lines):
         lines.append("no surviving residues")
 
 
-def _require_nu_budget(ctx, top):
+def _require_nu_budget(ctx, top, f):
     steps = 0
     for e in range(1, top + 1):
         steps += ctx.p ** (e + ctx.m)
@@ -292,6 +294,13 @@ def _require_nu_budget(ctx, top):
                 f"--mode=nu to level {top} walks more than {NU_CHAIN_STEP_BUDGET} "
                 "chain steps (the sum of p^(e+m) over the levels)"
             )
+    # the walk at the top level ends at the power f^(p^(top+m))
+    degree = max(f.degree(), 0) * ctx.p ** (top + ctx.m)
+    if degree >= EXPONENT_LIMIT:
+        raise ConfigError(
+            f"--mode=nu to level {top} raises f to total degree {degree}, "
+            "which reaches 2^31, the limit of packed monomials"
+        )
 
 
 def run(argv=None):
@@ -318,7 +327,7 @@ def run(argv=None):
         if args.mode == "nu":
             if args.max_level is None:
                 args.max_level = 2
-            _require_nu_budget(ctx, args.max_level)
+            _require_nu_budget(ctx, args.max_level, f)
         reconstructs = args.mode in ("roots", "bfunction", "crosscheck")
         if reconstructs and args.max_level is not None:
             require_reconstruction_bound(

@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from operator import add
 
 from .errors import InvariantError
-from .poly import Poly, grevlex_desc_key, head_key, mono_divides, mono_lcm, mono_quot
+from .poly import Poly, guard_bits, head_key, lcm, mono_degree
 
 
 class GroebnerBasis:
@@ -113,44 +112,46 @@ def normal_form(g: Poly, basis: GroebnerBasis) -> Poly:
     c mod p^w for w the least such v. Over a completed basis p^w generates
     the leading coefficients of the ideal at x^b, so the remainder is the
     same for every g in one coset of the ideal. The rest is one mutable term
-    dict with a heap of its monomials, largest first; a monomial can sit in
-    the heap twice after it cancels and reappears, and the stale entry finds
-    no term left.
+    dict with a heap of its negated packed monomials, largest monomial
+    first; a monomial can sit in the heap twice after it cancels and
+    reappears, and the stale entry finds no term left.
     """
     ctx = g.ctx
     mod = ctx.modulus
+    guards = guard_bits(g.nvars)
     work = dict(g.terms)
-    heap = [(grevlex_desc_key(mono), mono) for mono in work]
+    heap = [-mono for mono in work]
     heapq.heapify(heap)
     out = {}
     while heap:
-        mono = heapq.heappop(heap)[1]
+        mono = -heapq.heappop(heap)
         c = work.pop(mono, 0)
         if not c:
             continue
         for lm, _, lc, b in basis._lts:
             # c < lc leaves the quotient 0: nothing to do
-            if lc > c or not mono_divides(lm, mono):
+            if lc > c or (lm - mono) & guards:
                 continue
             q, c = divmod(c, lc)
-            shift = mono_quot(lm, mono)
+            shift = mono - lm
             for bm, bc in b.terms.items():
                 if bm == lm:
                     continue
-                t = tuple(map(add, bm, shift))
+                t = bm + shift
                 old = work.get(t)
                 new = ((old or 0) - q * bc) % mod
                 if new:
                     work[t] = new
                     if old is None:
-                        heapq.heappush(heap, (grevlex_desc_key(t), t))
+                        heapq.heappush(heap, -t)
                 elif old is not None:
                     del work[t]
             if not c:
                 break
         else:
             out[mono] = c
-    return Poly._from_terms(ctx, g.nvars, out)
+    # every coefficient left is reduced and nonzero
+    return Poly._from_reduced(ctx, g.nvars, out)
 
 
 def _s_poly(f: Poly, g: Poly) -> Poly:
@@ -164,16 +165,16 @@ def _s_poly(f: Poly, g: Poly) -> Poly:
     ctx = f.ctx
     lmf, lcf = f.leading_term()
     lmg, lcg = g.leading_term()
-    gamma = mono_lcm(lmf, lmg)
+    gamma = lcm(lmf, lmg, f.nvars)
     jf, jg = ctx.val(lcf), ctx.val(lcg)
     j = max(jf, jg)
-    uf, cf = mono_quot(lmf, gamma), ctx.p ** (j - jf)
-    ug, cg = mono_quot(lmg, gamma), ctx.p ** (j - jg)
-    acc = {tuple(map(add, m, uf)): c * cf for m, c in f.terms.items() if m != lmf}
+    uf, cf = gamma - lmf, ctx.p ** (j - jf)
+    ug, cg = gamma - lmg, ctx.p ** (j - jg)
+    acc = {m + uf: c * cf for m, c in f.terms.items() if m != lmf}
     get = acc.get
     for m, c in g.terms.items():
         if m != lmg:
-            t = tuple(map(add, m, ug))
+            t = m + ug
             acc[t] = get(t, 0) - c * cg
     return Poly._from_terms(ctx, f.nvars, acc)
 
@@ -193,6 +194,7 @@ def _annihilator_step(g: Poly):
 def strong_groebner(J) -> GroebnerBasis:
     """The reduced strong basis of the ideal the generators ``J`` span."""
     ctx, nvars = J.ctx, J.nvars
+    guards = guard_bits(nvars)
     live = GroebnerBasis(ctx, nvars, ())
     lts = live._lts
     seen = set()
@@ -214,16 +216,15 @@ def strong_groebner(J) -> GroebnerBasis:
         # pair (g, h) of an element g that h dominates carries g's tail
         dominated = dominates = False
         for glm, gval, _, g in lts:
-            heapq.heappush(pairs, (sum(mono_lcm(glm, lm)), next(counter), g, h))
-            if gval <= v and mono_divides(glm, lm):
+            sugar = mono_degree(lcm(glm, lm, nvars), nvars)
+            heapq.heappush(pairs, (sugar, next(counter), g, h))
+            if gval <= v and not ((glm - lm) & guards):
                 dominated = True
-            elif v <= gval and mono_divides(lm, glm):
+            elif v <= gval and not ((lm - glm) & guards):
                 dominates = True
         if not dominated:
             if dominates:
-                lts[:] = [
-                    t for t in lts if not (v <= t[1] and mono_divides(lm, t[0]))
-                ]
+                lts[:] = [t for t in lts if t[1] < v or (lm - t[0]) & guards]
             lts.append((lm, v, lc, h))
         a = _annihilator_step(h)
         if a is not None:
@@ -237,7 +238,7 @@ def strong_groebner(J) -> GroebnerBasis:
 
     tidied = []
     for lm, _, lc, g in lts:
-        head = Poly.monomial(ctx, nvars, lm, lc)
+        head = Poly._from_reduced(ctx, nvars, {lm: lc})
         tidied.append(head + normal_form(g - head, live))
     tidied.sort(key=head_key)
     if any(head_key(a) == head_key(b) for a, b in zip(tidied, tidied[1:])):

@@ -1,13 +1,34 @@
 """Sparse multivariate polynomials over V = Z/p^(m+1).
 
-A polynomial is a map from exponent tuples to nonzero residues. The ambient
+A polynomial is a map from monomials to nonzero residues. The ambient
 monomial order everywhere is degree reverse lexicographic with
-x1 > x2 > ... > xn, spelled once: ``grevlex_desc_key`` sorts monomials
-largest first. ``head_key`` extends it to polynomials by their leading term,
-the one order that generator lists and completed bases are kept in. The
-leading monomial is found in one scan: the total degrees of the support,
-then, among the monomials of top degree, the least reversed exponent tuple,
-which is the degrevlex tie-break.
+x1 > x2 > ... > xn: the total degree first, then, among monomials of equal
+degree, the least reversed exponent tuple (xn, ..., x1) is the largest.
+
+A monomial x^e in n variables is stored as one int, its packed key, after
+Monagan and Pearce ("Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007). The exponents sit in fields of
+W = 32 bits, x1 in the lowest: L = sum e_i << (i*W). The key is
+P = (deg << n*W) - L, and
+
+  * P is linear in the exponents: a product of monomials is ``+`` and an
+    exact quotient is ``-``;
+  * P orders like degrevlex: the degree first, then the smaller L, which is
+    the least reversed tuple. So the leading monomial is ``max(terms)`` and
+    ``sorted(terms, reverse=True)`` is descending order;
+  * the fields come back as L = (-P) & (2^(n*W) - 1), and the top bit of
+    each field is a guard bit: a divides b exactly when (a - b) & guards is
+    0, since a field of b below the same field of a borrows and sets its
+    guard.
+
+Every exponent and every total degree stays below ``EXPONENT_LIMIT`` = 2^31,
+so no field ever reaches its guard bit. The public constructor, ``term_mul``,
+products, powers and S-pair lcms check this from their operands' degrees and
+raise ``DegreeLimitError``, a ``ValueError``; nothing wraps. The public entry
+points take exponent tuples, and ``exponent_terms`` is the one decoded view
+of the packed ``terms``. ``head_key`` extends the order to polynomials by
+their leading term, the one order that generator lists and completed bases
+are kept in.
 
 ``FrobeniusLift`` models ring endomorphisms F with F(xi) = xi^p + p*hi and
 F identity on coefficients. ``phi_decompose`` inverts the induced module
@@ -17,41 +38,99 @@ F^e(g_alpha) * x^alpha, the coordinates the descent operators act on.
 
 from __future__ import annotations
 
-from operator import add, le, sub
+import struct
+from functools import lru_cache
 
 from .chainring import ChainRingCtx
-from .errors import InvariantError
+from .errors import DegreeLimitError, InvariantError
 
 NEG_INF = float("-inf")
 
+FIELD_BITS = 32
+FIELD_MASK = (1 << FIELD_BITS) - 1
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 
-def grevlex_desc_key(mono):
-    """Sort key whose ascending order is descending degrevlex; a heap key."""
-    return (-sum(mono), mono[::-1])
+
+@lru_cache(maxsize=None)
+def _layout(nvars):
+    """(mask of the n fields, their guard bits, struct of n uint32 fields)."""
+    return (
+        (1 << nvars * FIELD_BITS) - 1,
+        sum(EXPONENT_LIMIT << i * FIELD_BITS for i in range(nvars)),
+        struct.Struct(f"<{nvars}I"),
+    )
+
+
+def guard_bits(nvars):
+    """Guard mask of n fields: a divides b exactly when (a - b) & mask == 0."""
+    return _layout(nvars)[1]
+
+
+def _check_degree(deg):
+    if deg >= EXPONENT_LIMIT:
+        raise DegreeLimitError(
+            f"total degree {deg} reaches 2^31, the limit of packed monomials"
+        )
+
+
+def _pack(exps, nvars):
+    """Packed key of nonnegative exponents; refuses a degree >= 2^31."""
+    deg = sum(exps)
+    _check_degree(deg)
+    low = int.from_bytes(_layout(nvars)[2].pack(*exps), "little")
+    return (deg << nvars * FIELD_BITS) - low
+
+
+def pack(mono, nvars):
+    """Packed key of an exponent tuple, which is validated."""
+    mono = tuple(int(e) for e in mono)
+    if len(mono) != nvars or any(e < 0 for e in mono):
+        raise ValueError(f"bad exponent tuple {mono} for {nvars} variables")
+    return _pack(mono, nvars)
+
+
+def unpack(mono, nvars):
+    """Exponent tuple of a packed key."""
+    low, _, fields = _layout(nvars)
+    return fields.unpack((-mono & low).to_bytes(4 * nvars, "little"))
+
+
+def mono_degree(mono, nvars):
+    """Total degree of a packed key: P / 2^(n*W), rounded up."""
+    return -(-mono >> nvars * FIELD_BITS)
+
+
+def lcm(a, b, nvars):
+    """Packed least common multiple of two packed keys; refuses a degree
+    >= 2^31.
+
+    The field-wise max works on all fields at once: (a | guards) - b leaves
+    the guard bit of a field set exactly where a's exponent is the larger or
+    equal one, with no borrow between fields, and that bit widens into a
+    mask of the whole field. The degree is the sum of the fields, which is
+    the fields mod 2^W - 1 because 2^W = 1 there; the sum is at most
+    deg(a) + deg(b) < 2^W - 1, so the residue is the sum itself.
+    """
+    low, guards, _ = _layout(nvars)
+    a, b = -a & low, -b & low
+    ge = ((a | guards) - b) & guards
+    ge |= ge - (ge >> FIELD_BITS - 1)
+    top = (a & ge) | (b & ~ge)
+    deg = top % FIELD_MASK
+    _check_degree(deg)
+    return (deg << nvars * FIELD_BITS) - top
 
 
 def head_key(g):
     """Sort key of a nonzero polynomial by its leading term: leading monomials
     in descending degrevlex, then leading coefficients in ascending order."""
     lm = g.leading_monomial()
-    return grevlex_desc_key(lm), g.terms[lm]
-
-
-def mono_divides(a, b):
-    return all(map(le, a, b))
-
-
-def mono_quot(divisor, dividend):
-    """Exponent difference dividend - divisor (caller checks divisibility)."""
-    return tuple(map(sub, dividend, divisor))
-
-
-def mono_lcm(a, b):
-    return tuple(map(max, a, b))
+    return -lm, g.terms[lm]
 
 
 class Poly:
-    """Immutable sparse polynomial; ``terms`` maps monomial -> coefficient.
+    """Immutable sparse polynomial; ``terms`` maps packed monomials to
+    coefficients.
 
     The hash and the leading monomial are computed on first use and cached.
     """
@@ -63,12 +142,8 @@ class Poly:
         clean = {}
         for mono, c in (terms or {}).items():
             c = int(c) % mod
-            if c == 0:
-                continue
-            mono = tuple(int(e) for e in mono)
-            if len(mono) != nvars or any(e < 0 for e in mono):
-                raise ValueError(f"bad exponent tuple {mono} for {nvars} variables")
-            clean[mono] = c
+            if c:
+                clean[pack(mono, nvars)] = c
         self.ctx = ctx
         self.nvars = nvars
         self.terms = clean
@@ -80,15 +155,23 @@ class Poly:
         """Internal constructor for the results of arithmetic on polynomials.
 
         Reduces coefficients mod p^(m+1) and drops zeros like the public
-        constructor, but trusts the exponent tuples, which arithmetic on
+        constructor, but trusts the packed monomials, which arithmetic on
         valid polynomials keeps valid; re-checking them dominated the cost of
         small products and sums.
         """
         mod = ctx.modulus
+        return cls._from_reduced(
+            ctx, nvars, {mono: r for mono, c in terms.items() if (r := c % mod)}
+        )
+
+    @classmethod
+    def _from_reduced(cls, ctx: ChainRingCtx, nvars: int, terms) -> "Poly":
+        """Internal constructor that keeps ``terms`` as it is: packed
+        monomials with coefficients already reduced mod p^(m+1) and nonzero."""
         self = object.__new__(cls)
         self.ctx = ctx
         self.nvars = nvars
-        self.terms = {mono: r for mono, c in terms.items() if (r := c % mod)}
+        self.terms = terms
         self._hash = None
         self._lm = None
         return self
@@ -123,26 +206,25 @@ class Poly:
         """Total degree; NEG_INF for the zero polynomial."""
         if not self.terms:
             return NEG_INF
-        return max(sum(m) for m in self.terms)
+        return mono_degree(self.leading_monomial(), self.nvars)
+
+    def exponent_terms(self):
+        """The terms keyed by exponent tuples instead of packed monomials."""
+        n = self.nvars
+        return {unpack(mono, n): c for mono, c in self.terms.items()}
 
     def sorted_terms(self):
-        """Terms in descending monomial order."""
-        return sorted(self.terms.items(), key=lambda t: grevlex_desc_key(t[0]))
+        """Terms in descending monomial order, keyed by packed monomials."""
+        return sorted(self.terms.items(), reverse=True)
 
     def leading_monomial(self):
+        """Packed leading monomial, the largest key."""
         # only the monomial is cached: a (monomial, coefficient) pair per
         # polynomial raised peak memory measurably
         if self._lm is None:
-            terms = self.terms
-            if not terms:
+            if not self.terms:
                 raise ValueError("zero polynomial has no leading term")
-            # one pass for the total degrees; among the monomials of top
-            # degree the largest in degrevlex has the least reversed tuple
-            degs = list(map(sum, terms))
-            top = max(degs)
-            self._lm = min(
-                (m for m, d in zip(terms, degs) if d == top), key=lambda m: m[::-1]
-            )
+            self._lm = max(self.terms)
         return self._lm
 
     def leading_term(self):
@@ -164,7 +246,7 @@ class Poly:
 
     def with_ctx(self, ctx: ChainRingCtx) -> "Poly":
         """Reinterpret the integer coefficients over another chain ring."""
-        return Poly(ctx, self.nvars, dict(self.terms))
+        return Poly._from_terms(ctx, self.nvars, self.terms)
 
     def _binop(self, other, sign):
         if isinstance(other, int):
@@ -199,12 +281,17 @@ class Poly:
             )
         if other.ctx != self.ctx or other.nvars != self.nvars:
             raise ValueError("mixed polynomial rings")
+        if not self.terms or not other.terms:
+            return Poly.zero(self.ctx, self.nvars)
+        _check_degree(
+            mono_degree(self.leading_monomial() + other.leading_monomial(), self.nvars)
+        )
         acc = {}
         get = acc.get
         right = other.terms.items()
         for m1, c1 in self.terms.items():
             for m2, c2 in right:
-                key = tuple(map(add, m1, m2))
+                key = m1 + m2
                 acc[key] = get(key, 0) + c1 * c2
         return Poly._from_terms(self.ctx, self.nvars, acc)
 
@@ -212,19 +299,19 @@ class Poly:
         return self.__mul__(other)
 
     def term_mul(self, mono, c):
-        """Multiply by the single term c * x^mono."""
-        mono = tuple(mono)
-        if len(mono) != self.nvars or any(e < 0 for e in mono):
-            raise ValueError(f"bad exponent tuple {mono} for {self.nvars} variables")
+        """Multiply by the single term c * x^mono, mono an exponent tuple."""
+        shift = pack(mono, self.nvars)
+        if self.terms:
+            _check_degree(mono_degree(self.leading_monomial() + shift, self.nvars))
         return Poly._from_terms(
-            self.ctx,
-            self.nvars,
-            {tuple(map(add, m, mono)): cc * c for m, cc in self.terms.items()},
+            self.ctx, self.nvars, {m + shift: cc * c for m, cc in self.terms.items()}
         )
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
+        # refused up front: the squarings would build huge powers first
+        _check_degree(max(self.degree(), 0) * n)
         result = Poly.one(self.ctx, self.nvars)
         base = self
         while True:
@@ -256,6 +343,7 @@ class Poly:
             return "0"
         parts = []
         for mono, c in self.sorted_terms():
+            mono = unpack(mono, self.nvars)
             factors = [str(c)] if (c != 1 or sum(mono) == 0) else []
             for name, e in zip(names, mono):
                 if e == 1:
@@ -303,30 +391,34 @@ class FrobeniusLift:
 
     def image(self, i) -> Poly:
         """F(xi) as a polynomial."""
-        return self._power(tuple(int(k == i) for k in range(self.nvars)), 1)
+        n = self.nvars
+        return self._power(pack(tuple(int(k == i) for k in range(n)), n), 1)
 
     def _power(self, beta, e) -> Poly:
-        """F^e(x^beta), memoized on the lift.
+        """F^e(x^beta) for a packed beta, memoized on the lift.
 
         x^beta splits into x^head * xi^k at its last variable xi, xi^k into
         two halves, and F^e(xi) = F^(e-1)(F(xi)); so the stack grows with
         log(degree), never with the degree.
         """
-        if (beta, e) in self._powers:
-            return self._powers[(beta, e)]
+        img = self._powers.get((beta, e))
+        if img is not None:
+            return img
         n, p = self.nvars, self.ctx.p
-        i = max((j for j in range(n) if beta[j]), default=0)
-        head = beta[:i] + (0,) * (n - i)
-        if e == 0 or not beta[i]:
-            img = Poly.monomial(self.ctx, n, beta)
-        elif any(head) or beta[i] > 1:
-            a = head if any(head) else head[:i] + (beta[i] // 2,) + head[i + 1 :]
-            img = self._power(a, e) * self._power(mono_quot(a, beta), e)
+        exps = unpack(beta, n)
+        i = max((j for j in range(n) if exps[j]), default=0)
+        head = exps[:i] + (0,) * (n - i)
+        if e == 0 or not exps[i]:
+            img = Poly._from_terms(self.ctx, n, {beta: 1})
+        elif any(head) or exps[i] > 1:
+            a = head if any(head) else head[:i] + (exps[i] // 2,) + head[i + 1 :]
+            a = _pack(a, n)
+            img = self._power(a, e) * self._power(beta - a, e)
         elif e > 1:
             img = frobenius_apply(self._power(beta, 1), self, e - 1)
         else:
             h = self.corrections[i]
-            img = Poly.monomial(self.ctx, n, tuple(p * x for x in beta))
+            img = Poly.monomial(self.ctx, n, tuple(p * x for x in exps))
             img = img if h is None else img + h * p
         self._powers[(beta, e)] = img
         return img
@@ -363,15 +455,30 @@ def _split_base_q(f: Poly, q: int):
     """Naive digit split f = sum_alpha (x^q-substituted g_alpha) * x^alpha.
 
     Exact for the standard lift; the first-order approximation otherwise.
+    The digit classes are keyed by the exponent tuples alpha, in ascending
+    order. A term x^(q*beta + alpha) lands in class alpha at the packed key
+    (P - P_alpha) / q of x^beta, with f's own coefficient, which is already
+    reduced and nonzero.
     """
+    n = f.nvars
+    low = _layout(n)[0]
+    terms = f.terms
+    lows = [-mono & low for mono in terms]
+    # one pass per field over every term: the digits of x1, x2, ...
+    digits = [
+        [(x >> shift & FIELD_MASK) % q for x in lows]
+        for shift in range(0, n * FIELD_BITS, FIELD_BITS)
+    ]
+    alphas = zip(*digits) if n else [()] * len(lows)  # zip() of no fields is empty
     comps = {}
-    for mono, c in f.terms.items():
-        alpha = tuple(map(q.__rmod__, mono))
-        beta = tuple(map(q.__rfloordiv__, mono))
-        comps.setdefault(alpha, {})[beta] = c
+    for (mono, c), alpha in zip(terms.items(), alphas):
+        digit = comps.get(alpha)
+        if digit is None:
+            digit = comps[alpha] = (_pack(alpha, n), {})
+        digit[1][(mono - digit[0]) // q] = c
     return {
-        alpha: Poly._from_terms(f.ctx, f.nvars, terms)
-        for alpha, terms in sorted(comps.items())
+        alpha: Poly._from_reduced(f.ctx, n, beta_terms)
+        for alpha, (_, beta_terms) in sorted(comps.items())
     }
 
 

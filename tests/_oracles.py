@@ -7,11 +7,13 @@ are more than naive. The Howell normal form (Storjohann & Mulders 1998)
 decides row spans over V, and the brute-force membership search reduces to
 it; exhaustive span enumeration checks it in turn. The reference Frobenius
 substitution applies a lift one step at a time, as the engine once did,
-and reads nothing the lift has memoized. The reference product is the
-schoolbook double loop with generator exponent sums and a reduction at
-every step, as the engine computed it before its monomial kernels moved to
-``map``. The reference Groebner
-completion at the end is the engine's earlier, non-incremental code that
+and reads nothing the lift has memoized. Every reference reads a polynomial
+through ``exponent_terms``, on exponent tuples, never the engine's packed
+monomials. The reference product is the schoolbook double loop with
+generator exponent sums and a reduction at every step. The tuple normal
+form and digit split are the engine's own algorithms as they ran on tuples,
+so their results must match exactly. The reference Groebner completion at
+the end is the engine's earlier, non-incremental code that
 never retires an element; the engine's minimal bases must generate the same
 ideals and give the same membership verdicts. The reference residue tree is
 the engine's earlier full walk: every level set in full from ``nu_set``,
@@ -137,8 +139,8 @@ def monomial_root_set(a, p, m, den_bound, num_bound, depth=12):
     return roots
 
 
-# Exponent arithmetic as the engine spelled it before its monomial kernels
-# moved to C-level ``map``: one generator over ``zip`` per operation.
+# Exponent arithmetic on exponent tuples, as the engine spelled it before its
+# monomials were packed into ints: one generator over ``zip`` per operation.
 
 
 def mono_mul(a, b):
@@ -161,8 +163,8 @@ def poly_mul_reference(f, g):
     """Schoolbook product, every accumulation reduced mod p^(m+1)."""
     mod = f.ctx.modulus
     acc = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
+    for m1, c1 in f.exponent_terms().items():
+        for m2, c2 in g.exponent_terms().items():
             key = mono_mul(m1, m2)
             acc[key] = (acc.get(key, 0) + c1 * c2) % mod
     return Poly(f.ctx, f.nvars, acc)
@@ -225,7 +227,7 @@ def frobenius_apply_reference(f, lift, e):
     for _ in range(e):
         powers = [[Poly.one(ctx, n)] for _ in range(n)]
         out = Poly.zero(ctx, n)
-        for mono, c in f.sorted_terms():
+        for mono, c in f.exponent_terms().items():
             t = Poly.const(ctx, n, c)
             for i, k in enumerate(mono):
                 while len(powers[i]) <= k:
@@ -383,8 +385,10 @@ def membership_bruteforce(J, g, degree_cap):
     for f in J.gens:
         for mu in _monomials_upto(nvars, degree_cap):
             products.append(f.term_mul(mu, 1))
+    products = [q.exponent_terms() for q in products]
+    g_terms = g.exponent_terms()
     columns = sorted(
-        {m for q in products for m in q.terms} | set(g.terms),
+        {m for q in products for m in q} | set(g_terms),
         key=grevlex_reference_key,
         reverse=True,
     )
@@ -392,11 +396,11 @@ def membership_bruteforce(J, g, degree_cap):
     rows = []
     for q in products:
         row = [0] * len(columns)
-        for m, c in q.terms.items():
+        for m, c in q.items():
             row[index[m]] = c
         rows.append(row)
     vec = [0] * len(columns)
-    for m, c in g.terms.items():
+    for m, c in g_terms.items():
         vec[index[m]] = c
     if span_contains(Matrix(ctx, len(columns), rows), vec):
         return True
@@ -411,10 +415,12 @@ def membership_bruteforce(J, g, degree_cap):
 
 
 def _lt(g):
-    if not g.terms:
+    """Leading exponent tuple and coefficient, from the decoded support."""
+    terms = g.exponent_terms()
+    if not terms:
         raise ValueError("zero polynomial has no leading term")
-    mono = max(g.terms, key=grevlex_reference_key)
-    return mono, g.terms[mono]
+    mono = max(terms, key=grevlex_reference_key)
+    return mono, terms[mono]
 
 
 def head_key_reference(g):
@@ -428,8 +434,9 @@ def gen_sort_key(g):
     """A total order on polynomials: the head key, then every term, largest
     first. The reference basis keeps elements that share a leading term, so
     its sort needs the tail to be deterministic."""
-    monos = sorted(g.terms, key=grevlex_reference_key, reverse=True)
-    tail = tuple((grevlex_reference_key(m), g.terms[m]) for m in monos)
+    terms = g.exponent_terms()
+    monos = sorted(terms, key=grevlex_reference_key, reverse=True)
+    tail = tuple((grevlex_reference_key(m), terms[m]) for m in monos)
     return head_key_reference(g) + (tail,)
 
 
@@ -489,6 +496,59 @@ def normal_form_reference(g, basis):
             q = divide_exact(ctx, c, lc)
             work = work - b.term_mul(mono_quot(lm, mono), q)
     return Poly(ctx, g.nvars, out)
+
+
+def normal_form_tuple_reference(g, elements):
+    """The engine's normal form as it ran on exponent tuples, before its
+    monomials were packed: the same division order and the same canonical
+    remainders, with tuple keys, a tuple heap and the tuple kernels above."""
+    ctx = g.ctx
+    mod = ctx.modulus
+    index = [_lt(b) + (b.exponent_terms(),) for b in elements]
+
+    def heap_key(mono):  # ascending order is descending degrevlex
+        return (-sum(mono), mono[::-1]), mono
+
+    work = g.exponent_terms()
+    heap = [heap_key(mono) for mono in work]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        c = work.pop(mono, 0)
+        if not c:
+            continue
+        for lm, lc, terms in index:
+            if lc > c or not mono_divides(lm, mono):
+                continue
+            q, c = divmod(c, lc)
+            shift = mono_quot(lm, mono)
+            for bm, bc in terms.items():
+                if bm == lm:
+                    continue
+                t = mono_mul(bm, shift)
+                old = work.get(t)
+                new = ((old or 0) - q * bc) % mod
+                if new:
+                    work[t] = new
+                    if old is None:
+                        heapq.heappush(heap, heap_key(t))
+                elif old is not None:
+                    del work[t]
+            if not c:
+                break
+        else:
+            out[mono] = c
+    return Poly(ctx, g.nvars, out)
+
+
+def split_base_q_reference(f, q):
+    """Sorted (alpha, {beta: c}) digit classes of x^(q*beta + alpha) terms."""
+    comps = {}
+    for mono, c in f.exponent_terms().items():
+        alpha = tuple(e % q for e in mono)
+        comps.setdefault(alpha, {})[tuple(e // q for e in mono)] = c
+    return sorted(comps.items())
 
 
 def _s_poly_reference(f, g):

@@ -117,7 +117,7 @@ def test_lift_changes_levels_but_not_roots():
     y = Poly.variable(ctx, 2, 1)
     std = FrobeniusLift.standard(ctx, 2)
     bent = FrobeniusLift(ctx, 2, [x * y + y * y, None])
-    assert bent.image(0).terms == {(2, 0): 1, (1, 1): 2, (0, 2): 2}
+    assert bent.image(0).exponent_terms() == {(2, 0): 1, (1, 1): 2, (0, 2): 2}
     assert candidate_residues(x, std, 1).survivors[1] == (1, 3)
     assert nu_set(x, std, 1).members == (1, 3)
     assert candidate_residues(x, bent, 1).survivors[1] == (1, 2, 3)

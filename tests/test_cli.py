@@ -29,9 +29,9 @@ SUBPROCESS_TIMEOUT_S = 120
 
 def test_parse_frozen_examples():
     f = parse_poly("x^2 + 3*y", Z9, ["x", "y"])
-    assert f.terms == {(2, 0): 1, (0, 1): 3}
-    assert parse_poly("-(x)", Z9, ["x"]).terms == {(1,): 8}
-    assert parse_poly("(x+y)^2", Z4, ["x", "y"]).terms == {
+    assert f.exponent_terms() == {(2, 0): 1, (0, 1): 3}
+    assert parse_poly("-(x)", Z9, ["x"]).exponent_terms() == {(1,): 8}
+    assert parse_poly("(x+y)^2", Z4, ["x", "y"]).exponent_terms() == {
         (2, 0): 1,
         (1, 1): 2,
         (0, 2): 1,
@@ -211,6 +211,51 @@ def test_reconstruction_bound_exits_2_before_work(monkeypatch, mode):
         "message": "p^(top_level+m) must exceed 2 * num_bound * den_bound "
                    "for unambiguous reconstruction",
     }
+
+
+def test_degrees_from_2_to_the_31_exit_2_before_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("engine work started")
+
+    for name in ("nu_set", "detect_roots"):
+        monkeypatch.setattr(f"bsroots.cli.{name}", no_work)
+    base = ["--p=2", "--m=1", "--format=structured"]
+    for argv in (
+        ["--vars=x", "--poly=x^4294967296", "--mode=nu"],
+        ["--vars=x", "--poly=x^2147483648", "--mode=roots"],
+        ["--vars=x,y", "--poly=(x+y)^4294967296", "--mode=nu"],
+        ["--vars=x,y", "--poly=x^1073741824*y^1073741824", "--mode=nu"],
+        ["--vars=x", "--poly=x", "--lift", "x:x^2147483648", "--mode=nu"],
+    ):
+        code, text = run(base + argv)
+        assert code == 2, argv
+        error = json.loads(text)["error"]
+        assert error["type"] == "DegreeLimitError", argv
+        assert "2^31" in error["message"], argv
+
+
+def test_nu_mode_past_degree_2_to_the_31_exits_2_before_work(monkeypatch):
+    # p=2, m=1: level L walks to f^(2^(L+1)), and levels 1..18 take
+    # 2^20 - 4 chain steps, within the budget
+    calls = []
+
+    def stub(f, lift, e):
+        calls.append(e)
+        return NuLevelSet(f=f, lift=lift, e=e, window=2 ** (e + 1), members=())
+
+    monkeypatch.setattr("bsroots.cli.nu_set", stub)
+    argv = ["--p=2", "--m=1", "--vars=x", "--mode=nu", "--format=structured"]
+    for poly, level in (("x^5000", 18), ("x^2147483647", 1), ("x^1073741824 + 1", 1)):
+        code, text = run(argv + [f"--poly={poly}", f"--max-level={level}"])
+        assert code == 2, poly
+        error = json.loads(text)["error"]
+        assert error["type"] == "ConfigError"
+        assert "reaches 2^31, the limit of packed monomials" in error["message"]
+    assert calls == []
+    # 4000 * 2^19 = 2 097 152 000 < 2^31: accepted
+    code, text = run(argv + ["--poly=x^4000", "--max-level=18"])
+    assert code == 0
+    assert calls == list(range(1, 19))
 
 
 def test_nu_mode_over_the_chain_step_budget_exits_2_before_work(monkeypatch):
