@@ -22,7 +22,9 @@ class IdealGens:
 
     Zeros and duplicates are dropped. Generators that tie on the leading
     term keep their input order, so the tuple is as deterministic as the
-    input; the canonical object of an ideal is its completed basis.
+    input; the canonical object of an ideal is its completed basis. Equal
+    generators tie on the leading term, so duplicates are found by comparing
+    terms within each run of ties, and no generator is hashed.
     """
 
     __slots__ = ("ctx", "nvars", "gens")
@@ -35,11 +37,22 @@ class IdealGens:
         if ctx is None or nvars is None:
             raise ValueError("empty generator list needs explicit ctx and nvars")
         for g in gens:
-            if g.ctx != ctx or g.nvars != nvars:
+            if (g.ctx is not ctx and g.ctx != ctx) or g.nvars != nvars:
                 raise ValueError("mixed polynomial rings")
         self.ctx = ctx
         self.nvars = nvars
-        self.gens = tuple(sorted(dict.fromkeys(gens), key=head_key))
+        keys = [head_key(g) for g in gens]
+        kept = []
+        ties = last = None
+        for i in sorted(range(len(gens)), key=keys.__getitem__):
+            g = gens[i]
+            if keys[i] != last:
+                last, ties = keys[i], []
+            elif any(g.terms == t.terms for t in ties):
+                continue
+            ties.append(g)
+            kept.append(g)
+        self.gens = tuple(kept)
 
     def __eq__(self, other):
         return (

@@ -17,8 +17,8 @@ Expression grammar (no implicit multiplication):
 
 Exit codes: 0 success, 2 configuration or parse error (a ``--mode=nu`` run
 over ``NU_CHAIN_STEP_BUDGET`` chain steps, and an exponent or a degree that
-reaches 2^31 in the input or in a ``--mode=nu`` power chain, included), 3
-engine error or crosscheck mismatch. Structured output is deterministic byte
+reaches 2^31 in the input or in the powers of f a mode would build,
+included), 3 engine error or crosscheck mismatch. Structured output is deterministic byte
 for byte for a given configuration: work counters are derived from the
 computed data, never from the clock.
 """
@@ -31,6 +31,7 @@ import sys
 from fractions import Fraction
 
 from .bsr import (
+    _default_top_level,
     bfunction_report,
     crosscheck_mod_p,
     detect_roots,
@@ -47,10 +48,10 @@ from .poly import EXPONENT_LIMIT, FrobeniusLift, Poly
 # --mode=nu walks p^(e+m) chain steps at each level e <= max_level, each a
 # Groebner completion; a run whose sum exceeds this is refused up front. It
 # stops runaway levels (p=2 to level 40 is 2^41 steps), not slow runs: a step
-# of the nu-dense benchmark averages about 1 ms (nu.nu_set.s over
+# of the nu-dense benchmark averages about 0.7 ms (nu.nu_set.s over
 # nu.jump_tests of `perfbench/run.py --workload nu-dense --trace 1`, seed 1:
-# 0.88-1.09 ms over three runs on a 2-vCPU host running at 0.93-1.10 times
-# the benchmark's reference speed), so 2^20 such steps would take 15-20
+# 0.64-0.77 ms over three runs on a 2-vCPU host running at 0.94-0.98 times
+# the benchmark's reference speed), so 2^20 such steps would take 11-14
 # minutes; a step costs more as the power f^n it multiplies grows.
 NU_CHAIN_STEP_BUDGET = 2**20
 
@@ -285,7 +286,7 @@ def _text_roots(doc, lines):
         lines.append("no surviving residues")
 
 
-def _require_nu_budget(ctx, top, f):
+def _require_nu_budget(ctx, top):
     steps = 0
     for e in range(1, top + 1):
         steps += ctx.p ** (e + ctx.m)
@@ -294,11 +295,20 @@ def _require_nu_budget(ctx, top, f):
                 f"--mode=nu to level {top} walks more than {NU_CHAIN_STEP_BUDGET} "
                 "chain steps (the sum of p^(e+m) over the levels)"
             )
-    # the walk at the top level ends at the power f^(p^(top+m))
+
+
+def _require_power_degree(ctx, top, f, mode):
+    """Refuse a run whose powers of f would reach degree 2^31.
+
+    Every mode raises f to powers below f^(p^(top+m)) at levels up to
+    ``top``: the nu walk and the residue tree end at that power, a strength
+    at level e builds f^(a+1) with a < p^(e+m), and the crosscheck's mod-p
+    run goes to level top+m over m=0.
+    """
     degree = max(f.degree(), 0) * ctx.p ** (top + ctx.m)
     if degree >= EXPONENT_LIMIT:
         raise ConfigError(
-            f"--mode=nu to level {top} raises f to total degree {degree}, "
+            f"--mode={mode} to level {top} raises f to total degree {degree}, "
             "which reaches 2^31, the limit of packed monomials"
         )
 
@@ -327,12 +337,15 @@ def run(argv=None):
         if args.mode == "nu":
             if args.max_level is None:
                 args.max_level = 2
-            _require_nu_budget(ctx, args.max_level, f)
-        reconstructs = args.mode in ("roots", "bfunction", "crosscheck")
-        if reconstructs and args.max_level is not None:
-            require_reconstruction_bound(
-                ctx, args.max_level, args.den_bound, args.num_bound
-            )
+            _require_nu_budget(ctx, args.max_level)
+        elif args.mode == "strength" and args.max_level is None:
+            args.max_level = 4
+        top = args.max_level
+        if top is None:
+            top = _default_top_level(ctx.p, ctx.m, args.den_bound, args.num_bound)
+        elif args.mode in ("roots", "bfunction", "crosscheck"):
+            require_reconstruction_bound(ctx, top, args.den_bound, args.num_bound)
+        _require_power_degree(ctx, top, f, args.mode)
     except (ConfigError, ExprError, ValueError) as exc:
         return 2, _render_error(args, exc)
 
@@ -388,9 +401,7 @@ def _dispatch(args, ctx, names, f, lift, alpha, config):
         return 0, doc, lines
 
     if args.mode == "strength":
-        e_stop = args.max_level if args.max_level is not None else 4
-        config["max_level"] = e_stop
-        res = strength(f, lift, alpha, e_stop=e_stop)
+        res = strength(f, lift, alpha, e_stop=args.max_level)
         row = {
             "alpha": str(res.alpha.frac),
             "value": res.value,

@@ -9,21 +9,55 @@ generators under two kinds of syzygies:
     coefficients at the common power p^max(val, val);
   * annihilator multiples p^(m+1-j) * g, with j running through the distinct
     coefficient valuations of g from the top down, expose what survives of g
-    after its deepest coefficient layer dies. They are inserted unreduced:
-    their leading terms are often reducible while their tails carry new
-    information, and reduction first would lose it.
+    after its deepest coefficient layer dies. They are inserted as soon as g
+    is, and unreduced: their leading terms are often reducible, by g itself
+    among others, while their tails carry new information, and reduction
+    first would lose it.
 
-Completion is incremental and keeps the basis minimal. One basis grows by
-insertion, and its leading-term index with it. A new element h with leading
-term (lm, v = val(lc)) retires every unretired g with v <= val(lc(g)) and
-lm | lm(g); if an unretired element dominates h in the same way, h starts
-out retired. h is paired with every unretired element before anything
-retires: the S-polynomial g - c * x^a * h of a g that h dominates carries
-g's tail, and dropping that pair loses it. Retired elements keep the pairs
-already queued for them, but they form no new pairs and drop out of the
-index that reduction scans (Buchberger's minimal-basis step, for strong
-bases over a chain ring as in Norton and Salagean). Every pair formed is
-reduced: no criterion skips a pair that would reduce to zero.
+Completion follows the sugar strategy (Giovini, Mora, Niesi, Robbiano and
+Traverso, ISSAC 1991). One queue holds the generators and the pairs, lowest
+sugar first: a generator's sugar is its degree, a pair's the degree of the
+lcm of its leading monomials, and a generator pops ahead of the pairs of its
+sugar. A popped generator is reduced by the basis built so far, as an
+S-polynomial is, and only a nonzero remainder is inserted, so a generator
+already in the ideal built so far forms no pairs.
+
+The basis is kept minimal. It grows by insertion, and its leading-term index
+with it. A new element h with leading term (lm, v = val(lc)) retires every
+unretired g with v <= val(lc(g)) and lm | lm(g); if an unretired element
+dominates h in the same way, h starts out retired. h is paired with every
+unretired element before anything retires: the S-polynomial g - c * x^a * h
+of a g that h dominates carries g's tail, and dropping that pair loses it.
+Retired elements keep the pairs already queued for them, but they form no
+new pairs and drop out of the index that reduction scans (Buchberger's
+minimal-basis step, for strong bases over a chain ring as in Norton and
+Salagean).
+
+Buchberger's chain criterion, in the form of Gebauer and Moeller (J. Symb.
+Comp. 1988), skips pairs. Elements are numbered by insertion. A popped pair
+(i, j) is first marked treated; it is then skipped when an unretired element
+k outside {i, j} has a leading term dividing the pair's lcm term
+T_ij = p^max(v_i, v_j) * x^lcm and both (i, k) and (j, k) are treated. Every
+leading coefficient is an exact power of p, so T_ik and T_kj divide T_ij
+with quotients p^a * x^b, and the S-polynomials satisfy
+
+  S_ij = (T_ij / T_ik) * S_ik + (T_ij / T_kj) * S_kj
+
+exactly: a representation of S_ik and of S_kj below their lcm terms gives one
+of S_ij below T_ij. A skip rests only on pairs treated before it, so the
+argument is well founded. It also keeps every retired element's tail: that
+tail is carried by a pair (g, d) with d dominating g, whose lcm term is
+lt(g), so a k that skips it dominates g as well and (g, k) was treated
+earlier. The first treated of these pairs is therefore reduced. Pairs
+through g that would have formed after g retired were never formed, so they
+are never treated and never allow a skip.
+
+No insertion is checked against the earlier ones. A reduced insertion is a
+nonzero normal form, whose leading term no unretired element certifies,
+while every earlier element is certified by an unretired one (itself, or
+what retired it). So it never repeats an earlier element, and it enlarges
+the ideal of leading terms, which can grow only finitely often; each
+insertion brings at most m+1 annihilator multiples, so completion ends.
 
 Elements are unit-normalized (leading coefficient an exact power of p); the
 result holds the unretired elements only, each tail reduced by them, sorted
@@ -49,10 +83,12 @@ class GroebnerBasis:
     """Completed strong basis; supports membership queries.
 
     ``_lts`` is the leading-term index that reduction scans: one
-    (lm, val(lc), lc, element) entry per unretired element, in basis order.
-    A completed basis retires nothing, so its index covers ``elements``;
-    during completion only the index grows and shrinks. Every leading
-    coefficient must be an exact power of p, which reduction relies on.
+    (lm, val(lc), lc, element, index) entry per unretired element, in basis
+    order. A completed basis retires nothing, so its index covers
+    ``elements``, each numbered by its position; during completion only the
+    index grows and shrinks, and the numbers are insertion indices. Every
+    leading coefficient must be an exact power of p, which reduction relies
+    on.
     """
 
     __slots__ = ("ctx", "nvars", "elements", "_lts")
@@ -62,7 +98,7 @@ class GroebnerBasis:
         self.nvars = nvars
         self.elements = tuple(elements)
         self._lts = []
-        for g in self.elements:
+        for i, g in enumerate(self.elements):
             lm, lc = g.leading_term()
             v = ctx.val(lc)
             if lc != ctx.p**v:
@@ -70,7 +106,7 @@ class GroebnerBasis:
                     f"leading coefficient {lc} of a basis element "
                     f"is not a power of p={ctx.p}"
                 )
-            self._lts.append((lm, v, lc, g))
+            self._lts.append((lm, v, lc, g, i))
 
     def __eq__(self, other):
         """Equality of the ideals, for completed bases.
@@ -128,7 +164,7 @@ def normal_form(g: Poly, basis: GroebnerBasis) -> Poly:
         c = work.pop(mono, 0)
         if not c:
             continue
-        for lm, _, lc, b in basis._lts:
+        for lm, _, lc, b, _ in basis._lts:
             # c < lc leaves the quotient 0: nothing to do
             if lc > c or (lm - mono) & guards:
                 continue
@@ -197,9 +233,14 @@ def strong_groebner(J) -> GroebnerBasis:
     guards = guard_bits(nvars)
     live = GroebnerBasis(ctx, nvars, ())
     lts = live._lts
-    seen = set()
-    pairs = []
+    elements = []  # (element, val(lc)) of every insertion, by insertion index
+    treated = set()  # pairs (i, j), i < j, of insertion indices
     counter = itertools.count()
+    # a queue entry is (sugar, tie, i, j, lcm) for the pair of elements i < j
+    # and (degree, tie, g, None, None) for a generator g; generators are
+    # pushed first, so each pops ahead of the pairs of its sugar
+    queue = [(g.degree(), next(counter), g, None, None) for g in J.gens]
+    heapq.heapify(queue)
 
     def add(h: Poly, reduce_first: bool):
         if reduce_first:
@@ -207,17 +248,18 @@ def strong_groebner(J) -> GroebnerBasis:
         if h.is_zero():
             return
         h = _normalize_unit(h)
-        if h in seen:
-            return
-        seen.add(h)
         lm, lc = h.leading_term()
         v = ctx.val(lc)
+        j = len(elements)
+        elements.append((h, v))
         # pair h with every unretired element before anything retires: the
         # pair (g, h) of an element g that h dominates carries g's tail
         dominated = dominates = False
-        for glm, gval, _, g in lts:
-            sugar = mono_degree(lcm(glm, lm, nvars), nvars)
-            heapq.heappush(pairs, (sugar, next(counter), g, h))
+        for glm, gval, _, _, i in lts:
+            gamma = lcm(glm, lm, nvars)
+            heapq.heappush(
+                queue, (mono_degree(gamma, nvars), next(counter), i, j, gamma)
+            )
             if gval <= v and not ((glm - lm) & guards):
                 dominated = True
             elif v <= gval and not ((lm - glm) & guards):
@@ -225,19 +267,36 @@ def strong_groebner(J) -> GroebnerBasis:
         if not dominated:
             if dominates:
                 lts[:] = [t for t in lts if t[1] < v or (lm - t[0]) & guards]
-            lts.append((lm, v, lc, h))
+            lts.append((lm, v, lc, h, j))
         a = _annihilator_step(h)
         if a is not None:
             add(a, reduce_first=False)
 
-    for g in J.gens:
-        add(g, reduce_first=False)
-    while pairs:
-        _, _, g, h = heapq.heappop(pairs)
-        add(_s_poly(g, h), reduce_first=True)
+    while queue:
+        _, _, i, j, gamma = heapq.heappop(queue)
+        if gamma is None:  # a generator, held in the slot of i
+            add(i, reduce_first=True)
+            continue
+        treated.add((i, j))
+        (gi, vi), (gj, vj) = elements[i], elements[j]
+        v = max(vi, vj)
+        # the chain criterion: an unretired k whose leading term divides the
+        # lcm term p^v * x^gamma, with (i, k) and (j, k) both treated
+        for klm, kval, _, _, k in lts:
+            if (
+                kval <= v
+                and not ((klm - gamma) & guards)
+                and k != i
+                and k != j
+                and ((i, k) if i < k else (k, i)) in treated
+                and ((j, k) if j < k else (k, j)) in treated
+            ):
+                break
+        else:
+            add(_s_poly(gi, gj), reduce_first=True)
 
     tidied = []
-    for lm, _, lc, g in lts:
+    for lm, _, lc, g, _ in lts:
         head = Poly._from_reduced(ctx, nvars, {lm: lc})
         tidied.append(head + normal_form(g - head, live))
     tidied.sort(key=head_key)

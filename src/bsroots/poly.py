@@ -251,7 +251,9 @@ class Poly:
     def _binop(self, other, sign):
         if isinstance(other, int):
             other = Poly.const(self.ctx, self.nvars, other)
-        if other.ctx != self.ctx or other.nvars != self.nvars:
+        if (other.ctx is not self.ctx and other.ctx != self.ctx) or (
+            other.nvars != self.nvars
+        ):
             raise ValueError("mixed polynomial rings")
         acc = dict(self.terms)
         for mono, c in other.terms.items():
@@ -279,7 +281,9 @@ class Poly:
             return Poly._from_terms(
                 self.ctx, self.nvars, {m: c * other for m, c in self.terms.items()}
             )
-        if other.ctx != self.ctx or other.nvars != self.nvars:
+        if (other.ctx is not self.ctx and other.ctx != self.ctx) or (
+            other.nvars != self.nvars
+        ):
             raise ValueError("mixed polynomial rings")
         if not self.terms or not other.terms:
             return Poly.zero(self.ctx, self.nvars)
@@ -325,7 +329,7 @@ class Poly:
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
-            and other.ctx == self.ctx
+            and (other.ctx is self.ctx or other.ctx == self.ctx)
             and other.nvars == self.nvars
             and other.terms == self.terms
         )
@@ -458,23 +462,26 @@ def _split_base_q(f: Poly, q: int):
     The digit classes are keyed by the exponent tuples alpha, in ascending
     order. A term x^(q*beta + alpha) lands in class alpha at the packed key
     (P - P_alpha) / q of x^beta, with f's own coefficient, which is already
-    reduced and nonzero.
+    reduced and nonzero. P_alpha is packed inline, without ``_pack``'s
+    degree check: each digit is at most the exponent it comes from.
     """
     n = f.nvars
-    low = _layout(n)[0]
+    low, _, fields = _layout(n)
+    top = n * FIELD_BITS
     terms = f.terms
     lows = [-mono & low for mono in terms]
     # one pass per field over every term: the digits of x1, x2, ...
     digits = [
         [(x >> shift & FIELD_MASK) % q for x in lows]
-        for shift in range(0, n * FIELD_BITS, FIELD_BITS)
+        for shift in range(0, top, FIELD_BITS)
     ]
     alphas = zip(*digits) if n else [()] * len(lows)  # zip() of no fields is empty
     comps = {}
     for (mono, c), alpha in zip(terms.items(), alphas):
         digit = comps.get(alpha)
         if digit is None:
-            digit = comps[alpha] = (_pack(alpha, n), {})
+            packed = (sum(alpha) << top) - int.from_bytes(fields.pack(*alpha), "little")
+            digit = comps[alpha] = (packed, {})
         digit[1][(mono - digit[0]) // q] = c
     return {
         alpha: Poly._from_reduced(f.ctx, n, beta_terms)

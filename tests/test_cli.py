@@ -258,6 +258,47 @@ def test_nu_mode_past_degree_2_to_the_31_exits_2_before_work(monkeypatch):
     assert calls == list(range(1, 19))
 
 
+class EngineStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mode", ["roots", "bfunction", "crosscheck", "strength"])
+def test_every_mode_past_degree_2_to_the_31_exits_2_before_work(monkeypatch, mode):
+    """deg(f) * p^(top+m) >= 2^31 is refused up front; just below, work starts.
+
+    The engine is stubbed, so no run reaches a power of f.
+    """
+
+    def stub(*args, **kwargs):
+        raise EngineStarted(mode)
+
+    for name in ("detect_roots", "bfunction_report", "crosscheck_mod_p", "strength"):
+        monkeypatch.setattr(f"bsroots.cli.{name}", stub)
+    # p=2, m=0: the top level is 8 as given, 6 by default for bounds 3/3,
+    # and 4 by default for strength
+    argv = ["--p=2", "--m=0", "--vars=x", f"--mode={mode}", "--den-bound=3",
+            "--num-bound=3", "--alpha=1/3", "--format=structured"]
+    default_top = 4 if mode == "strength" else 6
+    for poly, level, top in (
+        ("x^2147483647", ["--max-level=8"], 8),
+        ("x^8388608", ["--max-level=8"], 8),  # 2^23 * 2^8 = 2^31
+        ("x^2147483647", [], default_top),
+        (f"x^{2 ** (31 - default_top)}", [], default_top),
+    ):
+        code, text = run(argv + [f"--poly={poly}"] + level)
+        assert code == 2, (poly, level)
+        error = json.loads(text)["error"]
+        assert error["type"] == "ConfigError"
+        assert f"--mode={mode} to level {top} raises f" in error["message"]
+        assert "reaches 2^31, the limit of packed monomials" in error["message"]
+    for poly, level in (
+        ("x^8388607", ["--max-level=8"]),
+        (f"x^{2 ** (31 - default_top) - 1}", []),
+    ):
+        with pytest.raises(EngineStarted):
+            run(argv + [f"--poly={poly}"] + level)
+
+
 def test_nu_mode_over_the_chain_step_budget_exits_2_before_work(monkeypatch):
     # p=2, m=0: levels 1..L walk 2^(L+1) - 2 chain steps, so level 19 is the
     # last within 2^20; the stub level sets keep the accepted run free

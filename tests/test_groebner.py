@@ -327,3 +327,60 @@ def test_incremental_completion_matches_reference(p, m):
             g = random_poly(rng, ctx, nv, 4, 3) + _ideal_element(rng, J)
             verdict = normal_form_reference(g, ref).is_zero()
             assert normal_form(g, gb).is_zero() == verdict, (J, g)
+
+
+@pytest.mark.parametrize("ctx", [Z4, Z9, Z27], ids=str)
+def test_redundant_generator_forms_no_pairs(monkeypatch, ctx):
+    """A generator in the ideal built so far reduces to zero on arrival.
+
+    x*g1 + y*g2 pops after g1 and g2 and their annihilator chains, reduces to
+    zero by them, and forms no S-polynomial.
+    """
+    from bsroots import groebner
+
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return _s_poly(f, g)
+
+    monkeypatch.setattr(groebner, "_s_poly", counted)
+    x, y = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)
+    for g1, g2 in ((x**2 + y * ctx.p, y**2 + x * y), (x**2 + y * ctx.p, x * y + 1)):
+        base = strong_groebner(IdealGens([g1, g2]))
+        formed = len(calls)
+        assert formed > 0
+        grown = strong_groebner(IdealGens([g1, g2, x * g1 + y * g2]))
+        assert len(calls) == 2 * formed, (g1, g2)
+        assert grown == base
+        del calls[:]
+
+
+@pytest.mark.parametrize("p,m", RINGS)
+def test_permuted_redundant_generators_complete_alike(p, m):
+    """Permuted lists with duplicated and redundant generators give one basis.
+
+    Each list holds the generators of J in a random order, some of them
+    twice and some scaled by a unit, plus ideal elements built from them;
+    every list completes to the tuple of J, which has the ideal of the
+    reference completion.
+    """
+    ctx = ChainRingCtx(p, m)
+    rng = random.Random(9000 + 100 * p + m)
+    for _ in range(20):
+        nv = rng.randint(1, 3)
+        gens = [random_poly(rng, ctx, nv, 3, 3) for _ in range(rng.randint(1, 3))]
+        J = IdealGens(gens, ctx=ctx, nvars=nv)
+        gb = strong_groebner(J)
+        ref = strong_groebner_reference(J)
+        for g in gb.elements:
+            assert normal_form_reference(g, ref).is_zero(), (J, g)
+        for g in ref.elements:
+            assert normal_form(g, gb).is_zero(), (J, g)
+        for _ in range(3):
+            listed = list(J.gens) + rng.sample(J.gens, rng.randint(0, len(J.gens)))
+            listed += [g * _random_unit(rng, ctx) for g in J.gens if rng.random() < 0.5]
+            listed += [_ideal_element(rng, J) for _ in range(rng.randint(1, 3))]
+            rng.shuffle(listed)
+            other = IdealGens(listed, ctx=ctx, nvars=nv)
+            assert strong_groebner(other).elements == gb.elements, (J, other)
