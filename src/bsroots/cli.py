@@ -18,9 +18,9 @@ Expression grammar (no implicit multiplication):
 Exit codes: 0 success, 2 configuration or parse error (a ``--mode=nu`` run
 over ``NU_CHAIN_STEP_BUDGET`` chain steps, and an exponent or a degree that
 reaches 2^31 in the input or in the powers of f a mode would build,
-included), 3 engine error or crosscheck mismatch. Structured output is deterministic byte
-for byte for a given configuration: work counters are derived from the
-computed data, never from the clock.
+included), 3 engine error or crosscheck mismatch. Structured output is
+deterministic byte for byte for a given configuration: work counters are
+derived from the computed data, never from the clock.
 """
 
 from __future__ import annotations
