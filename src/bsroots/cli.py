@@ -48,10 +48,10 @@ from .poly import EXPONENT_LIMIT, FrobeniusLift, Poly
 # --mode=nu walks p^(e+m) chain steps at each level e <= max_level, each a
 # Groebner completion; a run whose sum exceeds this is refused up front. It
 # stops runaway levels (p=2 to level 40 is 2^41 steps), not slow runs: a step
-# of the nu-dense benchmark averages about 0.7 ms (nu.nu_set.s over
+# of the nu-dense benchmark averages about 0.5 ms (nu.nu_set.s over
 # nu.jump_tests of `perfbench/run.py --workload nu-dense --trace 1`, seed 1:
-# 0.64-0.77 ms over three runs on a 2-vCPU host running at 0.94-0.98 times
-# the benchmark's reference speed), so 2^20 such steps would take 11-14
+# 0.49-0.58 ms over three runs on a 2-vCPU host running at about 0.94 times
+# the benchmark's reference speed), so 2^20 such steps would take 8-10
 # minutes; a step costs more as the power f^n it multiplies grows.
 NU_CHAIN_STEP_BUDGET = 2**20
 

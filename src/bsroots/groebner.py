@@ -20,7 +20,8 @@ sugar first: a generator's sugar is its degree, a pair's the degree of the
 lcm of its leading monomials, and a generator pops ahead of the pairs of its
 sugar. A popped generator is reduced by the basis built so far, as an
 S-polynomial is, and only a nonzero remainder is inserted, so a generator
-already in the ideal built so far forms no pairs.
+already in the ideal built so far forms no pairs. The first generator to pop
+meets an empty basis and goes in as it is.
 
 The basis is kept minimal. It grows by insertion, and its leading-term index
 with it. A new element h with leading term (lm, v = val(lc)) retires every
@@ -68,12 +69,25 @@ basis of the ideal. It is unique over a finite chain ring (Norton and
 Salagean, "Strong Groebner bases and cyclic codes over a finite-chain
 ring", 2001): two generating sets of one ideal complete to the same tuple,
 and ideal equality is a tuple comparison.
+
+Completion works on plain term dicts, packed monomial to coefficient, and
+builds a ``Poly`` only for what it keeps. One reducer serves completion and
+``normal_form``: it consumes a term dict whose coefficients may be any ints,
+reduces each mod p^(m+1) as its monomial pops from the heap, and returns the
+remainder in descending monomial order, so the first key is the leading
+monomial. S-polynomials reach it as such dicts, with unreduced coefficients.
+An inserted remainder is unit-normalized in one pass over its terms and
+becomes a ``Poly`` once, leading monomial preset; its annihilator multiple
+is built only when some coefficient valuation lies below the largest, and
+then from the terms that survive. The tidy step reduces each element's tail
+dict and puts the head back in front of it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from math import gcd
 
 from .errors import InvariantError
 from .poly import Poly, guard_bits, head_key, lcm, mono_degree
@@ -131,11 +145,45 @@ class GroebnerBasis:
         return normal_form(g, self).is_zero()
 
 
-def _normalize_unit(g: Poly) -> Poly:
-    u = g.ctx.unit_part(g.leading_coeff())
-    if u == 1:
-        return g
-    return g * g.ctx.invert(u)
+def _reduce(work, lts, mod, guards):
+    """Canonical remainder of the term dict ``work`` by the index ``lts``.
+
+    ``work`` is consumed, and its coefficients may be any ints: each is
+    reduced mod p^(m+1) when its monomial pops, and a zero one is dropped.
+    Returns the remainder's terms, reduced and nonzero, in descending
+    monomial order, so its first key is its leading monomial.
+    """
+    heap = [-mono for mono in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    out = {}
+    while heap:
+        mono = -pop(heap)
+        c = work.pop(mono) % mod
+        if not c:
+            continue
+        for lm, _, lc, b, _ in lts:
+            # c < lc leaves the quotient 0: nothing to do
+            if lc > c or (lm - mono) & guards:
+                continue
+            q, c = divmod(c, lc)
+            shift = mono - lm
+            for bm, bc in b.terms.items():
+                if bm == lm:
+                    continue
+                # every new monomial is below mono, so none has popped yet
+                t = bm + shift
+                old = work.get(t)
+                if old is None:
+                    work[t] = -q * bc
+                    push(heap, -t)
+                else:
+                    work[t] = old - q * bc
+            if not c:
+                break
+        else:
+            out[mono] = c
+    return out
 
 
 def normal_form(g: Poly, basis: GroebnerBasis) -> Poly:
@@ -149,87 +197,57 @@ def normal_form(g: Poly, basis: GroebnerBasis) -> Poly:
     the leading coefficients of the ideal at x^b, so the remainder is the
     same for every g in one coset of the ideal. The rest is one mutable term
     dict with a heap of its negated packed monomials, largest monomial
-    first; a monomial can sit in the heap twice after it cancels and
-    reappears, and the stale entry finds no term left.
+    first. Its coefficients are left unreduced until their monomial pops,
+    and a term that cancels stays until then, so each monomial enters the
+    heap once. Completion runs the same reducer on its own term dicts.
     """
     ctx = g.ctx
-    mod = ctx.modulus
-    guards = guard_bits(g.nvars)
-    work = dict(g.terms)
-    heap = [-mono for mono in work]
-    heapq.heapify(heap)
-    out = {}
-    while heap:
-        mono = -heapq.heappop(heap)
-        c = work.pop(mono, 0)
-        if not c:
-            continue
-        for lm, _, lc, b, _ in basis._lts:
-            # c < lc leaves the quotient 0: nothing to do
-            if lc > c or (lm - mono) & guards:
-                continue
-            q, c = divmod(c, lc)
-            shift = mono - lm
-            for bm, bc in b.terms.items():
-                if bm == lm:
-                    continue
-                t = bm + shift
-                old = work.get(t)
-                new = ((old or 0) - q * bc) % mod
-                if new:
-                    work[t] = new
-                    if old is None:
-                        heapq.heappush(heap, -t)
-                elif old is not None:
-                    del work[t]
-            if not c:
-                break
-        else:
-            out[mono] = c
-    # every coefficient left is reduced and nonzero
-    return Poly._from_reduced(ctx, g.nvars, out)
+    out = _reduce(dict(g.terms), basis._lts, ctx.modulus, guard_bits(g.nvars))
+    return Poly._from_reduced(ctx, g.nvars, out, next(iter(out), None))
 
 
-def _s_poly(f: Poly, g: Poly) -> Poly:
-    """p^(j-jf) * x^uf * f - p^(j-jg) * x^ug * g, built in one term dict.
+def _s_poly(f: Poly, g: Poly) -> dict:
+    """p^(j-jf) * x^uf * f - p^(j-jg) * x^ug * g, as a term dict.
 
     x^uf * lm(f) = x^ug * lm(g) = lcm(lm(f), lm(g)), jf and jg are the
     valuations of the leading coefficients and j = max(jf, jg). Both
     arguments must be unit-normalized, lc = p^v exactly: then both scaled
     leading terms are p^j at the lcm and cancel exactly, so neither is built.
+    The coefficients are left unreduced, for the reducer.
     """
-    ctx = f.ctx
     lmf, lcf = f.leading_term()
     lmg, lcg = g.leading_term()
     gamma = lcm(lmf, lmg, f.nvars)
-    jf, jg = ctx.val(lcf), ctx.val(lcg)
-    j = max(jf, jg)
-    uf, cf = gamma - lmf, ctx.p ** (j - jf)
-    ug, cg = gamma - lmg, ctx.p ** (j - jg)
+    top = max(lcf, lcg)  # p^j
+    uf, cf = gamma - lmf, top // lcf
+    ug, cg = gamma - lmg, top // lcg
     acc = {m + uf: c * cf for m, c in f.terms.items() if m != lmf}
     get = acc.get
     for m, c in g.terms.items():
         if m != lmg:
             t = m + ug
             acc[t] = get(t, 0) - c * cg
-    return Poly._from_terms(ctx, f.nvars, acc)
+    return acc
 
 
-def _annihilator_step(g: Poly):
-    """p^(m+1-jmax) * g for jmax the largest coefficient valuation.
-
-    Zero (returned as None) when all coefficient valuations agree, which
+def _annihilator(terms, mod):
+    """Terms of p^(m+1-jmax) * g, for ``terms`` those of g and jmax its
+    largest coefficient valuation; None when all valuations agree, which
     terminates the chain.
+
+    gcd(c, p^(m+1)) = p^val(c) for c != 0, so one pass finds p^jmax. The
+    multiple keeps exactly the terms whose coefficient p^jmax does not
+    divide, and only those are multiplied.
     """
-    ctx = g.ctx
-    jmax = g.max_coeff_val()
-    a = g * ctx.p ** (ctx.m + 1 - jmax)
-    return None if a.is_zero() else a
+    top = max(gcd(c, mod) for c in terms.values())
+    k = mod // top
+    return {mono: c * k % mod for mono, c in terms.items() if c % top} or None
 
 
 def strong_groebner(J) -> GroebnerBasis:
     """The reduced strong basis of the ideal the generators ``J`` span."""
     ctx, nvars = J.ctx, J.nvars
+    p, mod = ctx.p, ctx.modulus
     guards = guard_bits(nvars)
     live = GroebnerBasis(ctx, nvars, ())
     lts = live._lts
@@ -242,40 +260,52 @@ def strong_groebner(J) -> GroebnerBasis:
     queue = [(g.degree(), next(counter), g, None, None) for g in J.gens]
     heapq.heapify(queue)
 
-    def add(h: Poly, reduce_first: bool):
-        if reduce_first:
-            h = normal_form(h, live)
-        if h.is_zero():
-            return
-        h = _normalize_unit(h)
-        lm, lc = h.leading_term()
-        v = ctx.val(lc)
-        j = len(elements)
-        elements.append((h, v))
-        # pair h with every unretired element before anything retires: the
-        # pair (g, h) of an element g that h dominates carries g's tail
-        dominated = dominates = False
-        for glm, gval, _, _, i in lts:
-            gamma = lcm(glm, lm, nvars)
-            heapq.heappush(
-                queue, (mono_degree(gamma, nvars), next(counter), i, j, gamma)
-            )
-            if gval <= v and not ((glm - lm) & guards):
-                dominated = True
-            elif v <= gval and not ((lm - glm) & guards):
-                dominates = True
-        if not dominated:
-            if dominates:
-                lts[:] = [t for t in lts if t[1] < v or (lm - t[0]) & guards]
-            lts.append((lm, v, lc, h, j))
-        a = _annihilator_step(h)
-        if a is not None:
-            add(a, reduce_first=False)
+    def add(h, lm):
+        """Insert the reduced nonzero terms h, leading monomial lm, and then
+        the annihilator multiples of the insertion."""
+        while h is not None:
+            # lc = u * p^v: find both in one pass, and scale h by 1/u
+            u, v = h[lm], 0
+            while not u % p:
+                u //= p
+                v += 1
+            if u != 1:
+                inv = pow(u, -1, mod)
+                h = {mono: c * inv % mod for mono, c in h.items()}
+            lc = h[lm]
+            g = Poly._from_reduced(ctx, nvars, h, lm)
+            j = len(elements)
+            elements.append((g, v))
+            # pair g with every unretired element before anything retires:
+            # the pair (d, g) of an element d that g dominates carries d's tail
+            dominated = dominates = False
+            for glm, gval, _, _, i in lts:
+                gamma = lcm(glm, lm, nvars)
+                heapq.heappush(
+                    queue, (mono_degree(gamma, nvars), next(counter), i, j, gamma)
+                )
+                if gval <= v and not ((glm - lm) & guards):
+                    dominated = True
+                elif v <= gval and not ((lm - glm) & guards):
+                    dominates = True
+            if not dominated:
+                if dominates:
+                    lts[:] = [t for t in lts if t[1] < v or (lm - t[0]) & guards]
+                lts.append((lm, v, lc, g, j))
+            # the annihilator multiple goes in unreduced
+            h = _annihilator(h, mod)
+            if h is not None:
+                lm = max(h)
 
     while queue:
         _, _, i, j, gamma = heapq.heappop(queue)
         if gamma is None:  # a generator, held in the slot of i
-            add(i, reduce_first=True)
+            if lts:
+                h = _reduce(dict(i.terms), lts, mod, guards)
+                if h:
+                    add(h, next(iter(h)))
+            else:  # nothing to reduce by: the generator goes in as it is
+                add(i.terms, i.leading_monomial())
             continue
         treated.add((i, j))
         (gi, vi), (gj, vj) = elements[i], elements[j]
@@ -293,12 +323,18 @@ def strong_groebner(J) -> GroebnerBasis:
             ):
                 break
         else:
-            add(_s_poly(gi, gj), reduce_first=True)
+            h = _reduce(_s_poly(gi, gj), lts, mod, guards)
+            if h:
+                add(h, next(iter(h)))
 
+    # each tail reduced by the others; a tail's monomials all lie below its
+    # head, and reduction only lowers them, so the head stays first
     tidied = []
     for lm, _, lc, g, _ in lts:
-        head = Poly._from_reduced(ctx, nvars, {lm: lc})
-        tidied.append(head + normal_form(g - head, live))
+        tail = {m: c for m, c in g.terms.items() if m != lm}
+        h = {lm: lc}
+        h.update(_reduce(tail, lts, mod, guards))
+        tidied.append(Poly._from_reduced(ctx, nvars, h, lm))
     tidied.sort(key=head_key)
     if any(head_key(a) == head_key(b) for a, b in zip(tidied, tidied[1:])):
         raise InvariantError("two basis elements share a leading term")

@@ -165,15 +165,16 @@ class Poly:
         )
 
     @classmethod
-    def _from_reduced(cls, ctx: ChainRingCtx, nvars: int, terms) -> "Poly":
+    def _from_reduced(cls, ctx: ChainRingCtx, nvars: int, terms, lm=None) -> "Poly":
         """Internal constructor that keeps ``terms`` as it is: packed
-        monomials with coefficients already reduced mod p^(m+1) and nonzero."""
+        monomials with coefficients already reduced mod p^(m+1) and nonzero.
+        A caller that knows the leading monomial passes it as ``lm``."""
         self = object.__new__(cls)
         self.ctx = ctx
         self.nvars = nvars
         self.terms = terms
         self._hash = None
-        self._lm = None
+        self._lm = lm
         return self
 
     @classmethod

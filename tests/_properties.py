@@ -6,7 +6,7 @@ fixed case budgets and a shared deterministic seed; a per-seed cache keeps
 repeat calls within one pytest session free.
 
 Configuration space: two variables, degree <= 3, p in {2, 3}, m <= 1,
-levels e <= 2.
+levels e <= 2; the descent-composition family also takes m = 2 and e = 3.
 """
 
 import math
@@ -166,6 +166,56 @@ def power_scaling(rng, budget=40):
     return budget, failures
 
 
+_COMPOSITION_RINGS = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]
+
+
+def _descent(J, lift, e):
+    """The reduced strong basis of the level-e descent image of J."""
+    return strong_groebner(cartier_generators(J, lift, e))
+
+
+def _vanishing_unit_poly(rng, ctx):
+    """A random f with f(0) = 0 and a unit coefficient: no power of f is zero,
+    and its descent images are not all the unit ideal."""
+    while True:
+        f = random_unit_poly(rng, ctx, 2, 3, 3)
+        terms = {mono: c for mono, c in f.exponent_terms().items() if any(mono)}
+        f = Poly(ctx, 2, terms)
+        if f.has_unit_coeff():
+            return f
+
+
+def descent_composition(rng, budget=80):
+    """Descent composes: I_e(J) = I_1(I_(e-1)(J)) on reduced bases.
+
+    R is free over F^(e-1)(R) on the x^alpha, alpha < p^(e-1), and
+    F^(e-1)(R) is free over F^e(R) on the F^(e-1)(x^beta), beta < p; so R is
+    free over F^e(R) on their products. The ideal of the coordinates does not
+    depend on the basis, so for every lift the direct level-e descent of
+    J = (f^k) equals the level-1 descent of the reduced basis of its level
+    e-1 descent. The lift x: y+x*y, y: x runs phi_decompose's corrective
+    rounds, the standard lift its one split.
+    """
+    failures = []
+    for i in range(budget):
+        p, m = rng.choice(_COMPOSITION_RINGS)
+        ctx = ChainRingCtx(p, m)
+        x, y = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)
+        if rng.random() < 0.5:
+            name, lift = "standard lift", FrobeniusLift.standard(ctx, 2)
+        else:
+            name, lift = "lift x: y+x*y, y: x", FrobeniusLift(ctx, 2, [y + x * y, x])
+        e = rng.randint(2, 3)
+        f = _vanishing_unit_poly(rng, ctx)
+        k = rng.randrange(1, 3 * p ** (m + 2))
+        J = IdealGens([f**k])
+        direct = _descent(J, lift, e)
+        iterated = _descent(IdealGens(_descent(J, lift, e - 1).elements), lift, 1)
+        if direct != iterated:
+            failures.append(f"case {i}: I_{e} != I_1 I_{e - 1} of {f!r}^{k}, {name}")
+    return budget, failures
+
+
 FAMILIES = (
     ("nu-descending", nu_descending),
     ("nu-periodic", nu_periodic),
@@ -175,6 +225,7 @@ FAMILIES = (
     ("frobenius-power-compat", frobenius_power_compat),
     ("nu-cardinality-bound", nu_cardinality_bound),
     ("power-scaling", power_scaling),
+    ("descent-composition", descent_composition),
 )
 
 

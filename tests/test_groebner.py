@@ -6,14 +6,17 @@ from bsroots import ChainRingCtx, Poly
 from bsroots.cartier import IdealGens
 from bsroots.groebner import (
     GroebnerBasis,
+    _annihilator,
+    _reduce,
     _s_poly,
     min_p_power_in,
     normal_form,
     strong_groebner,
 )
-from bsroots.poly import unpack
+from bsroots.poly import guard_bits, pack, unpack
 
 from _oracles import (
+    _annihilator_step_reference,
     _normalize_unit_reference,
     _s_poly_reference,
     head_key_reference,
@@ -298,8 +301,63 @@ def test_s_poly_matches_reference(p, m):
             continue
         f, g = _normalize_unit_reference(f), _normalize_unit_reference(g)
         for a, b in ((f, g), (g, f), (f, f)):
-            assert _s_poly(a, b).terms == _s_poly_reference(a, b).terms, (a, b)
+            got = {t: r for t, c in _s_poly(a, b).items() if (r := c % ctx.modulus)}
+            assert got == _s_poly_reference(a, b).terms, (a, b)
         pairs += 1
+
+
+@pytest.mark.parametrize("p,m", RINGS)
+def test_reducer_takes_unreduced_term_dicts(p, m):
+    """The reducer reduces each coefficient as its monomial pops.
+
+    A term dict whose coefficients are shifted by multiples of p^(m+1), some
+    negative, plus extra monomials whose coefficient is such a multiple
+    (zero among them), reduces to the normal form of the reduced polynomial,
+    in descending monomial order.
+    """
+    ctx = ChainRingCtx(p, m)
+    mod = ctx.modulus
+    rng = random.Random(5000 + 100 * p + m)
+    for A, _ in same_ideal_family(ctx, 7000 + 100 * p + m, count=20):
+        gb = strong_groebner(A)
+        guards = guard_bits(A.nvars)
+        for _ in range(3):
+            g = random_poly(rng, ctx, A.nvars, 4, 4) + _ideal_element(rng, A)
+            raw = {t: c + mod * rng.randint(-2, 2) for t, c in g.terms.items()}
+            for _ in range(2):
+                t = pack([rng.randint(0, 3) for _ in range(A.nvars)], A.nvars)
+                if t not in raw:
+                    raw[t] = mod * rng.randint(-1, 1)
+            got = _reduce(raw, gb._lts, mod, guards)
+            assert got == normal_form(g, gb).terms, (A, g)
+            assert list(got) == sorted(got, reverse=True), (A, g)
+
+
+@pytest.mark.parametrize("p,m", RINGS)
+def test_annihilator_matches_the_full_multiple(p, m):
+    """The annihilator terms are those of g * p^(m+1-jmax), or None when that
+    multiple is zero, which is when all coefficient valuations agree."""
+    ctx = ChainRingCtx(p, m)
+    rng = random.Random(6000 + 100 * p + m)
+    chains = ends = 0
+    while chains < 40 or ends < 10:
+        nv = rng.randint(1, 3)
+        g = random_poly(rng, ctx, nv, 3, 4) * p ** rng.randint(0, m)
+        if g.is_zero():
+            continue
+        want = _annihilator_step_reference(g)
+        got = _annihilator(g.terms, ctx.modulus)
+        if want is None:
+            assert got is None, g
+            assert len({ctx.val(c) for c in g.terms.values()}) == 1, g
+            ends += 1
+        else:
+            assert got == want.terms, g
+            chains += 1
+    # one valuation throughout: the chain ends at once
+    for j in range(m + 1):
+        g = Poly(ctx, 2, {(2, 0): p**j, (0, 1): (p - 1) * p**j, (0, 0): (p + 1) * p**j})
+        assert _annihilator(g.terms, ctx.modulus) is None
 
 
 @pytest.mark.parametrize("p,m", RINGS)

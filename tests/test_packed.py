@@ -173,7 +173,8 @@ def test_completion_kernels_match_tuple_oracles_at_high_exponents(p, m):
         ]
         for a in units:
             for b in units:
-                assert _s_poly(a, b) == _s_poly_reference(a, b), (a, b)
+                got = {t: r for t, c in _s_poly(a, b).items() if (r := c % ctx.modulus)}
+                assert got == _s_poly_reference(a, b).terms, (a, b)
 
 
 GUARD_CASES = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
