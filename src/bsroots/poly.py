@@ -235,11 +235,6 @@ class Poly:
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]
 
-    def max_coeff_val(self):
-        if not self.terms:
-            return self.ctx.m + 1
-        return max(self.ctx.val(c) for c in self.terms.values())
-
     def has_unit_coeff(self):
         """True iff f is a nonzerodivisor on V[x], i.e. some coefficient is a unit."""
         p = self.ctx.p

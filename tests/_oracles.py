@@ -569,7 +569,7 @@ def _s_poly_reference(f, g):
 
 def _annihilator_step_reference(g):
     ctx = g.ctx
-    jmax = g.max_coeff_val()
+    jmax = max(ctx.val(c) for c in g.terms.values())
     a = g * ctx.p ** (ctx.m + 1 - jmax)
     return None if a.is_zero() else a
 
