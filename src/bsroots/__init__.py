@@ -1,7 +1,7 @@
 """Exact computation of root and level-set invariants over Z/p^(m+1).
 
-The engine walks power chains of a polynomial through descent operators,
-extracts the levelwise invariant sets, identifies the bounded rational
+The engine walks the descent images of the powers of a polynomial level by
+level, extracts the levelwise invariant sets, identifies the bounded rational
 roots they cut out, and grades each root by its strength. All arithmetic
 is exact over the chain ring Z/p^(m+1).
 

@@ -27,9 +27,9 @@ from fractions import Fraction
 from .chainring import ChainRingCtx
 from .errors import InvariantError
 from .groebner import min_p_power_in
-from .nu import descent_basis, require_nonzerodivisor
+from .nu import descent_step, require_nonzerodivisor, shift_powers
 from .padic import PAdicRational, fraction_val, reconstruct
-from .poly import FrobeniusLift, Poly, phi_decompose
+from .poly import FrobeniusLift, Poly
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,11 @@ def candidate_residues(f: Poly, lift: FrobeniusLift, top_level: int) -> ResidueT
     Level 0 is the whole window [0, p^m). At level e only the refinements
     n = s + k*p^(e-1+m), k < p, of the level-(e-1) survivors s are
     jump-tested, in ascending order, and n survives when it is a level-e
-    invariant. Each f^n is built as f^s * (f^(p^(e-1+m)))^k from the
-    survivors' powers, the only powers kept from one level to the next;
-    the descent basis of f^(n+1) is reused when n+1 is the next candidate.
+    invariant. Each survivor carries the basis elements of its descents
+    one level down at f^s and f^(s+1), and the level-e bases of f^n and
+    f^(n+1) are their level-1 descents after multiplying by f^(p^m*k)
+    (``nu.descent_step``); the basis of f^(n+1) is reused when n+1 is the
+    next candidate.
     """
     require_nonzerodivisor(f)
     if top_level < 1:
@@ -105,38 +107,30 @@ def candidate_residues(f: Poly, lift: FrobeniusLift, top_level: int) -> ResidueT
     ctx = f.ctx
     p, m = ctx.p, ctx.m
     card_bound = (m + 1) * math.comb(int(f.degree()) * p**m + f.nvars, f.nvars)
-    powers = {}  # survivor s -> f^s
-    power = Poly.one(ctx, f.nvars)
-    for s in range(p**m):
-        powers[s] = power
-        power = power * f
-    step_power = power  # f^(p^(e-1+m)) at level e
-    survivors = [tuple(powers)]
+    powers, shifts = shift_powers(f)
+    # survivor s -> level-(e-1) basis elements at f^s and f^(s+1)
+    below = {s: ((powers[s],), (powers[s + 1],)) for s in range(p**m)}
+    survivors = [tuple(below)]
     for e in range(1, top_level + 1):
         step = p ** (e - 1 + m)
         kept = {}
-        next_n = next_power = next_basis = None
-        shift = step_power  # (f^step)^k for k >= 1
+        next_n = next_elems = None
         for k in range(p):
-            if k > 1:
-                shift = shift * step_power
-            for s, f_s in powers.items():
+            shift = shifts[k]
+            for s, (at_s, at_s1) in below.items():
                 n = s + k * step
                 if n == next_n:
-                    f_n, basis = next_power, next_basis
+                    elems = next_elems
                 else:
-                    f_n = f_s * shift if k else f_s
-                    basis = descent_basis(f_n, lift, e)
-                next_n, next_power = n + 1, f_n * f
-                next_basis = descent_basis(next_power, lift, e)
-                if basis != next_basis:  # the top level's powers are never read
-                    kept[n] = f_n if e < top_level else None
+                    elems = descent_step(at_s, shift, lift).elements
+                next_n = n + 1
+                next_elems = descent_step(at_s1, shift, lift).elements
+                if elems != next_elems:  # the top level's bases are never read
+                    kept[n] = (elems, next_elems) if e < top_level else None
         if len(kept) > card_bound:
             raise InvariantError("level set exceeded cardinality bound")
         survivors.append(tuple(kept))
-        powers = kept
-        if e < top_level:
-            step_power = shift * step_power
+        below = kept
     return ResidueTree(p=p, m=m, top_level=top_level, survivors=tuple(survivors))
 
 
@@ -216,14 +210,18 @@ def detect_roots(
 
 
 def strength(f: Poly, lift: FrobeniusLift, alpha, e_stop: int = 4) -> StrengthResult:
-    """Largest p-power gap left by the coordinates of f^a, a the truncation.
+    """Largest p-power gap left by the descent of f^a, a the truncation.
 
-    At each level e, a = truncate_below(alpha, e+m) and the value is
-    max over coordinates g of f^a of the least t with p^t * g inside the
-    descent image of (f^(a+1)). The walk runs from level 1 to ``e_stop``.
-    The level sequence is nonincreasing; the walk stops early once two
-    consecutive levels agree or the value 0 is reached, both of which are
-    final. A ``PAdicRational`` over a prime other than the ring's is refused.
+    At each level e, a = truncate_below(alpha, e+m) and the value is the
+    least t with p^t * I_e(f^a) inside I_e(f^(a+1)): the maximum over the
+    basis elements g of I_e(f^a) of the least t with p^t * g inside. The
+    ideal (I_e(f^(a+1)) : p^t) does not depend on a generating set, so this
+    is also the maximum over the coordinates of f^a. The walk runs from
+    level 1 to ``e_stop`` along a_e = a_(e-1) + k_e * p^(e-1+m), building
+    both bases from the level below (``nu.descent_step``). The level
+    sequence is nonincreasing; the walk stops early once two consecutive
+    levels agree or the value 0 is reached, both of which are final. A
+    ``PAdicRational`` over a prime other than the ring's is refused.
     """
     require_nonzerodivisor(f)
     if not isinstance(alpha, PAdicRational):
@@ -232,15 +230,20 @@ def strength(f: Poly, lift: FrobeniusLift, alpha, e_stop: int = 4) -> StrengthRe
         raise ValueError(f"alpha is {alpha.p}-adic but the ring has p={f.ctx.p}")
     if e_stop < 1:
         raise ValueError("need e_stop >= 1")
-    ctx = f.ctx
+    p, m = f.ctx.p, f.ctx.m
+    powers, shifts = shift_powers(f)
+    a = alpha.truncate_below(m)
+    at_a, at_a1 = (powers[a],), (powers[a + 1],)
     computed = []
     stabilized = False
     for e in range(1, e_stop + 1):
-        a = alpha.truncate_below(e + ctx.m)
-        f_a = f**a
-        coords = phi_decompose(f_a, lift, e).values()
-        gb = descent_basis(f_a * f, lift, e)
-        value = max(min_p_power_in(gb, g) for g in coords)
+        a_e = alpha.truncate_below(e + m)
+        shift = shifts[(a_e - a) // p ** (e - 1 + m)]
+        a = a_e
+        at_a = descent_step(at_a, shift, lift).elements
+        gb = descent_step(at_a1, shift, lift)
+        at_a1 = gb.elements
+        value = max(min_p_power_in(gb, g) for g in at_a)
         if computed and value > computed[-1][1]:
             raise InvariantError("strength increased with the level")
         computed.append((e, value))

@@ -17,8 +17,8 @@ Expression grammar (no implicit multiplication):
 
 Exit codes: 0 success, 2 configuration or parse error (a ``--mode=nu`` run
 over ``NU_CHAIN_STEP_BUDGET`` chain steps, and an exponent or a degree that
-reaches 2^31 in the input or in the powers of f a mode would build,
-included), 3 engine error or crosscheck mismatch. Structured output is
+reaches 2^31 in the input or in f^(p^(top+m)), the power the top level
+describes, included), 3 engine error or crosscheck mismatch. Structured output is
 deterministic byte for byte for a given configuration: work counters are
 derived from the computed data, never from the clock.
 """
@@ -40,7 +40,7 @@ from .bsr import (
 )
 from .chainring import ChainRingCtx
 from .errors import InvariantError
-from .nu import nu_set
+from .nu import nu_levels
 from .padic import PAdicRational
 from .poly import EXPONENT_LIMIT, FrobeniusLift, Poly
 
@@ -48,11 +48,12 @@ from .poly import EXPONENT_LIMIT, FrobeniusLift, Poly
 # --mode=nu walks p^(e+m) chain steps at each level e <= max_level, each a
 # Groebner completion; a run whose sum exceeds this is refused up front. It
 # stops runaway levels (p=2 to level 40 is 2^41 steps), not slow runs: a step
-# of the nu-dense benchmark averages about 0.5 ms (nu.nu_set.s over
-# nu.jump_tests of `perfbench/run.py --workload nu-dense --trace 1`, seed 1:
-# 0.49-0.58 ms over three runs on a 2-vCPU host running at about 0.94 times
-# the benchmark's reference speed), so 2^20 such steps would take 8-10
-# minutes; a step costs more as the power f^n it multiplies grows.
+# of the nu-dense benchmark averages about 0.4 ms (cli.run.s of
+# `perfbench/run.py --workload nu-dense --trace 1`, seed 1, over the 805 chain
+# steps of a pass: 0.36-0.50 ms over three runs on a 2-vCPU host running at
+# 0.93-1.15 times the benchmark's reference speed), so 2^20 such steps would
+# take 6-9 minutes. A step multiplies at most f^(p^(m+1)) into a basis one
+# level down, so its cost grows with deg(f), p and m but not with the level.
 NU_CHAIN_STEP_BUDGET = 2**20
 
 
@@ -298,12 +299,12 @@ def _require_nu_budget(ctx, top):
 
 
 def _require_power_degree(ctx, top, f, mode):
-    """Refuse a run whose powers of f would reach degree 2^31.
+    """Refuse a run at whose top level f^(p^(top+m)) would reach degree 2^31.
 
-    Every mode raises f to powers below f^(p^(top+m)) at levels up to
-    ``top``: the nu walk and the residue tree end at that power, a strength
-    at level e builds f^(a+1) with a < p^(e+m), and the crosscheck's mod-p
-    run goes to level top+m over m=0.
+    An up-front bound by the power the top level describes; the crosscheck's
+    mod-p run goes to level top+m over m=0. The walks build far smaller
+    powers, f^a for a <= p^m and f^(p^m*k) for k <= p, which the bound
+    covers, and multiply them into bases one level down.
     """
     degree = max(f.degree(), 0) * ctx.p ** (top + ctx.m)
     if degree >= EXPONENT_LIMIT:
@@ -387,7 +388,7 @@ def _dispatch(args, ctx, names, f, lift, alpha, config):
     header = f"p={args.p} m={args.m} f={config['poly']}"
     if args.mode == "nu":
         top = args.max_level
-        sets = [nu_set(f, lift, e) for e in range(1, top + 1)]
+        sets = nu_levels(f, lift, top)
         windows = [_window_doc(s.e, s.window, s.members) for s in sets]
         doc = {
             "config": config,

@@ -15,10 +15,12 @@ form and digit split are the engine's own algorithms as they ran on tuples,
 so their results must match exactly. The reference Groebner completion at
 the end is the engine's earlier, non-incremental code that
 never retires an element; the engine's minimal bases must generate the same
-ideals and give the same membership verdicts. The reference residue tree is
-the engine's earlier full walk: every level set in full from ``nu_set``,
-then the survivors filtered out of it, against which the pruned tree must
-give the same survivors, roots and unresolved residues.
+ideals and give the same membership verdicts. The reference descent bases
+follow the definition, with none of the engine's walk: each power f^n,
+its coordinates at level e, and their completion. The reference residue
+tree is the engine's earlier full walk over those bases: every level set
+in full, then the survivors filtered out of it, against which the pruned
+tree must give the same survivors, roots and unresolved residues.
 """
 
 import heapq
@@ -28,7 +30,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu_set
+from bsroots import ChainRingCtx, FrobeniusLift, Poly
+from bsroots.cartier import IdealGens, cartier_generators
+from bsroots.groebner import strong_groebner
 
 
 # Degrevlex with x1 > x2 > ... > xn, spelled here from its definition so
@@ -70,17 +74,36 @@ def reconstruct_double_loop(residue, modulus, den_bound, num_bound, p):
     return sorted(set(out))
 
 
+def direct_descent_bases(f, lift, e):
+    """Reduced strong bases of I_e(f^n) for n = 0..p^(e+m), straight from
+    the definition: the power f^n, its level-e coordinates, completion."""
+    window = f.ctx.p ** (e + f.ctx.m)
+    bases = []
+    power = Poly.one(f.ctx, f.nvars)
+    for n in range(window + 1):
+        gens = cartier_generators(IdealGens([power]), lift, e)
+        bases.append(strong_groebner(gens))
+        power = power * f
+    return bases
+
+
+def direct_level_set(f, lift, e):
+    """Level-e invariants of f from the direct descent bases of its powers."""
+    bases = direct_descent_bases(f, lift, e)
+    return tuple(n for n in range(len(bases) - 1) if bases[n] != bases[n + 1])
+
+
 def residue_tree_reference(f, lift, top_level):
     """(level sets, survivors) per level 0..top_level, by full windows.
 
-    Level 0 is the whole window [0, p^m). Level e is ``nu_set`` over
-    [0, p^(e+m)); a member survives when it refines a survivor below.
+    Level 0 is the whole window [0, p^m). Level e is the direct level set
+    over [0, p^(e+m)); a member survives when it refines a survivor below.
     """
     p, m = f.ctx.p, f.ctx.m
     base = tuple(range(p**m))
     level_sets, survivors = [base], [base]
     for e in range(1, top_level + 1):
-        members = nu_set(f, lift, e).members
+        members = direct_level_set(f, lift, e)
         below = set(survivors[-1])
         step = p ** (e - 1 + m)
         level_sets.append(members)

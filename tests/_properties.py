@@ -6,7 +6,8 @@ fixed case budgets and a shared deterministic seed; a per-seed cache keeps
 repeat calls within one pytest session free.
 
 Configuration space: two variables, degree <= 3, p in {2, 3}, m <= 1,
-levels e <= 2; the descent-composition family also takes m = 2 and e = 3.
+levels e <= 2; the descent-composition and descent-shift families also take
+m = 2 and e = 3.
 """
 
 import math
@@ -216,6 +217,39 @@ def descent_composition(rng, budget=80):
     return budget, failures
 
 
+def descent_shift(rng, budget=60):
+    """The shift identity: B_e(f^(a + p^(e+m)*k)) = complete(f^(p^m*k) * B_e(f^a)).
+
+    f^(p^(e+m)) = F^e(f^(p^m)) exactly over Z/p^(m+1), and the level-e
+    coordinates of F^e(g) * h are g times those of h, for every lift. Both
+    sides are reduced strong bases, so they are equal tuples. Windows are
+    kept to p^(e+m) <= 32, so the powers stay small.
+    """
+    failures = []
+    for i in range(budget):
+        p, m = rng.choice(_COMPOSITION_RINGS)
+        ctx = ChainRingCtx(p, m)
+        x, y = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)
+        if rng.random() < 0.5:
+            name, lift = "standard lift", FrobeniusLift.standard(ctx, 2)
+        else:
+            name, lift = "lift x: y+x*y, y: x", FrobeniusLift(ctx, 2, [y + x * y, x])
+        e = rng.choice([e for e in (1, 2, 3) if p ** (e + m) <= 32])
+        window = p ** (e + m)
+        f = _vanishing_unit_poly(rng, ctx)
+        a, k = rng.randrange(window), rng.randint(1, 2)
+        direct = _descent(IdealGens([f ** (a + window * k)]), lift, e)
+        below = _descent(IdealGens([f**a]), lift, e).elements
+        shift = f ** (p**m * k)
+        shifted = strong_groebner(IdealGens([shift * g for g in below]))
+        if direct != shifted:
+            failures.append(
+                f"case {i}: I_{e}(f^({a}+{window}*{k})) != f^{p**m * k} I_{e}(f^{a})"
+                f" for {f!r}, {name}"
+            )
+    return budget, failures
+
+
 FAMILIES = (
     ("nu-descending", nu_descending),
     ("nu-periodic", nu_periodic),
@@ -226,6 +260,7 @@ FAMILIES = (
     ("nu-cardinality-bound", nu_cardinality_bound),
     ("power-scaling", power_scaling),
     ("descent-composition", descent_composition),
+    ("descent-shift", descent_shift),
 )
 
 

@@ -8,6 +8,7 @@ against the independent floor-arithmetic oracle.
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +22,7 @@ from bsroots import (
     nu_set,
     strength,
 )
-from bsroots import bsr, nu
+from bsroots import nu
 from bsroots.bsr import _default_top_level, crosscheck_mod_p, strength_vs_bsato
 from bsroots.padic import PAdicRational
 
@@ -262,14 +263,39 @@ def test_pruned_tree_matches_full_walk_on_acceptance_examples():
         _assert_matches_full_walk(f, lift, top, 10, 10)
 
 
+class _SyntheticPower:
+    """Stands for the basis elements of I_level(x^n) under synthetic jumps.
+
+    It carries n: multiplying by the shift x^(p^m*k) moves it to
+    n + k*p^(level+m), as the shift identity moves the real descent. Two of
+    one level are equal exactly when as many chosen jumps lie below their
+    exponents, so n is a level-e invariant exactly when jumps[e] holds it.
+    """
+
+    def __init__(self, n, level, jumps, p, m):
+        self.n, self.level, self.jumps, self.p, self.m = n, level, jumps, p, m
+
+    def __mul__(self, shift):
+        k, rest = divmod(shift.degree(), self.p**self.m)
+        assert rest == 0 and 0 < k <= self.p, shift
+        n = self.n + k * self.p ** (self.level + self.m)
+        return _SyntheticPower(n, self.level, self.jumps, self.p, self.m)
+
+    def __eq__(self, other):
+        assert self.level == other.level
+        below = self.jumps[self.level]
+        return sum(j < self.n for j in below) == sum(j < other.n for j in below)
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1)])
 def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
-    # The descent basis of x^n is replaced by the number of chosen jumps
-    # below n, so n is a level-e invariant exactly when level e's jump set
-    # holds it. The sets mix refinements of survivors with exponents off the
-    # tree, which no real level set has shown; the pruned tree must still
-    # match the full walk, so it must test the right exponents and reuse a
-    # basis only for the exponent it belongs to.
+    # The completion seam is replaced by a synthetic basis that carries the
+    # exponent n of the power it stands for, and n is a level-e invariant
+    # exactly when level e's jump set holds it. The sets mix refinements of
+    # survivors with exponents off the tree, which no real level set has
+    # shown; the pruned tree must still match the full walk, so it must test
+    # the right exponents and reuse a basis only for the exponent it belongs
+    # to.
     rng = random.Random(900 + 10 * p + m)
     ctx = ChainRingCtx(p, m)
     x = Poly.variable(ctx, 1, 0)
@@ -278,16 +304,25 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
     for _ in range(5):
         jumps = {}
         survivors = set(range(p**m))
+        expected = [tuple(range(p**m))]
         for e in range(1, top + 1):
             step = p ** (e - 1 + m)
             refining = [s + k * step for s in sorted(survivors) for k in range(p)]
             jumps[e] = set(rng.sample(refining, min(2, len(refining))))
             jumps[e] |= set(rng.sample(range(p ** (e + m)), 2))
             survivors = {n for n in jumps[e] if n % step in survivors}
-        def jump_count(power, lift, e):
-            return sum(j < power.degree() for j in jumps[e])
+            expected.append(tuple(sorted(survivors)))
 
-        monkeypatch.setattr(nu, "descent_basis", jump_count)
-        monkeypatch.setattr(bsr, "descent_basis", jump_count)
-        _, expected = residue_tree_reference(x, lift, top)
-        assert candidate_residues(x, lift, top).survivors == expected, jumps
+        def synthetic_basis(gens, lift, e):
+            # level 0 hands over the real power x^n, higher levels a stand-in
+            assert e == 1
+            (g,) = gens
+            if isinstance(g, Poly):
+                n, level = g.degree(), 0
+            else:
+                n, level = g.n, g.level
+            power = _SyntheticPower(n, level + 1, jumps, p, m)
+            return SimpleNamespace(elements=(power,))
+
+        monkeypatch.setattr(nu, "descent_basis", synthetic_basis)
+        assert candidate_residues(x, lift, top).survivors == tuple(expected), jumps

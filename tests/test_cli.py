@@ -217,7 +217,7 @@ def test_degrees_from_2_to_the_31_exit_2_before_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("engine work started")
 
-    for name in ("nu_set", "detect_roots"):
+    for name in ("nu_levels", "detect_roots"):
         monkeypatch.setattr(f"bsroots.cli.{name}", no_work)
     base = ["--p=2", "--m=1", "--format=structured"]
     for argv in (
@@ -239,11 +239,14 @@ def test_nu_mode_past_degree_2_to_the_31_exits_2_before_work(monkeypatch):
     # 2^20 - 4 chain steps, within the budget
     calls = []
 
-    def stub(f, lift, e):
-        calls.append(e)
-        return NuLevelSet(f=f, lift=lift, e=e, window=2 ** (e + 1), members=())
+    def stub(f, lift, top):
+        calls.append(top)
+        return tuple(
+            NuLevelSet(f=f, lift=lift, e=e, window=2 ** (e + 1), members=())
+            for e in range(1, top + 1)
+        )
 
-    monkeypatch.setattr("bsroots.cli.nu_set", stub)
+    monkeypatch.setattr("bsroots.cli.nu_levels", stub)
     argv = ["--p=2", "--m=1", "--vars=x", "--mode=nu", "--format=structured"]
     for poly, level in (("x^5000", 18), ("x^2147483647", 1), ("x^1073741824 + 1", 1)):
         code, text = run(argv + [f"--poly={poly}", f"--max-level={level}"])
@@ -255,7 +258,8 @@ def test_nu_mode_past_degree_2_to_the_31_exits_2_before_work(monkeypatch):
     # 4000 * 2^19 = 2 097 152 000 < 2^31: accepted
     code, text = run(argv + ["--poly=x^4000", "--max-level=18"])
     assert code == 0
-    assert calls == list(range(1, 19))
+    assert calls == [18]
+    assert len(json.loads(text)["nu_windows"]) == 18
 
 
 class EngineStarted(Exception):
@@ -304,11 +308,14 @@ def test_nu_mode_over_the_chain_step_budget_exits_2_before_work(monkeypatch):
     # last within 2^20; the stub level sets keep the accepted run free
     calls = []
 
-    def stub(f, lift, e):
-        calls.append(e)
-        return NuLevelSet(f=f, lift=lift, e=e, window=2**e, members=())
+    def stub(f, lift, top):
+        calls.append(top)
+        return tuple(
+            NuLevelSet(f=f, lift=lift, e=e, window=2**e, members=())
+            for e in range(1, top + 1)
+        )
 
-    monkeypatch.setattr("bsroots.cli.nu_set", stub)
+    monkeypatch.setattr("bsroots.cli.nu_levels", stub)
     argv = ["--p=2", "--m=0", "--vars=x", "--poly=x", "--mode=nu",
             "--format=structured"]
     for level in (40, 20):
@@ -321,11 +328,11 @@ def test_nu_mode_over_the_chain_step_budget_exits_2_before_work(monkeypatch):
     code, text = run(argv + ["--max-level=19"])
     assert code == 0
     assert json.loads(text)["counters"]["chain_steps"] == 2**20 - 2
-    assert calls == list(range(1, 20))
+    assert calls == [19]
 
 
 def test_engine_error_exits_3():
-    # 2*x is a zerodivisor over Z/4; the chain walk refuses it
+    # 2*x is a zerodivisor over Z/4; the level walk refuses it
     code, text = run(["--p=2", "--m=1", "--vars=x", "--poly=2*x", "--mode=nu"])
     assert code == 3
     assert "error" in text
@@ -459,17 +466,23 @@ def test_module_entry_points(module):
 
 
 def test_invariant_failure_exits_3_under_optimize():
-    # the child replaces the residue tree's descent basis by a fresh object
-    # per call, unequal to every other, so every candidate jumps and the
+    # the child replaces every descent basis by a fresh power of the first
+    # variable, unequal to every other, so every candidate jumps and the
     # survivors break the cardinality bound; under -O a bare assert would be
     # stripped and the run would pass
     child = """
+import itertools
 import sys
+from types import SimpleNamespace
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-from bsroots import bsr
+from bsroots import Poly, nu
 from bsroots.cli import run
-bsr.descent_basis = lambda f_power, lift, e: object()
+fresh = itertools.count(1)
+def fresh_basis(gens, lift, e):
+    x = Poly.variable(gens[0].ctx, gens[0].nvars, 0)
+    return SimpleNamespace(elements=(x ** next(fresh),))
+nu.descent_basis = fresh_basis
 code, text = run(sys.argv[1:])
 print(text)
 sys.exit(code)

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, is_nu, nu_set
 from bsroots.cartier import IdealGens
-from bsroots.nu import descent_basis, nu_of_ideal
+from bsroots.nu import descent_basis, descent_walk, nu_levels, nu_of_ideal
+
+from _oracles import direct_descent_bases, random_unit_poly
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)
@@ -118,10 +122,10 @@ def _containment_violations(f, lift, e):
     window = f.ctx.p ** (e + f.ctx.m)
     bad = []
     power = Poly.one(f.ctx, f.nvars)
-    gb = descent_basis(power, lift, e)
+    gb = descent_basis([power], lift, e)
     for n in range(window):
         power = power * f
-        next_gb = descent_basis(power, lift, e)
+        next_gb = descent_basis([power], lift, e)
         if not all(gb.contains(h) for h in next_gb.elements):
             bad.append(n)
         gb = next_gb
@@ -139,3 +143,67 @@ def test_descent_ideals_shrink_along_the_power_chain():
     x, y = Poly.variable(z8, 2, 0), Poly.variable(z8, 2, 1)
     lift = FrobeniusLift(z8, 2, [x * y + y**2, x])
     assert _containment_violations(x**3 + y**2, lift, 2) == []
+
+
+def _walk_bases(f, lift, top):
+    """Basis element tuples of the level walk, per level 1..top, n ascending."""
+    levels = {}
+    for e, n, elems in descent_walk(f, lift, top):
+        assert n == len(levels.setdefault(e, []))
+        levels[e].append(elems)
+    return [levels[e] for e in range(1, top + 1)]
+
+
+def _lifts(ctx, nvars):
+    """The standard lift and the lift x: y+x*y, y: x on the first two variables."""
+    x, y = Poly.variable(ctx, nvars, 0), Poly.variable(ctx, nvars, 1)
+    bent = [y + x * y, x] + [None] * (nvars - 2)
+    return [FrobeniusLift.standard(ctx, nvars), FrobeniusLift(ctx, nvars, bent)]
+
+
+def _assert_walk_is_direct(f, lift, top):
+    """Bases and level sets of the walk against the direct descent of f^n."""
+    levels = nu_levels(f, lift, top)
+    for e, walked in enumerate(_walk_bases(f, lift, top), start=1):
+        direct = [gb.elements for gb in direct_descent_bases(f, lift, e)]
+        assert walked == direct, (f, lift.corrections, e)
+        jumps = tuple(n for n in range(len(direct) - 1) if direct[n] != direct[n + 1])
+        assert levels[e - 1].members == jumps, (f, lift.corrections, e)
+
+
+def _anchor(p, m, nvars, build):
+    ctx = ChainRingCtx(p, m)
+    return ctx, build(*(Poly.variable(ctx, nvars, i) for i in range(nvars)))
+
+
+# the ROADMAP anchors, without their level counts
+ANCHORS = {
+    "groebner-p3": _anchor(3, 2, 2, lambda x, y: x**2 + y**3),
+    "groebner-p2": _anchor(2, 2, 2, lambda x, y: x**3 + y**2 + x * y),
+    "nonstandard-lift": _anchor(2, 2, 2, lambda x, y: x**3 + y**2),
+    "three-vars": _anchor(3, 1, 3, lambda x, y, z: x * y + y * z + z * x),
+}
+
+
+@pytest.mark.parametrize("name", list(ANCHORS))
+def test_level_walk_matches_direct_descent_on_anchors(name):
+    """Every basis of the walk, n = 0..p^(e+m) at levels 1 and 2, equals the
+    completed descent of f^n itself, and so do the level sets."""
+    ctx, f = ANCHORS[name]
+    lifts = _lifts(ctx, f.nvars)
+    if name == "nonstandard-lift":
+        x, y = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)
+        lifts.append(FrobeniusLift(ctx, 2, [x * y + y * y, x]))
+    for lift in lifts:
+        _assert_walk_is_direct(f, lift, 2)
+
+
+@pytest.mark.parametrize("p,m", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+def test_level_walk_matches_direct_descent_on_random_polys(p, m):
+    rng = random.Random(700 + 10 * p + m)
+    ctx = ChainRingCtx(p, m)
+    top = 3 if p ** (2 + m) <= 8 else 2
+    for lift in _lifts(ctx, 2):
+        for _ in range(3):
+            _assert_walk_is_direct(random_unit_poly(rng, ctx, 2, 3, 3), lift, top)
+
