@@ -3,13 +3,13 @@
 A candidate root is a p-adically integral rational alpha all of whose
 truncations land in the level sets: truncate_below(alpha, e+m) must be a
 level-e invariant for every e. The residue tree materializes this test up
-to a chosen level E without walking whole level windows: level 0 is the
-full window [0, p^m), and at level e only the p refinements
-s + k*p^(e-1+m) of each level-(e-1) survivor s are jump-tested; those that
-are level-e invariants survive. Surviving residues at level E are then
-lifted back to bounded fractions; when p^(E+m) exceeds twice the bound box,
-at most one fraction fits per residue, so survivors either resolve to a
-unique root or are reported unresolved, never guessed.
+to a chosen level E and is read off the level sets of the run walk
+(``nu.nu_levels``): level 0 is the full window [0, p^m), and a member n of
+the level-e set survives when n mod p^(e-1+m) survived at level e-1.
+Surviving residues at level E are then lifted back to bounded fractions;
+when p^(E+m) exceeds twice the bound box, at most one fraction fits per
+residue, so survivors either resolve to a unique root or are reported
+unresolved, never guessed.
 
 The strength of a root grades how strongly the jump certifying each
 truncation holds: the least power of p that pushes the coordinates of f^a
@@ -27,7 +27,7 @@ from fractions import Fraction
 from .chainring import ChainRingCtx
 from .errors import InvariantError
 from .groebner import min_p_power_in
-from .nu import descent_step, require_nonzerodivisor, shift_powers
+from .nu import descent_step, nu_levels, require_nonzerodivisor, shift_powers
 from .padic import PAdicRational, fraction_val, reconstruct
 from .poly import FrobeniusLift, Poly
 
@@ -90,47 +90,24 @@ def _default_top_level(p: int, m: int, den_bound: int, num_bound: int) -> int:
 
 
 def candidate_residues(f: Poly, lift: FrobeniusLift, top_level: int) -> ResidueTree:
-    """Surviving residues at levels 0..top_level, by the pruned walk.
+    """Surviving residues at levels 0..top_level, read off the level sets.
 
-    Level 0 is the whole window [0, p^m). At level e only the refinements
-    n = s + k*p^(e-1+m), k < p, of the level-(e-1) survivors s are
-    jump-tested, in ascending order, and n survives when it is a level-e
-    invariant. Each survivor carries the basis elements of its descents
-    one level down at f^s and f^(s+1), and the level-e bases of f^n and
-    f^(n+1) are their level-1 descents after multiplying by f^(p^m*k)
-    (``nu.descent_step``); the basis of f^(n+1) is reused when n+1 is the
-    next candidate.
+    Level 0 is the whole window [0, p^m). A member n of the level-e set
+    survives when its truncation n mod p^(e-1+m) survived at level e-1, so
+    a survivor has every truncation in the level sets below it.
     """
     require_nonzerodivisor(f)
     if top_level < 1:
         raise ValueError("top level must be >= 1")
-    ctx = f.ctx
-    p, m = ctx.p, ctx.m
+    p, m = f.ctx.p, f.ctx.m
     card_bound = (m + 1) * math.comb(int(f.degree()) * p**m + f.nvars, f.nvars)
-    powers, shifts = shift_powers(f)
-    # survivor s -> level-(e-1) basis elements at f^s and f^(s+1)
-    below = {s: ((powers[s],), (powers[s + 1],)) for s in range(p**m)}
-    survivors = [tuple(below)]
-    for e in range(1, top_level + 1):
-        step = p ** (e - 1 + m)
-        kept = {}
-        next_n = next_elems = None
-        for k in range(p):
-            shift = shifts[k]
-            for s, (at_s, at_s1) in below.items():
-                n = s + k * step
-                if n == next_n:
-                    elems = next_elems
-                else:
-                    elems = descent_step(at_s, shift, lift).elements
-                next_n = n + 1
-                next_elems = descent_step(at_s1, shift, lift).elements
-                if elems != next_elems:  # the top level's bases are never read
-                    kept[n] = (elems, next_elems) if e < top_level else None
+    survivors = [tuple(range(p**m))]
+    for level in nu_levels(f, lift, top_level):
+        below = set(survivors[-1])
+        kept = tuple(n for n in level.members if n % (level.window // p) in below)
         if len(kept) > card_bound:
             raise InvariantError("level set exceeded cardinality bound")
-        survivors.append(tuple(kept))
-        below = kept
+        survivors.append(kept)
     return ResidueTree(p=p, m=m, top_level=top_level, survivors=tuple(survivors))
 
 

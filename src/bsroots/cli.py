@@ -45,15 +45,14 @@ from .padic import PAdicRational
 from .poly import EXPONENT_LIMIT, FrobeniusLift, Poly
 
 
-# --mode=nu walks p^(e+m) chain steps at each level e <= max_level, each a
-# Groebner completion; a run whose sum exceeds this is refused up front. It
-# stops runaway levels (p=2 to level 40 is 2^41 steps), not slow runs: a step
-# of the nu-dense benchmark averages about 0.4 ms (cli.run.s of
-# `perfbench/run.py --workload nu-dense --trace 1`, seed 1, over the 805 chain
-# steps of a pass: 0.36-0.50 ms over three runs on a 2-vCPU host running at
-# 0.93-1.15 times the benchmark's reference speed), so 2^20 such steps would
-# take 6-9 minutes. A step multiplies at most f^(p^(m+1)) into a basis one
-# level down, so its cost grows with deg(f), p and m but not with the level.
+# A --mode=nu run whose windows, the sum of p^(e+m) over the levels up to
+# max_level, exceed this many chain steps is refused up front. The walk
+# completes one descent step per run of a level, not one per n, so the sum
+# bounds the level, not the work: it stops runaway levels (p=2 to level 40
+# is 2^41 steps), not slow runs. The p=2 anchor x^3+y^2+x*y with m=2 to
+# level 16, about 2^19 chain steps, takes about 0.15 s inside `run` on a
+# 2-vCPU host. A bound on the descent steps themselves is an open item of
+# ROADMAP.md ("A budget that measures cost").
 NU_CHAIN_STEP_BUDGET = 2**20
 
 
@@ -256,9 +255,9 @@ def _window_doc(e, window, members):
 def _windows_from_tree(tree):
     """Level windows of a residue tree: the survivors at each level e >= 1.
 
-    Only refinements of surviving residues are tested, so ``members`` lists
-    the level-e invariants on surviving chains; ``--mode=nu`` lists whole
-    level sets.
+    The tree is read off the whole level sets, and ``members`` keeps the
+    level-e invariants whose every truncation survived below; ``--mode=nu``
+    lists the whole level sets.
     """
     return [
         _window_doc(e, tree.p ** (e + tree.m), tree.survivors[e])

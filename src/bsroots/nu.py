@@ -22,7 +22,19 @@ exact identities carry one level to the next:
 So for n = a + k*p^(e-1+m), a < p^(e-1+m), k <= p, the level-e basis of
 f^n is the completed level-1 descent of f^(p^m*k) times the basis of f^a
 one level down; level 0 is (f^a) itself. The only powers built are f^a,
-a < p^m, and the shifts f^(p^m*k), k <= p.
+a <= p^m, and the shifts f^(p^m*k), k <= p.
+
+A level is walked by its runs, the maximal stretches of n that share one
+basis, so a run ending at n is the jump n. One step per run one level down
+and per k is exact: the level-e basis of f^n depends on n only through the
+basis of f^a one level down and on k, and equal bases have equal descents.
+Level e thus costs p steps per run of level e-1 that starts below
+p^(e-1+m), plus one for the wrap at n = p^(e+m). Runs are few because the
+chain is monotone: along the powers of f the descent ideals only shrink,
+I_e(f^(n+1)) inside I_e(f^n), so a basis once left never returns, and the
+strict drops are discrete jumps. On every anchor the level sets stop
+growing after a few levels, so the cost of a level stays about flat while
+its window grows by a factor p.
 
 ``nu_of_ideal`` is the relative variant: the largest n with f^n outside the
 e-fold Frobenius pullback of a fixed ideal J. Nonmembership is downward
@@ -96,52 +108,46 @@ def shift_powers(f: Poly):
     return powers, shifts
 
 
-def descent_walk(f: Poly, lift: FrobeniusLift, top: int):
-    """Yield (e, n, basis elements of I_e(f^n)) for e = 1..top, n = 0..p^(e+m).
+def descent_runs(f: Poly, lift: FrobeniusLift, top: int):
+    """Yield (e, runs) for e = 1..top: level e as its runs.
 
-    n ascends within each level, and consecutive equal bases are one tuple,
-    so a kept level holds few distinct tuples. Only the level below is
-    kept, one entry per a < p^(e-1+m); the top level is not kept at all.
+    A run is (first n, basis elements of I_e(f^n)), a maximal stretch of n
+    that share one basis. The runs of a level cover n = 0..p^(e+m) in
+    ascending order, and neighbouring runs hold different bases.
     """
     p, m = f.ctx.p, f.ctx.m
     powers, shifts = shift_powers(f)
-    below = [(g,) for g in powers[:-1]]
+    runs = list(enumerate((g,) for g in powers))
     for e in range(1, top + 1):
         step = p ** (e - 1 + m)
-        level = [] if e < top else None
-        last = None
-        for k in range(p):
-            shift = shifts[k]
-            for a in range(step):
-                elems = descent_step(below[a], shift, lift).elements
-                if elems == last:
-                    elems = last
-                last = elems
-                if level is not None:
-                    level.append(elems)
-                yield e, a + k * step, elems
-        yield e, p * step, descent_step(below[0], shifts[p], lift).elements
-        below = level
+        below = [run for run in runs if run[0] < step]
+        steps = [(a + k * step, elems, k) for k in range(p) for a, elems in below]
+        runs = []
+        for n, elems, k in steps + [(p * step, below[0][1], p)]:
+            elems = descent_step(elems, shifts[k], lift).elements
+            if not runs or elems != runs[-1][1]:
+                runs.append((n, elems))
+        yield e, runs
 
 
 def nu_levels(f: Poly, lift: FrobeniusLift, top: int) -> tuple:
-    """The level sets of f at e = 1..top, by one level-by-level walk."""
+    """The level sets of f at e = 1..top, read off the runs of each level.
+
+    A run ending at n, before the next basis starts at n+1, is the jump n.
+    """
     require_nonzerodivisor(f)
     if top < 1:
         raise ValueError("level must be >= 1")
-    sets = []
-    for e, n, elems in descent_walk(f, lift, top):
-        if n == 0:
-            window = f.ctx.p ** (e + f.ctx.m)
-            members = []
-        elif elems != previous:
-            members.append(n - 1)
-        previous = elems
-        if n == window:
-            sets.append(
-                NuLevelSet(f=f, lift=lift, e=e, window=window, members=tuple(members))
-            )
-    return tuple(sets)
+    return tuple(
+        NuLevelSet(
+            f=f,
+            lift=lift,
+            e=e,
+            window=f.ctx.p ** (e + f.ctx.m),
+            members=tuple(n - 1 for n, _ in runs[1:]),
+        )
+        for e, runs in descent_runs(f, lift, top)
+    )
 
 
 def is_nu(f: Poly, lift: FrobeniusLift, e: int, n: int) -> bool:

@@ -17,10 +17,13 @@ the end is the engine's earlier, non-incremental code that
 never retires an element; the engine's minimal bases must generate the same
 ideals and give the same membership verdicts. The reference descent bases
 follow the definition, with none of the engine's walk: each power f^n,
-its coordinates at level e, and their completion. The reference residue
-tree is the engine's earlier full walk over those bases: every level set
-in full, then the survivors filtered out of it, against which the pruned
-tree must give the same survivors, roots and unresolved residues.
+its coordinates at level e, and their completion. The per-n walk is the
+engine's earlier level walk, one descent step for every n of every window,
+against which the run walk must give the same basis at every n. The
+reference residue tree is the engine's earlier full walk over the direct
+bases: every level set in full, then the survivors filtered out of it,
+against which the tree must give the same survivors, roots and unresolved
+residues.
 """
 
 import heapq
@@ -33,6 +36,7 @@ from itertools import product
 from bsroots import ChainRingCtx, FrobeniusLift, Poly
 from bsroots.cartier import IdealGens, cartier_generators
 from bsroots.groebner import strong_groebner
+from bsroots.nu import descent_step, shift_powers
 
 
 # Degrevlex with x1 > x2 > ... > xn, spelled here from its definition so
@@ -85,6 +89,27 @@ def direct_descent_bases(f, lift, e):
         bases.append(strong_groebner(gens))
         power = power * f
     return bases
+
+
+def descent_walk(f, lift, top):
+    """Yield (e, n, basis elements of I_e(f^n)) for e = 1..top, n = 0..p^(e+m).
+
+    One ``nu.descent_step`` for every n, in ascending n: the level-e basis at
+    n = a + k*p^(e-1+m), a < p^(e-1+m), comes from the level-(e-1) basis at
+    a and the shift f^(p^m*k), and the wrap n = p^(e+m) from the basis at 0.
+    """
+    p, m = f.ctx.p, f.ctx.m
+    powers, shifts = shift_powers(f)
+    below = [(g,) for g in powers[:-1]]
+    for e in range(1, top + 1):
+        step = p ** (e - 1 + m)
+        level = []
+        for k in range(p):
+            for a in range(step):
+                level.append(descent_step(below[a], shifts[k], lift).elements)
+                yield e, a + k * step, level[-1]
+        yield e, p * step, descent_step(below[0], shifts[p], lift).elements
+        below = level
 
 
 def direct_level_set(f, lift, e):

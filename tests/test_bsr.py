@@ -28,6 +28,7 @@ from bsroots.padic import PAdicRational
 
 from _oracles import (
     descent_lifts,
+    descent_walk,
     monomial_root_set,
     random_unit_poly,
     residue_tree_reference,
@@ -263,66 +264,75 @@ def test_pruned_tree_matches_full_walk_on_acceptance_examples():
         _assert_matches_full_walk(f, lift, top, 10, 10)
 
 
-class _SyntheticPower:
-    """Stands for the basis elements of I_level(x^n) under synthetic jumps.
+class _SyntheticBasis:
+    """Stands for the basis elements of a level-e descent under synthetic jumps.
 
-    It carries n: multiplying by the shift x^(p^m*k) moves it to
-    n + k*p^(level+m), as the shift identity moves the real descent. Two of
-    one level are equal exactly when as many chosen jumps lie below their
-    exponents, so n is a level-e invariant exactly when jumps[e] holds it.
+    It carries (level, label, k): multiplying by the shift f^(p^m*k), with
+    f = x^d, records k, as the shift identity multiplies the real basis. Two
+    stand-ins are equal exactly when these agree, and the stubbed descent is
+    a function of them, so equal stand-ins have equal descents, as equal
+    real bases do.
     """
 
-    def __init__(self, n, level, jumps, p, m):
-        self.n, self.level, self.jumps, self.p, self.m = n, level, jumps, p, m
+    def __init__(self, key, unit):
+        self.key, self.unit = key, unit
 
     def __mul__(self, shift):
-        k, rest = divmod(shift.degree(), self.p**self.m)
-        assert rest == 0 and 0 < k <= self.p, shift
-        n = self.n + k * self.p ** (self.level + self.m)
-        return _SyntheticPower(n, self.level, self.jumps, self.p, self.m)
+        k, rest = divmod(shift.degree(), self.unit)
+        assert rest == 0 and self.key[2] == 0 and k > 0, shift
+        return _SyntheticBasis(self.key[:2] + (k,), self.unit)
 
     def __eq__(self, other):
-        assert self.level == other.level
-        below = self.jumps[self.level]
-        return sum(j < self.n for j in below) == sum(j < other.n for j in below)
+        return self.key == other.key
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1)])
 def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
-    # The completion seam is replaced by a synthetic basis that carries the
-    # exponent n of the power it stands for, and n is a level-e invariant
-    # exactly when level e's jump set holds it. The sets mix refinements of
-    # survivors with exponents off the tree, which no real level set has
-    # shown; the pruned tree must still match the full walk, so it must test
-    # the right exponents and reuse a basis only for the exponent it belongs
-    # to.
-    rng = random.Random(900 + 10 * p + m)
+    # The completion seam is replaced by a synthetic descent: the level-e
+    # basis is a label drawn, as a seeded function of (level, label below,
+    # shift index k), from an alphabet of two; level 0 hands over the real
+    # power x^(d*n), whose label is n. The jumps then fall both on the tree
+    # and off it. The run walk and the tree read off it must match the per-n
+    # walk through the same stub, with survivors taken from the definition:
+    # every truncation is a jump.
+    # x^4 in three variables only raises the tree's cardinality bound above
+    # the synthetic level sets.
+    d, nvars, top = 4, 3, 4
     ctx = ChainRingCtx(p, m)
-    x = Poly.variable(ctx, 1, 0)
-    lift = FrobeniusLift.standard(ctx, 1)
-    top = 4
-    for _ in range(5):
-        jumps = {}
-        survivors = set(range(p**m))
-        expected = [tuple(range(p**m))]
-        for e in range(1, top + 1):
-            step = p ** (e - 1 + m)
-            refining = [s + k * step for s in sorted(survivors) for k in range(p)]
-            jumps[e] = set(rng.sample(refining, min(2, len(refining))))
-            jumps[e] |= set(rng.sample(range(p ** (e + m)), 2))
-            survivors = {n for n in jumps[e] if n % step in survivors}
-            expected.append(tuple(sorted(survivors)))
+    f = Poly.variable(ctx, nvars, 0) ** d
+    lift = FrobeniusLift.standard(ctx, nvars)
+    unit = d * p**m
+    off_tree = on_tree = 0
+    for case in range(5):
+        seed = f"{900 + 10 * p + m}:{case}"
 
         def synthetic_basis(gens, lift, e):
-            # level 0 hands over the real power x^n, higher levels a stand-in
             assert e == 1
             (g,) = gens
-            if isinstance(g, Poly):
-                n, level = g.degree(), 0
-            else:
-                n, level = g.n, g.level
-            power = _SyntheticPower(n, level + 1, jumps, p, m)
-            return SimpleNamespace(elements=(power,))
+            below = (0, g.degree() // d, 0) if isinstance(g, Poly) else g.key
+            label = random.Random(f"{seed}:{below}").randrange(2)
+            return SimpleNamespace(
+                elements=(_SyntheticBasis((below[0] + 1, label, 0), unit),)
+            )
 
         monkeypatch.setattr(nu, "descent_basis", synthetic_basis)
-        assert candidate_residues(x, lift, top).survivors == tuple(expected), jumps
+        bases = {}
+        for e, n, elems in descent_walk(f, lift, top):
+            bases.setdefault(e, []).append(elems)
+        level_sets = [tuple(range(p**m))]
+        for e in range(1, top + 1):
+            b = bases[e]
+            level_sets.append(tuple(n for n in range(len(b) - 1) if b[n] != b[n + 1]))
+        expected = tuple(
+            tuple(
+                n
+                for n in level_sets[e]
+                if all(n % p ** (j + m) in level_sets[j] for j in range(e))
+            )
+            for e in range(top + 1)
+        )
+        assert [s.members for s in nu.nu_levels(f, lift, top)] == level_sets[1:], seed
+        assert candidate_residues(f, lift, top).survivors == expected, seed
+        on_tree += sum(map(len, expected[1:]))
+        off_tree += sum(map(len, level_sets[1:])) - sum(map(len, expected[1:]))
+    assert on_tree and off_tree

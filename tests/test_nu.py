@@ -4,9 +4,10 @@ import pytest
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, is_nu, nu_set
 from bsroots.cartier import IdealGens
-from bsroots.nu import descent_basis, descent_walk, nu_levels, nu_of_ideal
+from bsroots import nu
+from bsroots.nu import descent_basis, descent_runs, nu_levels, nu_of_ideal
 
-from _oracles import direct_descent_bases, random_unit_poly
+from _oracles import descent_walk, direct_descent_bases, random_unit_poly
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)
@@ -146,12 +147,25 @@ def test_descent_ideals_shrink_along_the_power_chain():
 
 
 def _walk_bases(f, lift, top):
-    """Basis element tuples of the level walk, per level 1..top, n ascending."""
+    """Basis element tuples of the per-n walk, per level 1..top, n ascending."""
     levels = {}
     for e, n, elems in descent_walk(f, lift, top):
         assert n == len(levels.setdefault(e, []))
         levels[e].append(elems)
     return [levels[e] for e in range(1, top + 1)]
+
+
+def _run_bases(f, lift, top):
+    """Basis element tuples of the run walk, each run spread over its n."""
+    levels = []
+    for e, runs in descent_runs(f, lift, top):
+        assert runs[0][0] == 0
+        assert all(a[1] != b[1] for a, b in zip(runs, runs[1:]))
+        ends = [n for n, _ in runs[1:]] + [f.ctx.p ** (e + f.ctx.m) + 1]
+        levels.append(
+            [elems for (n, elems), end in zip(runs, ends) for _ in range(n, end)]
+        )
+    return levels
 
 
 def _lifts(ctx, nvars):
@@ -162,13 +176,25 @@ def _lifts(ctx, nvars):
 
 
 def _assert_walk_is_direct(f, lift, top):
-    """Bases and level sets of the walk against the direct descent of f^n."""
+    """Bases and level sets of both walks against the direct descent of f^n."""
     levels = nu_levels(f, lift, top)
+    runs = _run_bases(f, lift, top)
     for e, walked in enumerate(_walk_bases(f, lift, top), start=1):
         direct = [gb.elements for gb in direct_descent_bases(f, lift, e)]
         assert walked == direct, (f, lift.corrections, e)
+        assert runs[e - 1] == direct, (f, lift.corrections, e)
         jumps = tuple(n for n in range(len(direct) - 1) if direct[n] != direct[n + 1])
         assert levels[e - 1].members == jumps, (f, lift.corrections, e)
+
+
+def _assert_runs_match_walk(f, lift, top):
+    """Bases and level sets of the run walk against the per-n walk."""
+    levels = nu_levels(f, lift, top)
+    walked = _walk_bases(f, lift, top)
+    assert _run_bases(f, lift, top) == walked, (f, lift.corrections)
+    for level, bases in zip(levels, walked):
+        jumps = tuple(n for n in range(len(bases) - 1) if bases[n] != bases[n + 1])
+        assert level.members == jumps, (f, lift.corrections, level.e)
 
 
 def _anchor(p, m, nvars, build):
@@ -185,17 +211,40 @@ ANCHORS = {
 }
 
 
-@pytest.mark.parametrize("name", list(ANCHORS))
-def test_level_walk_matches_direct_descent_on_anchors(name):
-    """Every basis of the walk, n = 0..p^(e+m) at levels 1 and 2, equals the
-    completed descent of f^n itself, and so do the level sets."""
+def _anchor_lifts(name):
+    """An anchor's f and the lifts it is walked under."""
     ctx, f = ANCHORS[name]
     lifts = _lifts(ctx, f.nvars)
     if name == "nonstandard-lift":
         x, y = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)
         lifts.append(FrobeniusLift(ctx, 2, [x * y + y * y, x]))
+    return f, lifts
+
+
+def _deepest_level(ctx, window):
+    """The highest level whose window p^(e+m) is at most ``window``."""
+    e = 1
+    while ctx.p ** (e + 1 + ctx.m) <= window:
+        e += 1
+    return e
+
+
+@pytest.mark.parametrize("name", list(ANCHORS))
+def test_level_walk_matches_direct_descent_on_anchors(name):
+    """Every basis of both walks, n = 0..p^(e+m) at levels 1 and 2, equals
+    the completed descent of f^n itself, and so do the level sets."""
+    f, lifts = _anchor_lifts(name)
     for lift in lifts:
         _assert_walk_is_direct(f, lift, 2)
+
+
+@pytest.mark.parametrize("name", list(ANCHORS))
+def test_run_walk_matches_per_n_walk_on_anchors(name):
+    """The run walk gives the per-n walk's basis at every n, to the highest
+    level whose window is at most 2^7."""
+    f, lifts = _anchor_lifts(name)
+    for lift in lifts:
+        _assert_runs_match_walk(f, lift, _deepest_level(f.ctx, 128))
 
 
 @pytest.mark.parametrize("p,m", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
@@ -207,3 +256,56 @@ def test_level_walk_matches_direct_descent_on_random_polys(p, m):
         for _ in range(3):
             _assert_walk_is_direct(random_unit_poly(rng, ctx, 2, 3, 3), lift, top)
 
+
+@pytest.mark.parametrize("p,m", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+def test_run_walk_matches_per_n_walk_on_random_polys(p, m):
+    rng = random.Random(750 + 10 * p + m)
+    ctx = ChainRingCtx(p, m)
+    for lift in _lifts(ctx, 2):
+        for _ in range(3):
+            f = random_unit_poly(rng, ctx, 2, 3, 3)
+            _assert_runs_match_walk(f, lift, _deepest_level(ctx, 81))
+
+
+def test_run_walk_takes_one_step_per_run_and_shift(monkeypatch):
+    """Level e takes p descent steps per run of level e-1 that starts below
+    p^(e-1+m), plus one for the wrap at p^(e+m): 208 steps to level 10 on the
+    p=2 anchor, where one step per n would take 8 194."""
+    ctx, f = ANCHORS["groebner-p2"]
+    lift = FrobeniusLift.standard(ctx, 2)
+    p, m, top = ctx.p, ctx.m, 10
+    starts = [range(p**m + 1)]  # level 0: one run per power f^a, a <= p^m
+    starts += [[n for n, _ in runs] for _, runs in descent_runs(f, lift, top)]
+    expected = sum(
+        p * sum(n < p ** (e - 1 + m) for n in starts[e - 1]) + 1
+        for e in range(1, top + 1)
+    )
+    calls = 0
+    step = nu.descent_step
+
+    def counted_step(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(nu, "descent_step", counted_step)
+    nu_levels(f, lift, top)
+    assert calls == expected == 208
+
+
+def test_frozen_windows_of_the_anchors_at_depth():
+    """Level 12 of the p=2 anchor and level 5 of the p=3 anchor, as the
+    per-n walk gave them."""
+    ctx, f = ANCHORS["groebner-p2"]
+    assert nu_set(f, FrobeniusLift.standard(ctx, 2), 12).members == (
+        4095, 5119, 6143, 7167, 8191, 10239, 12287, 13311, 14335, 15359, 16383,
+    )
+    ctx, f = ANCHORS["groebner-p3"]
+    assert nu_set(f, FrobeniusLift.standard(ctx, 2), 5).members == (
+        161, 188, 197, 242, 269, 296, 323, 350, 377, 404, 431, 440, 458, 485,
+        512, 539, 566, 593, 620, 647, 674, 683, 701, 728, 809, 890, 917, 926,
+        971, 998, 1025, 1052, 1079, 1106, 1133, 1160, 1169, 1187, 1214, 1241,
+        1268, 1295, 1322, 1349, 1376, 1403, 1412, 1430, 1457, 1538, 1619, 1646,
+        1655, 1700, 1727, 1754, 1781, 1808, 1835, 1862, 1889, 1898, 1916, 1943,
+        1970, 1997, 2024, 2051, 2078, 2105, 2132, 2141, 2159, 2186,
+    )
