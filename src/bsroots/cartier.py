@@ -76,15 +76,14 @@ def frobenius_pullback_ideal(J: IdealGens, lift: FrobeniusLift, e: int) -> Ideal
     )
 
 
-def cartier_generators(J: IdealGens, lift: FrobeniusLift, e: int) -> IdealGens:
-    """Generators of the image of J under all level-e descent operators.
-
-    These are the coordinates g_alpha of every generator of J in the free
-    basis over the e-fold Frobenius image.
+def cartier_generators(gens, lift: FrobeniusLift, e: int) -> IdealGens:
+    """Generators of the image of the ideal (gens) under all level-e descent
+    operators: the coordinates g_alpha of each polynomial of ``gens``, taken
+    as given, in the free basis over the e-fold Frobenius image.
     """
     if e < 0:
         raise ValueError("negative level")
     comps = []
-    for g in J.gens:
+    for g in gens:
         comps.extend(phi_decompose(g, lift, e).values())
-    return IdealGens(comps, ctx=J.ctx, nvars=J.nvars)
+    return IdealGens(comps, ctx=lift.ctx, nvars=lift.nvars)

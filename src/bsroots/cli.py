@@ -14,6 +14,7 @@ Expression grammar (no implicit multiplication):
   term   := factor ('*' factor)*
   factor := base ('^' uint)?
   base   := int | var | '(' expr ')'
+  int    := one or more of the ASCII digits 0-9
 
 Exit codes: 0 success, 2 configuration or parse error (a ``--mode=nu`` run
 over ``NU_CHAIN_STEP_BUDGET`` chain steps, and an exponent or a degree that
@@ -26,6 +27,7 @@ derived from the computed data, never from the clock.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -75,9 +77,9 @@ def _tokenize(src: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             out.append(("int", int(src[i:j]), i))
             i = j
@@ -207,7 +209,10 @@ def _parse_lift(entries, ctx, names) -> FrobeniusLift:
     return FrobeniusLift(ctx, len(names), corrections)
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The parser of every ``run``, built once on first use; parsing leaves
+    it unchanged, the default list of ``--lift`` included."""
     ap = argparse.ArgumentParser(
         prog="bsroots",
         description="Exact root, level-set and strength computations over Z/p^(m+1).",
@@ -302,7 +307,7 @@ def _require_power_degree(ctx, top, f, mode):
 
     An up-front bound by the power the top level describes; the crosscheck's
     mod-p run goes to level top+m over m=0. The walks build far smaller
-    powers, f^a for a <= p^m and f^(p^m*k) for k <= p, which the bound
+    powers, f^a for a <= p^m and f^(p^m*k) for k < p, which the bound
     covers, and multiply them into bases one level down.
     """
     degree = max(f.degree(), 0) * ctx.p ** (top + ctx.m)
@@ -315,8 +320,7 @@ def _require_power_degree(ctx, top, f, mode):
 
 def run(argv=None):
     """Parse arguments, run the requested mode, return (exit_code, text)."""
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    args = build_arg_parser().parse_args(argv)
     try:
         ctx = ChainRingCtx(args.p, args.m)
         names = _parse_var_names(args.vars)

@@ -249,8 +249,7 @@ def strong_groebner(J) -> GroebnerBasis:
     ctx, nvars = J.ctx, J.nvars
     p, mod = ctx.p, ctx.modulus
     guards = guard_bits(nvars)
-    live = GroebnerBasis(ctx, nvars, ())
-    lts = live._lts
+    lts = []  # the leading-term index, as in GroebnerBasis._lts
     elements = []  # (element, val(lc)) of every insertion, by insertion index
     treated = set()  # pairs (i, j), i < j, of insertion indices
     counter = itertools.count()

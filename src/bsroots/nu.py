@@ -19,17 +19,19 @@ exact identities carry one level to the next:
     Blickle, Mustata and Smith, "Discreteness and rationality of
     F-thresholds", 2008).
 
-So for n = a + k*p^(e-1+m), a < p^(e-1+m), k <= p, the level-e basis of
+So for n = a + k*p^(e-1+m), a < p^(e-1+m), k < p, the level-e basis of
 f^n is the completed level-1 descent of f^(p^m*k) times the basis of f^a
-one level down; level 0 is (f^a) itself. The only powers built are f^a,
-a <= p^m, and the shifts f^(p^m*k), k <= p.
+one level down; level 0 is (f^a) itself. At a = 0, k = 1 the shift identity
+gives the end of every window in closed form, the wrap
+I_e(f^(p^(e+m))) = f^(p^m) * I_e(1) = (f^(p^m)). The only powers built are
+f^a, a <= p^m, and the shifts f^(p^m*k), k < p.
 
 A level is walked by its runs, the maximal stretches of n that share one
 basis, so a run ending at n is the jump n. One step per run one level down
 and per k is exact: the level-e basis of f^n depends on n only through the
 basis of f^a one level down and on k, and equal bases have equal descents.
 Level e thus costs p steps per run of level e-1 that starts below
-p^(e-1+m), plus one for the wrap at n = p^(e+m). Runs are few because the
+p^(e-1+m); the wrap is completed once per walk. Runs are few because the
 chain is monotone: along the powers of f the descent ideals only shrink,
 I_e(f^(n+1)) inside I_e(f^n), so a basis once left never returns, and the
 strict drops are discrete jumps. On every anchor the level sets stop
@@ -63,8 +65,6 @@ def require_nonzerodivisor(f: Poly):
 class NuLevelSet:
     """All level-e invariants in the canonical window [0, p^(e+m))."""
 
-    f: Poly
-    lift: FrobeniusLift
     e: int
     window: int
     members: tuple
@@ -76,13 +76,11 @@ class NuLevelSet:
 def descent_basis(gens, lift: FrobeniusLift, e: int) -> GroebnerBasis:
     """Completed basis of the level-e descent of the ideal generated by ``gens``.
 
-    ``gens`` is a nonempty list of polynomials. Bases are canonical, so two
-    descent ideals are equal exactly when their bases are.
+    ``gens`` are taken as given: a completed basis times a nonzerodivisor
+    has no duplicates. Bases are canonical, so two descent ideals are equal
+    exactly when their bases are.
     """
-    g = gens[0]
-    return strong_groebner(
-        cartier_generators(IdealGens(gens, ctx=g.ctx, nvars=g.nvars), lift, e)
-    )
+    return strong_groebner(cartier_generators(gens, lift, e))
 
 
 def descent_step(below, shift, lift: FrobeniusLift) -> GroebnerBasis:
@@ -97,13 +95,14 @@ def descent_step(below, shift, lift: FrobeniusLift) -> GroebnerBasis:
 
 
 def shift_powers(f: Poly):
-    """([f^a for a <= p^m], [None, f^(p^m), f^(2*p^m), ..., f^(p^(m+1))])."""
+    """([f^a for a <= p^m], [None, f^(p^m), f^(2*p^m), ..., f^((p-1)*p^m)]):
+    one shift per digit k < p, as the wrap needs none."""
     p, m = f.ctx.p, f.ctx.m
     powers = [Poly.one(f.ctx, f.nvars)]
     for _ in range(p**m):
         powers.append(powers[-1] * f)
     shifts = [None, powers[-1]]
-    for _ in range(p - 1):
+    while len(shifts) < p:
         shifts.append(shifts[-1] * powers[-1])
     return powers, shifts
 
@@ -117,16 +116,19 @@ def descent_runs(f: Poly, lift: FrobeniusLift, top: int):
     """
     p, m = f.ctx.p, f.ctx.m
     powers, shifts = shift_powers(f)
+    wrap = strong_groebner(IdealGens([powers[-1]])).elements
     runs = list(enumerate((g,) for g in powers))
     for e in range(1, top + 1):
         step = p ** (e - 1 + m)
         below = [run for run in runs if run[0] < step]
-        steps = [(a + k * step, elems, k) for k in range(p) for a, elems in below]
         runs = []
-        for n, elems, k in steps + [(p * step, below[0][1], p)]:
-            elems = descent_step(elems, shifts[k], lift).elements
-            if not runs or elems != runs[-1][1]:
-                runs.append((n, elems))
+        for k in range(p):
+            for a, elems in below:
+                elems = descent_step(elems, shifts[k], lift).elements
+                if not runs or elems != runs[-1][1]:
+                    runs.append((a + k * step, elems))
+        if wrap != runs[-1][1]:
+            runs.append((p * step, wrap))
         yield e, runs
 
 
@@ -138,14 +140,9 @@ def nu_levels(f: Poly, lift: FrobeniusLift, top: int) -> tuple:
     require_nonzerodivisor(f)
     if top < 1:
         raise ValueError("level must be >= 1")
+    p, m = f.ctx.p, f.ctx.m
     return tuple(
-        NuLevelSet(
-            f=f,
-            lift=lift,
-            e=e,
-            window=f.ctx.p ** (e + f.ctx.m),
-            members=tuple(n - 1 for n, _ in runs[1:]),
-        )
+        NuLevelSet(e, p ** (e + m), tuple(n - 1 for n, _ in runs[1:]))
         for e, runs in descent_runs(f, lift, top)
     )
 

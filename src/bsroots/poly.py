@@ -132,10 +132,10 @@ class Poly:
     """Immutable sparse polynomial; ``terms`` maps packed monomials to
     coefficients.
 
-    The hash and the leading monomial are computed on first use and cached.
+    The leading monomial is computed on first use and cached.
     """
 
-    __slots__ = ("ctx", "nvars", "terms", "_hash", "_lm")
+    __slots__ = ("ctx", "nvars", "terms", "_lm")
 
     def __init__(self, ctx: ChainRingCtx, nvars: int, terms=None):
         mod = ctx.modulus
@@ -147,7 +147,6 @@ class Poly:
         self.ctx = ctx
         self.nvars = nvars
         self.terms = clean
-        self._hash = None
         self._lm = None
 
     @classmethod
@@ -173,7 +172,6 @@ class Poly:
         self.ctx = ctx
         self.nvars = nvars
         self.terms = terms
-        self._hash = None
         self._lm = lm
         return self
 
@@ -331,9 +329,7 @@ class Poly:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ctx, self.nvars, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.ctx, self.nvars, frozenset(self.terms.items())))
 
     def to_string(self, names=None):
         """Render in the surface syntax accepted by the expression parser."""

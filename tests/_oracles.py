@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import product
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly
-from bsroots.cartier import IdealGens, cartier_generators
+from bsroots.cartier import cartier_generators
 from bsroots.groebner import strong_groebner
 from bsroots.nu import descent_step, shift_powers
 
@@ -85,7 +85,7 @@ def direct_descent_bases(f, lift, e):
     bases = []
     power = Poly.one(f.ctx, f.nvars)
     for n in range(window + 1):
-        gens = cartier_generators(IdealGens([power]), lift, e)
+        gens = cartier_generators([power], lift, e)
         bases.append(strong_groebner(gens))
         power = power * f
     return bases
@@ -96,10 +96,12 @@ def descent_walk(f, lift, top):
 
     One ``nu.descent_step`` for every n, in ascending n: the level-e basis at
     n = a + k*p^(e-1+m), a < p^(e-1+m), comes from the level-(e-1) basis at
-    a and the shift f^(p^m*k), and the wrap n = p^(e+m) from the basis at 0.
+    a and the shift f^(p^m*k), and the wrap n = p^(e+m) from the basis at 0
+    and the shift f^(p^(m+1)), which this walk builds itself.
     """
     p, m = f.ctx.p, f.ctx.m
     powers, shifts = shift_powers(f)
+    shifts.append(powers[-1] ** p)
     below = [(g,) for g in powers[:-1]]
     for e in range(1, top + 1):
         step = p ** (e - 1 + m)

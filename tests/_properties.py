@@ -35,8 +35,8 @@ def _ctx_and_lift(rng):
 
 def _jump(f, lift, e, n):
     """Raw level-e jump test at exponent n, no window reduction anywhere."""
-    a = cartier_generators(IdealGens([f**n], ctx=f.ctx, nvars=f.nvars), lift, e)
-    b = cartier_generators(IdealGens([f ** (n + 1)], ctx=f.ctx, nvars=f.nvars), lift, e)
+    a = cartier_generators([f**n], lift, e)
+    b = cartier_generators([f ** (n + 1)], lift, e)
     return strong_groebner(a) != strong_groebner(b)
 
 
@@ -90,7 +90,7 @@ def cartier_degree_bound(rng, budget=50):
         f = random_poly(rng, ctx, 2, 3, 4)
         if f.is_zero():
             continue
-        C = cartier_generators(IdealGens([f]), lift, e)
+        C = cartier_generators([f], lift, e)
         for g in C.gens:
             if g.degree() > f.degree() / ctx.p**e:
                 failures.append(f"case {i}: component degree too big for {f!r}")
@@ -108,7 +108,7 @@ def descent_pullback_roundtrip(rng, budget=50):
         if not gens:
             continue
         I = IdealGens(gens)
-        back = cartier_generators(frobenius_pullback_ideal(I, lift, e), lift, e)
+        back = cartier_generators(frobenius_pullback_ideal(I, lift, e).gens, lift, e)
         if strong_groebner(I) != strong_groebner(back):
             failures.append(f"case {i}: roundtrip failed for {I!r}")
     return budget, failures
@@ -172,7 +172,7 @@ _COMPOSITION_RINGS = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]
 
 def _descent(J, lift, e):
     """The reduced strong basis of the level-e descent image of J."""
-    return strong_groebner(cartier_generators(J, lift, e))
+    return strong_groebner(cartier_generators(J.gens, lift, e))
 
 
 def _vanishing_unit_poly(rng, ctx):
@@ -222,8 +222,10 @@ def descent_shift(rng, budget=60):
 
     f^(p^(e+m)) = F^e(f^(p^m)) exactly over Z/p^(m+1), and the level-e
     coordinates of F^e(g) * h are g times those of h, for every lift. Both
-    sides are reduced strong bases, so they are equal tuples. Windows are
-    kept to p^(e+m) <= 32, so the powers stay small.
+    sides are reduced strong bases, so they are equal tuples. Every case also
+    checks the wrap, a = 0 and k = 1, on its own: B_e(f^(p^(e+m))) =
+    complete((f^(p^m))), which the run walk takes in closed form. Windows
+    are kept to p^(e+m) <= 32, so the powers stay small.
     """
     failures = []
     for i in range(budget):
@@ -247,6 +249,9 @@ def descent_shift(rng, budget=60):
                 f"case {i}: I_{e}(f^({a}+{window}*{k})) != f^{p**m * k} I_{e}(f^{a})"
                 f" for {f!r}, {name}"
             )
+        wrap = strong_groebner(IdealGens([f ** p**m]))
+        if _descent(IdealGens([f**window]), lift, e) != wrap:
+            failures.append(f"case {i}: I_{e}(f^{window}) != (f^{p**m}) for {f!r}, {name}")
     return budget, failures
 
 

@@ -271,7 +271,7 @@ class _SyntheticBasis:
     f = x^d, records k, as the shift identity multiplies the real basis. Two
     stand-ins are equal exactly when these agree, and the stubbed descent is
     a function of them, so equal stand-ins have equal descents, as equal
-    real bases do.
+    real bases do. A stand-in never equals a real basis element.
     """
 
     def __init__(self, key, unit):
@@ -283,18 +283,22 @@ class _SyntheticBasis:
         return _SyntheticBasis(self.key[:2] + (k,), self.unit)
 
     def __eq__(self, other):
-        return self.key == other.key
+        return isinstance(other, _SyntheticBasis) and self.key == other.key
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1)])
 def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
     # The completion seam is replaced by a synthetic descent: the level-e
     # basis is a label drawn, as a seeded function of (level, label below,
-    # shift index k), from an alphabet of two; level 0 hands over the real
-    # power x^(d*n), whose label is n. The jumps then fall both on the tree
-    # and off it. The run walk and the tree read off it must match the per-n
-    # walk through the same stub, with survivors taken from the definition:
-    # every truncation is a jump.
+    # shift index k), from an alphabet of three, one of which is the wrap
+    # basis (f^(p^m)) itself; level 0 hands over the real power x^(d*n),
+    # whose label is n. The stub obeys the wrap identity: a shift by
+    # f^(p^(m+1)) or more descends to the wrap basis, so the per-n walk's
+    # wrap step gives the basis the run walk takes in closed form. The jumps
+    # then fall both on the tree and off it, and the last n of a window is a
+    # jump at some levels and not at others. The run walk and the tree read
+    # off it must match the per-n walk through the same stub, with survivors
+    # taken from the definition: every truncation is a jump.
     # x^4 in three variables only raises the tree's cardinality bound above
     # the synthetic level sets.
     d, nvars, top = 4, 3, 4
@@ -302,7 +306,8 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
     f = Poly.variable(ctx, nvars, 0) ** d
     lift = FrobeniusLift.standard(ctx, nvars)
     unit = d * p**m
-    off_tree = on_tree = 0
+    wrap = (f ** p**m,)  # x^(d*p^m) is its own completed basis
+    off_tree = on_tree = last_jumps = last_flat = 0
     for case in range(5):
         seed = f"{900 + 10 * p + m}:{case}"
 
@@ -310,7 +315,11 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
             assert e == 1
             (g,) = gens
             below = (0, g.degree() // d, 0) if isinstance(g, Poly) else g.key
-            label = random.Random(f"{seed}:{below}").randrange(2)
+            if below[2] == p or (below[0] == 0 and below[1] >= p ** (m + 1)):
+                return SimpleNamespace(elements=wrap)
+            label = random.Random(f"{seed}:{below}").randrange(3)
+            if label == 2:
+                return SimpleNamespace(elements=wrap)
             return SimpleNamespace(
                 elements=(_SyntheticBasis((below[0] + 1, label, 0), unit),)
             )
@@ -322,7 +331,12 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
         level_sets = [tuple(range(p**m))]
         for e in range(1, top + 1):
             b = bases[e]
+            assert b[-1] == wrap, seed
             level_sets.append(tuple(n for n in range(len(b) - 1) if b[n] != b[n + 1]))
+            if len(b) - 2 in level_sets[e]:
+                last_jumps += 1
+            else:
+                last_flat += 1
         expected = tuple(
             tuple(
                 n
@@ -335,4 +349,4 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
         assert candidate_residues(f, lift, top).survivors == expected, seed
         on_tree += sum(map(len, expected[1:]))
         off_tree += sum(map(len, level_sets[1:])) - sum(map(len, expected[1:]))
-    assert on_tree and off_tree
+    assert on_tree and off_tree and last_jumps and last_flat

@@ -53,6 +53,11 @@ def test_parse_error_offsets():
         parse_poly("x^-2", Z9, ["x"])
     with pytest.raises(ExprError, match=r"at offset 4"):
         parse_poly("(x+y", Z9, ["x", "y"])
+    # integers are ASCII digits only: no Arabic-Indic three, no superscript two
+    with pytest.raises(ExprError, match=r"unexpected character '٣' at offset 2"):
+        parse_poly("x^٣", Z9, ["x"])
+    with pytest.raises(ExprError, match=r"unexpected character '²' at offset 2"):
+        parse_poly("x^²", Z9, ["x"])
 
 
 def test_parse_roundtrip_random():
@@ -92,6 +97,19 @@ def test_lift_flag_changes_levels():
     assert plain["nu_windows"][0]["members"] == [1, 3]
     assert bent["nu_windows"][0]["members"] == [1, 2, 3]
     assert bent["config"]["lift"] == {"x": "x*y + y^2"}
+
+
+def test_parser_is_unchanged_by_a_run():
+    """``run`` reuses one parser; ``--lift`` flags of one run do not leak
+    into the default of the next."""
+    base = ["--p=2", "--m=1", "--vars=x,y", "--poly=x", "--mode=nu", "--max-level=1",
+            "--format=structured"]
+    bent = json.loads(run_ok(base + ["--lift=x:y", "--lift=y:x*y"]))
+    assert bent["config"]["lift"] == {"x": "y", "y": "x*y"}
+    assert json.loads(run_ok(base))["config"]["lift"] == {}
+    code, text = run(base + ["--lift=x:٣*y"])
+    assert code == 2
+    assert "unexpected character '٣' at offset 0" in json.loads(text)["error"]["message"]
 
 
 def test_bfunction_mode_structured():
@@ -242,7 +260,7 @@ def test_nu_mode_past_degree_2_to_the_31_exits_2_before_work(monkeypatch):
     def stub(f, lift, top):
         calls.append(top)
         return tuple(
-            NuLevelSet(f=f, lift=lift, e=e, window=2 ** (e + 1), members=())
+            NuLevelSet(e=e, window=2 ** (e + 1), members=())
             for e in range(1, top + 1)
         )
 
@@ -311,7 +329,7 @@ def test_nu_mode_over_the_chain_step_budget_exits_2_before_work(monkeypatch):
     def stub(f, lift, top):
         calls.append(top)
         return tuple(
-            NuLevelSet(f=f, lift=lift, e=e, window=2**e, members=())
+            NuLevelSet(e=e, window=2**e, members=())
             for e in range(1, top + 1)
         )
 

@@ -269,15 +269,16 @@ def test_run_walk_matches_per_n_walk_on_random_polys(p, m):
 
 def test_run_walk_takes_one_step_per_run_and_shift(monkeypatch):
     """Level e takes p descent steps per run of level e-1 that starts below
-    p^(e-1+m), plus one for the wrap at p^(e+m): 208 steps to level 10 on the
-    p=2 anchor, where one step per n would take 8 194."""
+    p^(e-1+m), and none for the wrap at p^(e+m), which is taken in closed
+    form: 198 steps to level 10 on the p=2 anchor, where one step per n
+    would take 8 194."""
     ctx, f = ANCHORS["groebner-p2"]
     lift = FrobeniusLift.standard(ctx, 2)
     p, m, top = ctx.p, ctx.m, 10
     starts = [range(p**m + 1)]  # level 0: one run per power f^a, a <= p^m
     starts += [[n for n, _ in runs] for _, runs in descent_runs(f, lift, top)]
     expected = sum(
-        p * sum(n < p ** (e - 1 + m) for n in starts[e - 1]) + 1
+        p * sum(n < p ** (e - 1 + m) for n in starts[e - 1])
         for e in range(1, top + 1)
     )
     calls = 0
@@ -290,7 +291,7 @@ def test_run_walk_takes_one_step_per_run_and_shift(monkeypatch):
 
     monkeypatch.setattr(nu, "descent_step", counted_step)
     nu_levels(f, lift, top)
-    assert calls == expected == 208
+    assert calls == expected == 198
 
 
 def test_frozen_windows_of_the_anchors_at_depth():
