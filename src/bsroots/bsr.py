@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from .chainring import ChainRingCtx
 from .errors import InvariantError
-from .groebner import min_p_power_in
-from .nu import descent_step, nu_levels, require_nonzerodivisor, shift_powers
+from .groebner import GroebnerBasis, min_p_power_in
+from .nu import DescentContext, descent_context, nu_levels, require_nonzerodivisor
 from .padic import PAdicRational, fraction_val, reconstruct
 from .poly import FrobeniusLift, Poly
 
@@ -89,12 +89,18 @@ def _default_top_level(p: int, m: int, den_bound: int, num_bound: int) -> int:
     return max(3, k + 1 - m)
 
 
-def candidate_residues(f: Poly, lift: FrobeniusLift, top_level: int) -> ResidueTree:
+def candidate_residues(
+    f: Poly,
+    lift: FrobeniusLift,
+    top_level: int,
+    descent: DescentContext = None,
+) -> ResidueTree:
     """Surviving residues at levels 0..top_level, read off the level sets.
 
     Level 0 is the whole window [0, p^m). A member n of the level-e set
     survives when its truncation n mod p^(e-1+m) survived at level e-1, so
-    a survivor has every truncation in the level sets below it.
+    a survivor has every truncation in the level sets below it. The level
+    sets are walked on ``descent`` (``nu.nu_levels``).
     """
     require_nonzerodivisor(f)
     if top_level < 1:
@@ -102,7 +108,7 @@ def candidate_residues(f: Poly, lift: FrobeniusLift, top_level: int) -> ResidueT
     p, m = f.ctx.p, f.ctx.m
     card_bound = (m + 1) * math.comb(int(f.degree()) * p**m + f.nvars, f.nvars)
     survivors = [tuple(range(p**m))]
-    for level in nu_levels(f, lift, top_level):
+    for level in nu_levels(f, lift, top_level, descent):
         below = set(survivors[-1])
         kept = tuple(n for n in level.members if n % (level.window // p) in below)
         if len(kept) > card_bound:
@@ -132,12 +138,14 @@ def detect_roots(
     top_level: int = None,
     den_bound: int = 50,
     num_bound: int = 100,
+    descent: DescentContext = None,
 ) -> RootReport:
     """Identify bounded rational roots from the residue tree at ``top_level``.
 
     Every returned root has its full truncation chain inside the level sets.
     Surviving residues that match no bounded fraction are reported in
-    ``unresolved``; they are never promoted or silently dropped.
+    ``unresolved``; they are never promoted or silently dropped. The tree
+    is walked on ``descent`` (``candidate_residues``).
     """
     ctx = f.ctx
     p, m = ctx.p, ctx.m
@@ -147,7 +155,7 @@ def detect_roots(
         top_level = _default_top_level(p, m, den_bound, num_bound)
     require_reconstruction_bound(ctx, top_level, den_bound, num_bound)
     modulus = p ** (top_level + m)
-    tree = candidate_residues(f, lift, top_level)
+    tree = candidate_residues(f, lift, top_level, descent)
     survivor_sets = [set(level) for level in tree.survivors]
     roots = []
     unresolved = []
@@ -186,7 +194,13 @@ def detect_roots(
     )
 
 
-def strength(f: Poly, lift: FrobeniusLift, alpha, e_stop: int = 4) -> StrengthResult:
+def strength(
+    f: Poly,
+    lift: FrobeniusLift,
+    alpha,
+    e_stop: int = 4,
+    descent: DescentContext = None,
+) -> StrengthResult:
     """Largest p-power gap left by the descent of f^a, a the truncation.
 
     At each level e, a = truncate_below(alpha, e+m) and the value is the
@@ -194,11 +208,14 @@ def strength(f: Poly, lift: FrobeniusLift, alpha, e_stop: int = 4) -> StrengthRe
     basis elements g of I_e(f^a) of the least t with p^t * g inside. The
     ideal (I_e(f^(a+1)) : p^t) does not depend on a generating set, so this
     is also the maximum over the coordinates of f^a. The walk runs from
-    level 1 to ``e_stop`` along a_e = a_(e-1) + k_e * p^(e-1+m), building
-    both bases from the level below (``nu.descent_step``). The level
-    sequence is nonincreasing; the walk stops early once two consecutive
-    levels agree or the value 0 is reached, both of which are final. A
-    ``PAdicRational`` over a prime other than the ring's is refused.
+    level 1 to ``e_stop`` along a_e = a_(e-1) + k_e * p^(e-1+m), taking
+    both bases as steps from the level below on ``descent`` (a new
+    ``nu.DescentContext`` when None). On the context of a residue tree
+    that reached e_stop, the bases of a root's truncations are steps the
+    tree already completed. The level sequence is nonincreasing; the walk
+    stops early once two consecutive levels agree or the value 0 is
+    reached, both of which are final. A ``PAdicRational`` over a prime
+    other than the ring's is refused.
     """
     require_nonzerodivisor(f)
     if not isinstance(alpha, PAdicRational):
@@ -208,18 +225,18 @@ def strength(f: Poly, lift: FrobeniusLift, alpha, e_stop: int = 4) -> StrengthRe
     if e_stop < 1:
         raise ValueError("need e_stop >= 1")
     p, m = f.ctx.p, f.ctx.m
-    powers, shifts = shift_powers(f)
+    descent = descent_context(f, lift, descent)
     a = alpha.truncate_below(m)
-    at_a, at_a1 = (powers[a],), (powers[a + 1],)
+    at_a, at_a1 = descent.bottom[a], descent.bottom[a + 1]
     computed = []
     stabilized = False
     for e in range(1, e_stop + 1):
         a_e = alpha.truncate_below(e + m)
-        shift = shifts[(a_e - a) // p ** (e - 1 + m)]
+        k = (a_e - a) // p ** (e - 1 + m)
         a = a_e
-        at_a = descent_step(at_a, shift, lift).elements
-        gb = descent_step(at_a1, shift, lift)
-        at_a1 = gb.elements
+        at_a = descent.step(at_a, k)
+        at_a1 = descent.step(at_a1, k)
+        gb = GroebnerBasis(f.ctx, f.nvars, at_a1)
         value = max(min_p_power_in(gb, g) for g in at_a)
         if computed and value > computed[-1][1]:
             raise InvariantError("strength increased with the level")
@@ -241,16 +258,21 @@ def bfunction_report(
     top_level: int = None,
     den_bound: int = 50,
     num_bound: int = 100,
+    descent: DescentContext = None,
 ) -> RootReport:
     """Root report with strengths attached: the structured b-function data.
 
-    Each strength walks levels 1..min(4, verified_to_level).
+    Each strength walks levels 1..min(4, verified_to_level) on the context
+    the residue tree was walked on (``descent``, or a new one), so it
+    shares the tree's completed steps and completes only the few the tree
+    did not take.
     """
-    report = detect_roots(f, lift, top_level, den_bound, num_bound)
+    descent = descent_context(f, lift, descent)
+    report = detect_roots(f, lift, top_level, den_bound, num_bound, descent)
     e_stop = min(4, report.verified_to_level)
     graded = []
     for entry in report.roots:
-        res = strength(f, lift, entry.alpha, e_stop)
+        res = strength(f, lift, entry.alpha, e_stop, descent)
         if res.value < 1:
             raise InvariantError("verified root with vanishing strength")
         graded.append(
@@ -265,20 +287,30 @@ def crosscheck_mod_p(
     top_level: int = None,
     den_bound: int = 50,
     num_bound: int = 100,
+    descent: DescentContext = None,
 ) -> CrosscheckResult:
     """Compare roots over V with roots of f mod p over Z/p.
 
     Checks: the negative roots agree exactly with the mod-p roots, every
     positive root is an integer translate of a negative one, and the two
     root sets agree modulo Z. Failures come back as structured mismatch
-    strings, not exceptions.
+    strings, not exceptions. The report over V is built on ``descent`` (or
+    a new context). The mod-p run walks f mod p under the standard lift on
+    a context of its own, unless that is the pair of the run over V (m = 0
+    under the standard lift): then it is the same run, on the same context.
     """
-    report = bfunction_report(f, lift, top_level, den_bound, num_bound)
+    descent = descent_context(f, lift, descent)
+    report = bfunction_report(f, lift, top_level, den_bound, num_bound, descent)
     ctx0 = ChainRingCtx(f.ctx.p, 0)
     f0 = f.with_ctx(ctx0)
     lift0 = FrobeniusLift.standard(ctx0, f.nvars)
     report0 = bfunction_report(
-        f0, lift0, report.verified_to_level + f.ctx.m, den_bound, num_bound
+        f0,
+        lift0,
+        report.verified_to_level + f.ctx.m,
+        den_bound,
+        num_bound,
+        descent if (f0, lift0) == (f, lift) else None,
     )
     mismatches = []
     ours = {entry.alpha.frac for entry in report.roots}
@@ -322,6 +354,7 @@ def strength_vs_bsato(
     invariant at alpha; the comparison is val_p(value) >= strength, with
     val_p(0) = +inf. ``f`` acts as an integer template re-read over each
     Z/p^(m+1); rows also track that strengths never decrease as m grows.
+    The alphas of one m share one ``nu.DescentContext``.
     """
     p = f.ctx.p
     rows = []
@@ -334,9 +367,10 @@ def strength_vs_bsato(
             f.nvars,
             [None if h is None else h.with_ctx(ctx_m) for h in lift.corrections],
         )
+        descent = DescentContext(f_m, lift_m)
         for alpha_in, b_value in b_values:
             alpha = PAdicRational(p, alpha_in)
-            res = strength(f_m, lift_m, alpha, e_stop)
+            res = strength(f_m, lift_m, alpha, e_stop, descent)
             b_val = fraction_val(p, b_value)
             prev = previous.get(alpha.frac)
             rows.append(

@@ -49,12 +49,13 @@ from .poly import EXPONENT_LIMIT, FrobeniusLift, Poly
 
 # A --mode=nu run whose windows, the sum of p^(e+m) over the levels up to
 # max_level, exceed this many chain steps is refused up front. The walk
-# completes one descent step per run of a level, not one per n, so the sum
-# bounds the level, not the work: it stops runaway levels (p=2 to level 40
-# is 2^41 steps), not slow runs. The p=2 anchor x^3+y^2+x*y with m=2 to
-# level 16, about 2^19 chain steps, takes about 0.15 s inside `run` on a
-# 2-vCPU host. A bound on the descent steps themselves is an open item of
-# ROADMAP.md ("A budget that measures cost").
+# asks for one descent step per run of a level, not one per n, and
+# completes each distinct step once, so the sum bounds the level, not the
+# work: it stops runaway levels (p=2 to level 40 is 2^41 steps), not slow
+# runs. The p=2 anchor x^3+y^2+x*y with m=2 to level 16, about 2^19 chain
+# steps, takes about 0.01 s inside `run` on a 2-vCPU host. A bound on the
+# descent steps themselves is an open item of ROADMAP.md ("A budget that
+# measures cost").
 NU_CHAIN_STEP_BUDGET = 2**20
 
 

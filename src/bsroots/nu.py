@@ -30,13 +30,21 @@ A level is walked by its runs, the maximal stretches of n that share one
 basis, so a run ending at n is the jump n. One step per run one level down
 and per k is exact: the level-e basis of f^n depends on n only through the
 basis of f^a one level down and on k, and equal bases have equal descents.
-Level e thus costs p steps per run of level e-1 that starts below
+Level e thus asks for p steps per run of level e-1 that starts below
 p^(e-1+m); the wrap is completed once per walk. Runs are few because the
 chain is monotone: along the powers of f the descent ideals only shrink,
 I_e(f^(n+1)) inside I_e(f^n), so a basis once left never returns, and the
-strict drops are discrete jumps. On every anchor the level sets stop
-growing after a few levels, so the cost of a level stays about flat while
-its window grows by a factor p.
+strict drops are discrete jumps.
+
+A step is completed once per call. Each public entry point makes one
+``DescentContext``, or takes the caller's, and the walk, the residue tree
+read off it and the strengths of its roots (``bsr.strength``) take their
+steps on it. The context keeps every completed step under (basis one level
+down, k): a level-e basis equal to one of level e-1, or a basis a strength
+meets on the tree, costs no second completion. On every anchor the level
+sets stop growing after a few levels; from there on each level steps the
+bases the level below already stepped, and a level whose bases all repeat
+costs no completion, while its window grows by a factor p.
 
 ``nu_of_ideal`` is the relative variant: the largest n with f^n outside the
 e-fold Frobenius pullback of a fixed ideal J. Nonmembership is downward
@@ -48,6 +56,7 @@ by ``is_nu``, the direct definition).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cartier import IdealGens, cartier_generators, frobenius_pullback_ideal
 from .errors import InvariantError
@@ -107,35 +116,101 @@ def shift_powers(f: Poly):
     return powers, shifts
 
 
-def descent_runs(f: Poly, lift: FrobeniusLift, top: int):
+class DescentContext:
+    """The descent steps of one (f, lift), each completed once.
+
+    Holds the shifts of ``shift_powers(f)``, the level-0 bases (f^a,),
+    a <= p^m, and the wrap basis, and keeps every completed step for as long
+    as the context lives. A step is a function of (basis elements one level
+    down, shift index k), so a repeated step returns the basis completed the
+    first time. Element tuples are interned, one object per value, and the
+    steps of an interned tuple are found by its identity: a tuple is hashed
+    once, when it is first met, not at every lookup. The tuples of
+    ``bottom`` and those ``step`` returns are interned.
+    """
+
+    def __init__(self, f: Poly, lift: FrobeniusLift):
+        require_nonzerodivisor(f)
+        self.f, self.lift = f, lift
+        powers, self.shifts = shift_powers(f)
+        self._interned = {}  # elements -> the one tuple of that value
+        self._steps = {}  # id of an interned tuple -> its steps, by k
+        self.bottom = [self._intern((g,)) for g in powers]
+
+    @cached_property
+    def wrap(self) -> tuple:
+        """Basis elements of (f^(p^m)), the last run of every level."""
+        return strong_groebner(IdealGens(self.bottom[-1])).elements
+
+    def _intern(self, elems) -> tuple:
+        # an interned tuple stays alive, so no other object takes its id
+        elems = self._interned.setdefault(elems, elems)
+        self._steps.setdefault(id(elems), [None] * len(self.shifts))
+        return elems
+
+    def step(self, elems, k: int) -> tuple:
+        """Basis elements of level e at f^(a + k*p^(e-1+m)), from ``elems``,
+        the basis elements of level e-1 at f^a (``descent_step``)."""
+        steps = self._steps.get(id(elems))
+        if steps is None:
+            elems = self._intern(elems)
+            steps = self._steps[id(elems)]
+        if steps[k] is None:
+            gb = descent_step(elems, self.shifts[k], self.lift)
+            steps[k] = self._intern(gb.elements)
+        return steps[k]
+
+
+def descent_context(
+    f: Poly, lift: FrobeniusLift, descent: DescentContext = None
+) -> DescentContext:
+    """``descent`` when given, else a new context for (f, lift).
+
+    A context made for another f or lift is refused with ValueError: its
+    steps are the descents of another pair.
+    """
+    if descent is None:
+        return DescentContext(f, lift)
+    if descent.f != f or descent.lift != lift:
+        raise ValueError("the descent context was made for another f or lift")
+    return descent
+
+
+def descent_runs(
+    f: Poly, lift: FrobeniusLift, top: int, descent: DescentContext = None
+):
     """Yield (e, runs) for e = 1..top: level e as its runs.
 
     A run is (first n, basis elements of I_e(f^n)), a maximal stretch of n
     that share one basis. The runs of a level cover n = 0..p^(e+m) in
-    ascending order, and neighbouring runs hold different bases.
+    ascending order, and neighbouring runs hold different bases. Steps go
+    through ``descent`` (a new context when None), so a step the walk or an
+    earlier call on the same context already took is not completed again.
     """
     p, m = f.ctx.p, f.ctx.m
-    powers, shifts = shift_powers(f)
-    wrap = strong_groebner(IdealGens([powers[-1]])).elements
-    runs = list(enumerate((g,) for g in powers))
+    descent = descent_context(f, lift, descent)
+    runs = list(enumerate(descent.bottom))
     for e in range(1, top + 1):
         step = p ** (e - 1 + m)
         below = [run for run in runs if run[0] < step]
         runs = []
         for k in range(p):
             for a, elems in below:
-                elems = descent_step(elems, shifts[k], lift).elements
+                elems = descent.step(elems, k)
                 if not runs or elems != runs[-1][1]:
                     runs.append((a + k * step, elems))
-        if wrap != runs[-1][1]:
-            runs.append((p * step, wrap))
+        if descent.wrap != runs[-1][1]:
+            runs.append((p * step, descent.wrap))
         yield e, runs
 
 
-def nu_levels(f: Poly, lift: FrobeniusLift, top: int) -> tuple:
+def nu_levels(
+    f: Poly, lift: FrobeniusLift, top: int, descent: DescentContext = None
+) -> tuple:
     """The level sets of f at e = 1..top, read off the runs of each level.
 
     A run ending at n, before the next basis starts at n+1, is the jump n.
+    ``descent`` is passed on to ``descent_runs``.
     """
     require_nonzerodivisor(f)
     if top < 1:
@@ -143,7 +218,7 @@ def nu_levels(f: Poly, lift: FrobeniusLift, top: int) -> tuple:
     p, m = f.ctx.p, f.ctx.m
     return tuple(
         NuLevelSet(e, p ** (e + m), tuple(n - 1 for n, _ in runs[1:]))
-        for e, runs in descent_runs(f, lift, top)
+        for e, runs in descent_runs(f, lift, top, descent)
     )
 
 

@@ -22,7 +22,7 @@ from bsroots import (
     nu_set,
     strength,
 )
-from bsroots import nu
+from bsroots import bsr, nu
 from bsroots.bsr import _default_top_level, crosscheck_mod_p, strength_vs_bsato
 from bsroots.padic import PAdicRational
 
@@ -217,6 +217,98 @@ def test_strength_vs_bsato_rows():
         assert table[(m, Fraction(1, 2))] == (0, 1)
 
 
+def test_strength_vs_bsato_shares_one_context_per_m(monkeypatch):
+    ctx = ChainRingCtx(3, 0)
+    x = Poly.variable(ctx, 1, 0)
+    made = []
+
+    def counted(f, lift):
+        made.append(f.ctx.m)
+        return nu.DescentContext(f, lift)
+
+    monkeypatch.setattr(bsr, "DescentContext", counted)
+    alphas = [(Fraction(-1), 0), (Fraction(-1, 2), 0), (Fraction(-2), 1)]
+    rows = strength_vs_bsato(x * x, FrobeniusLift.standard(ctx, 1), alphas, (0, 1, 2))
+    assert len(rows) == 9 and made == [0, 1, 2]
+
+
+# the README example at level 4 and f = x + 2y over Z/4 at level 7
+REPORT_CASES = {
+    "readme": (_setup(3, 1, {(2, 0): 1, (0, 1): 3}, 2), 4),
+    "x+2y": (_setup(2, 1, {(1, 0): 1, (0, 1): 2}, 2), 7),
+}
+
+
+@pytest.mark.parametrize("case", list(REPORT_CASES))
+def test_report_strengths_match_standalone_strength(case):
+    """Strengths on the tree's context equal strengths on a fresh one."""
+    (f, lift), top = REPORT_CASES[case]
+    rep = bfunction_report(f, lift, top, 10, 10)
+    e_stop = min(4, rep.verified_to_level)
+    shared = nu.DescentContext(f, lift)
+    detect_roots(f, lift, top, 10, 10, shared)
+    assert rep.roots
+    for entry in rep.roots:
+        alone = strength(f, lift, entry.alpha, e_stop)
+        assert (entry.strength, entry.stabilized) == (alone.value, alone.stabilized)
+        assert strength(f, lift, entry.alpha, e_stop, shared) == alone
+
+
+def test_report_strengths_complete_only_what_the_tree_did_not(monkeypatch):
+    """On the README example the tree completes 33 steps, and its three
+    strengths add the 2 it did not take; on fresh contexts they complete 12."""
+    (f, lift), top = REPORT_CASES["readme"]
+    completed = 0
+    complete = nu.descent_step
+
+    def counted(*args):
+        nonlocal completed
+        completed += 1
+        return complete(*args)
+
+    monkeypatch.setattr(nu, "descent_step", counted)
+    detect_roots(f, lift, top, 10, 10)
+    assert completed == 33
+    completed = 0
+    rep = bfunction_report(f, lift, top, 10, 10)
+    assert completed == 35
+    completed = 0
+    for entry in rep.roots:
+        strength(f, lift, entry.alpha, 4)
+    assert completed == 12
+
+
+def test_context_refused_for_another_pair_but_not_by_the_mod_p_run(monkeypatch):
+    (f, lift), top = REPORT_CASES["x+2y"]
+    descent = nu.DescentContext(f, lift)
+    g = f + Poly.variable(f.ctx, 2, 1)
+    bent = FrobeniusLift(f.ctx, 2, [Poly.variable(f.ctx, 2, 1), None])
+    for h, lift_h in ((g, lift), (f, bent)):
+        with pytest.raises(ValueError, match="made for another f or lift"):
+            strength(h, lift_h, Fraction(-1), 4, descent)
+        with pytest.raises(ValueError, match="made for another f or lift"):
+            candidate_residues(h, lift_h, top, descent)
+        with pytest.raises(ValueError, match="made for another f or lift"):
+            bfunction_report(h, lift_h, top, 10, 10, descent)
+    # the run over V takes the context; the run of f mod p makes its own
+    cc = crosscheck_mod_p(f, lift, top, 10, 10, descent)
+    assert cc == crosscheck_mod_p(f, lift, top, 10, 10) and cc.ok
+    monkeypatch.setattr(nu, "descent_step", lambda *a: pytest.fail("completed again"))
+    assert bfunction_report(f, lift, top, 10, 10, descent) == cc.report
+
+
+def test_crosscheck_at_m_0_shares_the_context_with_its_mod_p_run(monkeypatch):
+    """At m = 0 under the standard lift, f mod p is f: the mod-p run repeats
+    the run over V on its context and completes nothing."""
+    f, lift = _setup(2, 0, {(1, 0): 1, (0, 1): 1, (1, 1): 1}, 2)
+    descent = nu.DescentContext(f, lift)
+    report = bfunction_report(f, lift, 5, 3, 3, descent)
+    monkeypatch.setattr(nu, "descent_step", lambda *a: pytest.fail("completed again"))
+    cc = crosscheck_mod_p(f, lift, 5, 3, 3, descent)
+    assert cc.report == cc.report_mod_p == report and cc.ok
+    assert [(e.alpha.frac, e.strength) for e in report.roots] == [(-1, 1)]
+
+
 def _assert_matches_full_walk(f, lift, top, den_bound, num_bound):
     rep = detect_roots(f, lift, top, den_bound, num_bound)
     _, survivors = residue_tree_reference(f, lift, top)
@@ -271,7 +363,8 @@ class _SyntheticBasis:
     f = x^d, records k, as the shift identity multiplies the real basis. Two
     stand-ins are equal exactly when these agree, and the stubbed descent is
     a function of them, so equal stand-ins have equal descents, as equal
-    real bases do. A stand-in never equals a real basis element.
+    real bases do. A stand-in never equals a real basis element, and it
+    hashes on the same key it compares, so it can key a cache of steps.
     """
 
     def __init__(self, key, unit):
@@ -284,6 +377,9 @@ class _SyntheticBasis:
 
     def __eq__(self, other):
         return isinstance(other, _SyntheticBasis) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1)])

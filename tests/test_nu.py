@@ -268,30 +268,75 @@ def test_run_walk_matches_per_n_walk_on_random_polys(p, m):
 
 
 def test_run_walk_takes_one_step_per_run_and_shift(monkeypatch):
-    """Level e takes p descent steps per run of level e-1 that starts below
-    p^(e-1+m), and none for the wrap at p^(e+m), which is taken in closed
-    form: 198 steps to level 10 on the p=2 anchor, where one step per n
-    would take 8 194."""
+    """Level e asks for p descent steps per run of level e-1 that starts
+    below p^(e-1+m), and none for the wrap at p^(e+m), which is taken in
+    closed form: 198 steps to level 10 on the p=2 anchor, where one step per
+    n would take 8 194. A step is completed once per walk: the 198 asks
+    complete 28 bases, and so do the 330 asks to level 16, as the level
+    sets stop growing after level 2."""
     ctx, f = ANCHORS["groebner-p2"]
     lift = FrobeniusLift.standard(ctx, 2)
-    p, m, top = ctx.p, ctx.m, 10
-    starts = [range(p**m + 1)]  # level 0: one run per power f^a, a <= p^m
-    starts += [[n for n, _ in runs] for _, runs in descent_runs(f, lift, top)]
-    expected = sum(
-        p * sum(n < p ** (e - 1 + m) for n in starts[e - 1])
-        for e in range(1, top + 1)
-    )
-    calls = 0
-    step = nu.descent_step
+    p, m = ctx.p, ctx.m
+    asked = completed = 0
+    ask, complete = nu.DescentContext.step, nu.descent_step
 
-    def counted_step(*args):
-        nonlocal calls
-        calls += 1
-        return step(*args)
+    def counted_ask(*args):
+        nonlocal asked
+        asked += 1
+        return ask(*args)
 
-    monkeypatch.setattr(nu, "descent_step", counted_step)
-    nu_levels(f, lift, top)
-    assert calls == expected == 198
+    def counted_complete(*args):
+        nonlocal completed
+        completed += 1
+        return complete(*args)
+
+    for top, asks in ((10, 198), (16, 330)):
+        starts = [range(p**m + 1)]  # level 0: one run per power f^a, a <= p^m
+        starts += [[n for n, _ in runs] for _, runs in descent_runs(f, lift, top)]
+        expected = sum(
+            p * sum(n < p ** (e - 1 + m) for n in starts[e - 1])
+            for e in range(1, top + 1)
+        )
+        asked = completed = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(nu.DescentContext, "step", counted_ask)
+            patch.setattr(nu, "descent_step", counted_complete)
+            nu_levels(f, lift, top)
+        assert asked == expected == asks, top
+        assert completed == 28, top
+
+
+def _no_completion(*args):
+    pytest.fail("a step was completed again")
+
+
+@pytest.mark.parametrize("name", list(ANCHORS))
+def test_shared_context_gives_the_level_sets_of_a_fresh_one(monkeypatch, name):
+    """On a context a shallower walk already filled, nu_levels gives the
+    level sets of a fresh context, and walking again completes nothing."""
+    f, lifts = _anchor_lifts(name)
+    top = _deepest_level(f.ctx, 128)
+    for lift in lifts:
+        shared = nu.DescentContext(f, lift)
+        nu_levels(f, lift, 1, shared)
+        fresh = nu_levels(f, lift, top)
+        assert nu_levels(f, lift, top, shared) == fresh, lift.corrections
+        with monkeypatch.context() as patch:
+            patch.setattr(nu, "descent_step", _no_completion)
+            assert nu_levels(f, lift, top, shared) == fresh, lift.corrections
+
+
+def test_context_refuses_another_f_or_lift():
+    ctx, f = ANCHORS["groebner-p2"]
+    std, bent = _lifts(ctx, 2)
+    descent = nu.DescentContext(f, std)
+    x = Poly.variable(ctx, 2, 0)
+    for g, lift in ((f + x, std), (f, bent), (f.with_ctx(ChainRingCtx(2, 1)), std)):
+        with pytest.raises(ValueError, match="made for another f or lift"):
+            nu_levels(g, lift, 2, descent)
+    # an equal pair is the same pair
+    same = (f * 1, FrobeniusLift.standard(ctx, 2))
+    assert nu_levels(*same, 2, descent) == nu_levels(f, std, 2)
 
 
 def test_frozen_windows_of_the_anchors_at_depth():
