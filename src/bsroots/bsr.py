@@ -287,30 +287,21 @@ def crosscheck_mod_p(
     top_level: int = None,
     den_bound: int = 50,
     num_bound: int = 100,
-    descent: DescentContext = None,
 ) -> CrosscheckResult:
     """Compare roots over V with roots of f mod p over Z/p.
 
     Checks: the negative roots agree exactly with the mod-p roots, every
     positive root is an integer translate of a negative one, and the two
     root sets agree modulo Z. Failures come back as structured mismatch
-    strings, not exceptions. The report over V is built on ``descent`` (or
-    a new context). The mod-p run walks f mod p under the standard lift on
-    a context of its own, unless that is the pair of the run over V (m = 0
-    under the standard lift): then it is the same run, on the same context.
+    strings, not exceptions. Each of the two reports makes its own
+    ``nu.DescentContext``.
     """
-    descent = descent_context(f, lift, descent)
-    report = bfunction_report(f, lift, top_level, den_bound, num_bound, descent)
+    report = bfunction_report(f, lift, top_level, den_bound, num_bound)
     ctx0 = ChainRingCtx(f.ctx.p, 0)
     f0 = f.with_ctx(ctx0)
     lift0 = FrobeniusLift.standard(ctx0, f.nvars)
     report0 = bfunction_report(
-        f0,
-        lift0,
-        report.verified_to_level + f.ctx.m,
-        den_bound,
-        num_bound,
-        descent if (f0, lift0) == (f, lift) else None,
+        f0, lift0, report.verified_to_level + f.ctx.m, den_bound, num_bound
     )
     mismatches = []
     ours = {entry.alpha.frac for entry in report.roots}

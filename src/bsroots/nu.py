@@ -121,44 +121,33 @@ class DescentContext:
 
     Holds the shifts of ``shift_powers(f)``, the level-0 bases (f^a,),
     a <= p^m, and the wrap basis, and keeps every completed step for as long
-    as the context lives. A step is a function of (basis elements one level
-    down, shift index k), so a repeated step returns the basis completed the
-    first time. Element tuples are interned, one object per value, and the
-    steps of an interned tuple are found by its identity: a tuple is hashed
-    once, when it is first met, not at every lookup. The tuples of
-    ``bottom`` and those ``step`` returns are interned.
+    as the context lives, under (basis elements one level down, shift index
+    k): a repeated step returns the basis completed the first time. Equal
+    completed bases are kept as one tuple.
     """
 
     def __init__(self, f: Poly, lift: FrobeniusLift):
         require_nonzerodivisor(f)
         self.f, self.lift = f, lift
         powers, self.shifts = shift_powers(f)
+        self.bottom = [(g,) for g in powers]
+        self._steps = {}  # (elements one level down, k) -> elements
         self._interned = {}  # elements -> the one tuple of that value
-        self._steps = {}  # id of an interned tuple -> its steps, by k
-        self.bottom = [self._intern((g,)) for g in powers]
 
     @cached_property
     def wrap(self) -> tuple:
         """Basis elements of (f^(p^m)), the last run of every level."""
         return strong_groebner(IdealGens(self.bottom[-1])).elements
 
-    def _intern(self, elems) -> tuple:
-        # an interned tuple stays alive, so no other object takes its id
-        elems = self._interned.setdefault(elems, elems)
-        self._steps.setdefault(id(elems), [None] * len(self.shifts))
-        return elems
-
     def step(self, elems, k: int) -> tuple:
         """Basis elements of level e at f^(a + k*p^(e-1+m)), from ``elems``,
         the basis elements of level e-1 at f^a (``descent_step``)."""
-        steps = self._steps.get(id(elems))
-        if steps is None:
-            elems = self._intern(elems)
-            steps = self._steps[id(elems)]
-        if steps[k] is None:
-            gb = descent_step(elems, self.shifts[k], self.lift)
-            steps[k] = self._intern(gb.elements)
-        return steps[k]
+        key = (elems, k)
+        done = self._steps.get(key)
+        if done is None:
+            done = descent_step(elems, self.shifts[k], self.lift).elements
+            done = self._steps[key] = self._interned.setdefault(done, done)
+        return done
 
 
 def descent_context(

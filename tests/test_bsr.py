@@ -278,7 +278,7 @@ def test_report_strengths_complete_only_what_the_tree_did_not(monkeypatch):
     assert completed == 12
 
 
-def test_context_refused_for_another_pair_but_not_by_the_mod_p_run(monkeypatch):
+def test_context_refused_for_another_pair():
     (f, lift), top = REPORT_CASES["x+2y"]
     descent = nu.DescentContext(f, lift)
     g = f + Poly.variable(f.ctx, 2, 1)
@@ -290,23 +290,39 @@ def test_context_refused_for_another_pair_but_not_by_the_mod_p_run(monkeypatch):
             candidate_residues(h, lift_h, top, descent)
         with pytest.raises(ValueError, match="made for another f or lift"):
             bfunction_report(h, lift_h, top, 10, 10, descent)
-    # the run over V takes the context; the run of f mod p makes its own
-    cc = crosscheck_mod_p(f, lift, top, 10, 10, descent)
-    assert cc == crosscheck_mod_p(f, lift, top, 10, 10) and cc.ok
-    monkeypatch.setattr(nu, "descent_step", lambda *a: pytest.fail("completed again"))
-    assert bfunction_report(f, lift, top, 10, 10, descent) == cc.report
 
 
-def test_crosscheck_at_m_0_shares_the_context_with_its_mod_p_run(monkeypatch):
-    """At m = 0 under the standard lift, f mod p is f: the mod-p run repeats
-    the run over V on its context and completes nothing."""
-    f, lift = _setup(2, 0, {(1, 0): 1, (0, 1): 1, (1, 1): 1}, 2)
-    descent = nu.DescentContext(f, lift)
-    report = bfunction_report(f, lift, 5, 3, 3, descent)
-    monkeypatch.setattr(nu, "descent_step", lambda *a: pytest.fail("completed again"))
-    cc = crosscheck_mod_p(f, lift, 5, 3, 3, descent)
-    assert cc.report == cc.report_mod_p == report and cc.ok
-    assert [(e.alpha.frac, e.strength) for e in report.roots] == [(-1, 1)]
+# x + 2y over Z/4 at level 7, and x + y + xy over Z/2 at level 5, where
+# f mod p is f itself under the same lift
+CROSSCHECK_CASES = {
+    "m=1": REPORT_CASES["x+2y"],
+    "m=0": (_setup(2, 0, {(1, 0): 1, (0, 1): 1, (1, 1): 1}, 2), 5),
+}
+
+
+@pytest.mark.parametrize("case", list(CROSSCHECK_CASES))
+def test_crosscheck_gives_its_mod_p_run_a_context_of_its_own(case, monkeypatch):
+    """The cross-check completes what its two reports complete each on a
+    fresh context: the mod-p run takes no step of the run over V."""
+    (f, lift), top = CROSSCHECK_CASES[case]
+    completed = 0
+    complete = nu.descent_step
+
+    def counted(*args):
+        nonlocal completed
+        completed += 1
+        return complete(*args)
+
+    monkeypatch.setattr(nu, "descent_step", counted)
+    cc = crosscheck_mod_p(f, lift, top, 3, 3)
+    in_cc, completed = completed, 0
+    assert cc.ok and cc.report == bfunction_report(f, lift, top, 3, 3)
+    in_v, completed = completed, 0
+    ctx0 = ChainRingCtx(f.ctx.p, 0)
+    f0, lift0 = f.with_ctx(ctx0), FrobeniusLift.standard(ctx0, f.nvars)
+    level0 = cc.report.verified_to_level + f.ctx.m
+    assert cc.report_mod_p == bfunction_report(f0, lift0, level0, 3, 3)
+    assert in_v > 0 and completed > 0 and in_cc == in_v + completed
 
 
 def _assert_matches_full_walk(f, lift, top, den_bound, num_bound):
