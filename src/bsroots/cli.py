@@ -53,7 +53,7 @@ from .poly import EXPONENT_LIMIT, FrobeniusLift, Poly
 # completes each distinct step once, so the sum bounds the level, not the
 # work: it stops runaway levels (p=2 to level 40 is 2^41 steps), not slow
 # runs. The p=2 anchor x^3+y^2+x*y with m=2 to level 16, about 2^19 chain
-# steps, takes about 0.01 s inside `run` on a 2-vCPU host. A bound on the
+# steps, takes about 0.015 s inside `run` on a 2-vCPU host. A bound on the
 # descent steps themselves is an open item of ROADMAP.md ("A budget that
 # measures cost").
 NU_CHAIN_STEP_BUDGET = 2**20
