@@ -293,15 +293,19 @@ def crosscheck_mod_p(
     Checks: the negative roots agree exactly with the mod-p roots, every
     positive root is an integer translate of a negative one, and the two
     root sets agree modulo Z. Failures come back as structured mismatch
-    strings, not exceptions. Each of the two reports makes its own
-    ``nu.DescentContext``.
+    strings, not exceptions. The report over V walks a new
+    ``nu.DescentContext``. The mod-p report shares it when f mod p is f under
+    the same lift (m = 0 and the standard lift), as its steps are then the
+    same descents; otherwise it makes its own.
     """
-    report = bfunction_report(f, lift, top_level, den_bound, num_bound)
+    descent = DescentContext(f, lift)
+    report = bfunction_report(f, lift, top_level, den_bound, num_bound, descent)
     ctx0 = ChainRingCtx(f.ctx.p, 0)
     f0 = f.with_ctx(ctx0)
     lift0 = FrobeniusLift.standard(ctx0, f.nvars)
+    shared = descent if (f0, lift0) == (f, lift) else None
     report0 = bfunction_report(
-        f0, lift0, report.verified_to_level + f.ctx.m, den_bound, num_bound
+        f0, lift0, report.verified_to_level + f.ctx.m, den_bound, num_bound, shared
     )
     mismatches = []
     ours = {entry.alpha.frac for entry in report.roots}

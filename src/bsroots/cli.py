@@ -49,13 +49,14 @@ from .poly import EXPONENT_LIMIT, FrobeniusLift, Poly
 
 # A --mode=nu run whose windows, the sum of p^(e+m) over the levels up to
 # max_level, exceed this many chain steps is refused up front. The walk
-# asks for one descent step per run of a level, not one per n, and
-# completes each distinct step once, so the sum bounds the level, not the
-# work: it stops runaway levels (p=2 to level 40 is 2^41 steps), not slow
-# runs. The p=2 anchor x^3+y^2+x*y with m=2 to level 16, about 2^19 chain
-# steps, takes about 0.015 s inside `run` on a 2-vCPU host. A bound on the
-# descent steps themselves is an open item of ROADMAP.md ("A budget that
-# measures cost").
+# steps, per level, at most one candidate per run below and shift, bisects
+# between them so that only the steps locating a run boundary are taken,
+# and completes each distinct step once, so the sum bounds the level, not
+# the work: it stops runaway levels (p=2 to level 40 is 2^41 steps), not
+# slow runs. The p=2 anchor x^3+y^2+x*y with m=2 to level 16, about 2^19
+# chain steps, takes about 0.015 s inside `run` on a 2-vCPU host. A bound
+# on the descent steps themselves is an open item of ROADMAP.md ("A budget
+# that measures cost").
 NU_CHAIN_STEP_BUDGET = 2**20
 
 

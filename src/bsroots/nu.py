@@ -28,13 +28,21 @@ f^a, a <= p^m, and the shifts f^(p^m*k), k < p.
 
 A level is walked by its runs, the maximal stretches of n that share one
 basis, so a run ending at n is the jump n. One step per run one level down
-and per k is exact: the level-e basis of f^n depends on n only through the
+and per k is enough: the level-e basis of f^n depends on n only through the
 basis of f^a one level down and on k, and equal bases have equal descents.
-Level e thus asks for p steps per run of level e-1 that starts below
-p^(e-1+m); the wrap is completed once per walk. Runs are few because the
-chain is monotone: along the powers of f the descent ideals only shrink,
-I_e(f^(n+1)) inside I_e(f^n), so a basis once left never returns, and the
-strict drops are discrete jumps.
+The chain is monotone: along the powers of f the descent ideals only shrink,
+I_e(f^(n+1)) inside I_e(f^n), so a basis once left never returns. That
+gives the sandwich rule: for x < y < z, I_e(f^x) = I_e(f^z) forces
+I_e(f^y) to the same ideal, as I_e(f^z) is inside I_e(f^y), which is inside
+I_e(f^x). So a level lists its candidate run starts a + k*p^(e-1+m), one
+per run of level e-1 that starts below p^(e-1+m) and per k < p, with two
+ends known without a step: n = 0, whose basis is (1) as I_1((1)) = (1), and
+the wrap at p^(e+m). It takes the candidates whose steps are already
+completed, then bisects each gap between known candidates: a gap whose ends
+hold one basis is one run and costs no step, and otherwise its midpoint is
+stepped. Each candidate is stepped at most once, so a level asks for at
+most p steps per run below, and only the steps that locate a run boundary
+are completed.
 
 A step is completed once per call. Each public entry point makes one
 ``DescentContext``, or takes the caller's, and the walk, the residue tree
@@ -123,7 +131,8 @@ class DescentContext:
     a <= p^m, and the wrap basis, and keeps every completed step for as long
     as the context lives, under (basis elements one level down, shift index
     k): a repeated step returns the basis completed the first time. Equal
-    completed bases are kept as one tuple.
+    completed bases are kept as one tuple. The step from the unit basis at
+    k = 0 is known from the start, as I_1((1)) = (1).
     """
 
     def __init__(self, f: Poly, lift: FrobeniusLift):
@@ -131,13 +140,19 @@ class DescentContext:
         self.f, self.lift = f, lift
         powers, self.shifts = shift_powers(f)
         self.bottom = [(g,) for g in powers]
-        self._steps = {}  # (elements one level down, k) -> elements
-        self._interned = {}  # elements -> the one tuple of that value
+        unit = self.bottom[0]  # I_1((1)) = (1): the unit basis descends to itself
+        self._steps = {(unit, 0): unit}  # (elements one level down, k) -> elements
+        self._interned = {unit: unit}  # elements -> the one tuple of that value
 
     @cached_property
     def wrap(self) -> tuple:
         """Basis elements of (f^(p^m)), the last run of every level."""
         return strong_groebner(IdealGens(self.bottom[-1])).elements
+
+    def known(self, elems, k: int):
+        """What ``step`` gives for (elems, k) if that step is held, else None;
+        completes nothing."""
+        return self._steps.get((elems, k))
 
     def step(self, elems, k: int) -> tuple:
         """Basis elements of level e at f^(a + k*p^(e-1+m)), from ``elems``,
@@ -172,7 +187,13 @@ def descent_runs(
 
     A run is (first n, basis elements of I_e(f^n)), a maximal stretch of n
     that share one basis. The runs of a level cover n = 0..p^(e+m) in
-    ascending order, and neighbouring runs hold different bases. Steps go
+    ascending order, and neighbouring runs hold different bases. The
+    candidate run starts of level e are a + k*p^(e-1+m) for each run
+    (a, basis) of level e-1 with a < p^(e-1+m) and each k < p, in ascending
+    n, followed by the wrap. A candidate whose step ``descent`` already holds
+    is read off it (``DescentContext.known``), n = 0 included; then each gap
+    between known candidates is bisected by the sandwich rule: equal ends
+    make the gap one run, and otherwise the midpoint is stepped. Steps go
     through ``descent`` (a new context when None), so a step the walk or an
     earlier call on the same context already took is not completed again.
     """
@@ -182,14 +203,24 @@ def descent_runs(
     for e in range(1, top + 1):
         step = p ** (e - 1 + m)
         below = [run for run in runs if run[0] < step]
+        starts = [(a + k * step, elems, k) for k in range(p) for a, elems in below]
+        bases = [descent.known(elems, k) for _, elems, k in starts]
+        starts.append((p * step, None, None))
+        bases.append(descent.wrap)
+        known = [i for i, elems in enumerate(bases) if elems is not None]
+        gaps = list(zip(known, known[1:]))
+        while gaps:
+            lo, hi = gaps.pop()
+            if hi - lo > 1 and bases[lo] != bases[hi]:
+                mid = (lo + hi) // 2
+                _, elems, k = starts[mid]
+                bases[mid] = descent.step(elems, k)
+                gaps += ((lo, mid), (mid, hi))
         runs = []
-        for k in range(p):
-            for a, elems in below:
-                elems = descent.step(elems, k)
-                if not runs or elems != runs[-1][1]:
-                    runs.append((a + k * step, elems))
-        if descent.wrap != runs[-1][1]:
-            runs.append((p * step, descent.wrap))
+        for (n, _, _), elems in zip(starts, bases):
+            # a candidate left unknown lies between two equal ends
+            if elems is not None and (not runs or elems != runs[-1][1]):
+                runs.append((n, elems))
         yield e, runs
 
 

@@ -257,7 +257,9 @@ def test_level_walk_matches_direct_descent_on_random_polys(p, m):
             _assert_walk_is_direct(random_unit_poly(rng, ctx, 2, 3, 3), lift, top)
 
 
-@pytest.mark.parametrize("p,m", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+@pytest.mark.parametrize(
+    "p,m", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (5, 0), (5, 1)]
+)
 def test_run_walk_matches_per_n_walk_on_random_polys(p, m):
     rng = random.Random(750 + 10 * p + m)
     ctx = ChainRingCtx(p, m)
@@ -268,12 +270,14 @@ def test_run_walk_matches_per_n_walk_on_random_polys(p, m):
 
 
 def test_run_walk_takes_one_step_per_run_and_shift(monkeypatch):
-    """Level e asks for p descent steps per run of level e-1 that starts
-    below p^(e-1+m), and none for the wrap at p^(e+m), which is taken in
-    closed form: 198 steps to level 10 on the p=2 anchor, where one step per
-    n would take 8 194. A step is completed once per walk: the 198 asks
-    complete 28 bases, and so do the 330 asks to level 16, as the level
-    sets stop growing after level 2."""
+    """Level e asks for at most p descent steps per run of level e-1 that
+    starts below p^(e-1+m), and none for n = 0 or the wrap at p^(e+m),
+    which are known in closed form. The bisection steps only the candidates
+    that locate a run boundary: 24 steps to level 10 on the p=2 anchor,
+    where one step per run and shift would take 198 and one step per n
+    8 194, and the same 24 to level 16 (330 by runs), as the level sets
+    stop growing after level 2 and every level above asks for none. Each
+    step asked for is completed once."""
     ctx, f = ANCHORS["groebner-p2"]
     lift = FrobeniusLift.standard(ctx, 2)
     p, m = ctx.p, ctx.m
@@ -290,20 +294,19 @@ def test_run_walk_takes_one_step_per_run_and_shift(monkeypatch):
         completed += 1
         return complete(*args)
 
-    for top, asks in ((10, 198), (16, 330)):
-        starts = [range(p**m + 1)]  # level 0: one run per power f^a, a <= p^m
-        starts += [[n for n, _ in runs] for _, runs in descent_runs(f, lift, top)]
-        expected = sum(
-            p * sum(n < p ** (e - 1 + m) for n in starts[e - 1])
-            for e in range(1, top + 1)
-        )
-        asked = completed = 0
+    for top, by_runs in ((10, 198), (16, 330)):
+        starts = range(p**m + 1)  # level 0: one run per power f^a, a <= p^m
+        asks = bound = completed = 0
         with monkeypatch.context() as patch:
             patch.setattr(nu.DescentContext, "step", counted_ask)
             patch.setattr(nu, "descent_step", counted_complete)
-            nu_levels(f, lift, top)
-        assert asked == expected == asks, top
-        assert completed == 28, top
+            for e, runs in descent_runs(f, lift, top):
+                runs_below = p * sum(n < p ** (e - 1 + m) for n in starts)
+                assert asked <= runs_below, (top, e)
+                asks, bound, asked = asks + asked, bound + runs_below, 0
+                starts = [n for n, _ in runs]
+        assert bound == by_runs, top
+        assert asks == completed == 24, top
 
 
 def _no_completion(*args):
