@@ -3,7 +3,9 @@ Detecting rational roots from the residue tree
 ==============================================
 
 A root is a p-adic integer whose truncation mod p^(e+m) lies in every level
-window. Surviving residues at the top level are matched against bounded
+window. The windows are nested by truncation, so the residue tree is the
+level sets themselves, and each residue at the top level has its whole
+truncation chain in them. Those residues are matched against bounded
 fractions; what cannot be matched is reported, never guessed.
 """
 
@@ -13,24 +15,25 @@ ctx = ChainRingCtx(3, 1)
 f = Poly(ctx, 2, {(2, 0): 1, (0, 1): 3})
 lift = FrobeniusLift.standard(ctx, 2)
 
-# survivors per level: residues whose whole truncation chain held so far
+# the tree per level: the level set, each member truncating to a member of
+# the level below (the tree checks this nesting)
 tree = candidate_residues(f, lift, 4)
 for e in range(1, 5):
     print(f"level {e} survivors (mod {3 ** (e + 1)}): {tree.survivors[e]}")
 
-# reconstruct bounded fractions from the top-level survivors
+# reconstruct bounded fractions from the top-level residues
 report = detect_roots(f, lift, top_level=4, den_bound=10, num_bound=10)
 print("\nroots found:")
 for entry in report.roots:
     print(f"  alpha = {entry.alpha.frac}   residue {entry.residue}"
           f"   digits {entry.alpha.digits(6)}")
 
-# honesty about the rest: these survived every level but match no fraction
-# with denominator <= 10 and |numerator| <= 10
+# honesty about the rest: these lie in every level set but match no
+# fraction with denominator <= 10 and |numerator| <= 10
 print("unresolved residues:", report.unresolved)
 
-# the same walk for f = x over Z/4 shows why unresolved happens: survival
-# only pins the low e digits, so a second all-ones branch never resolves
+# the same walk for f = x over Z/4 shows why unresolved happens: the level
+# sets only pin the low e+m digits, so a second all-ones branch never resolves
 ctx4 = ChainRingCtx(2, 1)
 x = Poly.variable(ctx4, 1, 0)
 rep4 = detect_roots(x, FrobeniusLift.standard(ctx4, 1), top_level=7,

@@ -2,14 +2,16 @@
 
 A candidate root is a p-adically integral rational alpha all of whose
 truncations land in the level sets: truncate_below(alpha, e+m) must be a
-level-e invariant for every e. The residue tree materializes this test up
-to a chosen level E and is read off the level sets of the run walk
-(``nu.nu_levels``): level 0 is the full window [0, p^m), and a member n of
-the level-e set survives when n mod p^(e-1+m) survived at level e-1.
-Surviving residues at level E are then lifted back to bounded fractions;
-when p^(E+m) exceeds twice the bound box, at most one fraction fits per
-residue, so survivors either resolve to a unique root or are reported
-unresolved, never guessed.
+level-e invariant for every e. The level sets are nested by truncation, for
+every lift: at n = a + k*p^(e-1+m), a < p^(e-1+m), the level-e bases at n
+and n+1 are the steps by k of the level-(e-1) bases at a and a+1 (at
+a+1 = p^(e-1+m) the wrap (f^(p^m)), whose step is the basis of
+f^(p^m*(k+1))), so a jump at n forces a jump at a. The residue tree up to a
+chosen level E is therefore the level sets of the run walk
+(``nu.nu_levels``), under the window [0, p^m) at level 0. Residues at level
+E are then lifted back to bounded fractions; when p^(E+m) exceeds twice the
+bound box, at most one fraction fits per residue, so residues either
+resolve to a unique root or are reported unresolved, never guessed.
 
 The strength of a root grades how strongly the jump certifying each
 truncation holds: the least power of p that pushes the coordinates of f^a
@@ -34,10 +36,17 @@ from .poly import FrobeniusLift, Poly
 
 @dataclass(frozen=True)
 class ResidueTree:
+    """``survivors[e]``, e = 0..top_level, is the level-e set ([0, p^m) at 0).
+
+    A jump at n = a + k*p^(e-1+m) forces one at a one level down, as equal
+    bases at a and a+1 have equal steps by k (and the wrap's step is the
+    basis at n+1), so each member has its whole truncation chain in them.
+    """
+
     p: int
     m: int
     top_level: int
-    survivors: tuple  # per level 0..top_level, residues whose whole chain held
+    survivors: tuple
 
 
 @dataclass(frozen=True)
@@ -95,12 +104,14 @@ def candidate_residues(
     top_level: int,
     descent: DescentContext = None,
 ) -> ResidueTree:
-    """Surviving residues at levels 0..top_level, read off the level sets.
+    """The level sets at levels 0..top_level, checked to nest.
 
-    Level 0 is the whole window [0, p^m). A member n of the level-e set
-    survives when its truncation n mod p^(e-1+m) survived at level e-1, so
-    a survivor has every truncation in the level sets below it. The level
-    sets are walked on ``descent`` (``nu.nu_levels``).
+    Level 0 is the whole window [0, p^m) and level e the level set walked on
+    ``descent`` (``nu.nu_levels``). A jump at n = a + k*p^(e-1+m) forces one
+    at a one level down (equal bases at a and a+1 have equal steps by k, and
+    the wrap's step is the basis at n+1), so every member has its truncation
+    chain in the level sets. A level set above the cardinality bound, or not
+    nested in the one below, raises ``InvariantError``.
     """
     require_nonzerodivisor(f)
     if top_level < 1:
@@ -109,11 +120,12 @@ def candidate_residues(
     card_bound = (m + 1) * math.comb(int(f.degree()) * p**m + f.nvars, f.nvars)
     survivors = [tuple(range(p**m))]
     for level in nu_levels(f, lift, top_level, descent):
-        below = set(survivors[-1])
-        kept = tuple(n for n in level.members if n % (level.window // p) in below)
-        if len(kept) > card_bound:
+        if len(level.members) > card_bound:
             raise InvariantError("level set exceeded cardinality bound")
-        survivors.append(kept)
+        below = set(survivors[-1])
+        if any(n % (level.window // p) not in below for n in level.members):
+            raise InvariantError("level set not nested in the level below")
+        survivors.append(level.members)
     return ResidueTree(p=p, m=m, top_level=top_level, survivors=tuple(survivors))
 
 
@@ -142,10 +154,12 @@ def detect_roots(
 ) -> RootReport:
     """Identify bounded rational roots from the residue tree at ``top_level``.
 
-    Every returned root has its full truncation chain inside the level sets.
-    Surviving residues that match no bounded fraction are reported in
-    ``unresolved``; they are never promoted or silently dropped. The tree
-    is walked on ``descent`` (``candidate_residues``).
+    A fraction reconstructed from a residue r is r mod p^(top_level+m), and
+    the level sets are nested (a jump at n forces one at n mod p^(e-1+m), as
+    equal bases have equal steps), so every returned root has its full
+    truncation chain inside the level sets. Residues matching no bounded
+    fraction are reported in ``unresolved``, never promoted or silently
+    dropped. The tree is walked on ``descent`` (``candidate_residues``).
     """
     ctx = f.ctx
     p, m = ctx.p, ctx.m
@@ -156,18 +170,10 @@ def detect_roots(
     require_reconstruction_bound(ctx, top_level, den_bound, num_bound)
     modulus = p ** (top_level + m)
     tree = candidate_residues(f, lift, top_level, descent)
-    survivor_sets = [set(level) for level in tree.survivors]
     roots = []
     unresolved = []
     for r in tree.survivors[top_level]:
-        verified = [
-            alpha
-            for alpha in reconstruct(r, modulus, den_bound, num_bound)
-            if all(
-                alpha.truncate_below(e + m) in survivor_sets[e]
-                for e in range(top_level + 1)
-            )
-        ]
+        verified = reconstruct(r, modulus, den_bound, num_bound)
         if len(verified) > 1:
             raise InvariantError("reconstruction bound violated")
         if verified:

@@ -255,20 +255,12 @@ def _root_entry_doc(entry):
     }
 
 
-def _window_doc(e, window, members):
-    return {"e": e, "window": window, "members": list(members)}
-
-
-def _windows_from_tree(tree):
-    """Level windows of a residue tree: the survivors at each level e >= 1.
-
-    The tree is read off the whole level sets, and ``members`` keeps the
-    level-e invariants whose every truncation survived below; ``--mode=nu``
-    lists the whole level sets.
-    """
+def _windows(ctx, levels):
+    """Level windows of the member tuples of levels 1, 2, ... in order: the
+    level sets, in every mode (the residue tree is the level sets)."""
     return [
-        _window_doc(e, tree.p ** (e + tree.m), tree.survivors[e])
-        for e in range(1, tree.top_level + 1)
+        {"e": e, "window": ctx.p ** (e + ctx.m), "members": list(members)}
+        for e, members in enumerate(levels, start=1)
     ]
 
 
@@ -394,7 +386,7 @@ def _dispatch(args, ctx, names, f, lift, alpha, config):
     if args.mode == "nu":
         top = args.max_level
         sets = nu_levels(f, lift, top)
-        windows = [_window_doc(s.e, s.window, s.members) for s in sets]
+        windows = _windows(ctx, [s.members for s in sets])
         doc = {
             "config": config,
             "nu_windows": windows,
@@ -436,7 +428,7 @@ def _dispatch(args, ctx, names, f, lift, alpha, config):
                 f, lift, args.max_level, args.den_bound, args.num_bound
             )
         config["max_level"] = report.verified_to_level
-        windows = _windows_from_tree(report.tree)
+        windows = _windows(ctx, report.tree.survivors[1:])
         doc = {
             "config": config,
             "verified_to_level": report.verified_to_level,

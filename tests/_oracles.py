@@ -21,8 +21,11 @@ its coordinates at level e, and their completion. The per-n walk is the
 engine's earlier level walk, one descent step for every n of every window,
 against which the run walk must give the same basis at every n. The
 reference residue tree is the engine's earlier full walk over the direct
-bases: every level set in full, then the survivors filtered out of it,
-against which the tree must give the same survivors, roots and unresolved
+bases: every level set in full, then the survivors filtered out of it by
+the definition, each truncation a survivor one level down. The engine no
+longer filters, as the level sets nest by truncation; the filter stays as
+the independent check of that, so the tests assert that it keeps every
+member and that the tree gives the same survivors, roots and unresolved
 residues.
 """
 

@@ -24,6 +24,7 @@ from bsroots import (
 )
 from bsroots import bsr, nu
 from bsroots.bsr import _default_top_level, crosscheck_mod_p, strength_vs_bsato
+from bsroots.errors import InvariantError
 from bsroots.padic import PAdicRational
 
 from _oracles import (
@@ -332,7 +333,8 @@ def test_crosscheck_gives_its_mod_p_run_a_context_of_its_own(case, monkeypatch):
 
 def _assert_matches_full_walk(f, lift, top, den_bound, num_bound):
     rep = detect_roots(f, lift, top, den_bound, num_bound)
-    _, survivors = residue_tree_reference(f, lift, top)
+    level_sets, survivors = residue_tree_reference(f, lift, top)
+    assert level_sets == survivors, (f.terms, lift.corrections)
     assert rep.tree.survivors == survivors, (f.terms, lift.corrections)
     roots, unresolved = roots_reference(f, lift, top, den_bound, num_bound)
     assert [(e.alpha.frac, e.residue) for e in rep.roots] == roots
@@ -341,7 +343,7 @@ def _assert_matches_full_walk(f, lift, top, den_bound, num_bound):
 
 # Z/2, Z/4, Z/8, Z/3, Z/9, Z/5 and Z/25, each at the least top level that
 # reconstructs fractions within bounds 3/3 (Z/25 one higher, so that one
-# level is pruned)
+# level nests in another)
 TREE_RINGS = [(2, 0, 5), (2, 1, 4), (2, 2, 3), (3, 0, 3), (3, 1, 2), (5, 0, 2), (5, 1, 2)]
 
 
@@ -423,12 +425,12 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
     # basis once left never comes back, the chain property behind the
     # sandwich rule. The wrap stand-in does not know it is f^(p^m), so the
     # stub need not descend it times f^(p^m*k) to the unit basis times
-    # f^(p^m*(k+1)), as real descents do and the walk never assumes; that
-    # is where jumps off the tree come from. The jumps then fall both on the
-    # tree and off it, and the last n of a window is a jump at some levels
-    # and not at others. The run walk and the tree read off it must match
-    # the per-n walk through the same stub, with survivors taken from the
-    # definition: every truncation is a jump.
+    # f^(p^m*(k+1)), as real descents do and the walk never assumes. So a
+    # jump need not force one at its truncation one level down, and the
+    # last n of a window is a jump at some levels and not at others. The run
+    # walk must match the per-n walk through the same stub. Where the per-n
+    # level sets nest by truncation, the tree must be them; where they do
+    # not, the tree's nesting check must refuse them.
     # x^4 in three variables only raises the tree's cardinality bound above
     # the synthetic level sets.
     d, nvars, top = 4, 3, 4
@@ -439,7 +441,7 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
     by_rank = [(f**0,)] + [(_SyntheticBasis((r, 0), unit),) for r in (1, 2, 3)]
     wrap = by_rank[3]
     monkeypatch.setattr(nu.DescentContext, "wrap", wrap)
-    off_tree = on_tree = last_jumps = last_flat = 0
+    nested = unnested = last_jumps = last_flat = 0
     for case in range(5):
         seed = f"{900 + 10 * p + m}:{case}"
         draws = random.Random(seed)
@@ -470,16 +472,17 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
                 last_jumps += 1
             else:
                 last_flat += 1
-        expected = tuple(
-            tuple(
-                n
-                for n in level_sets[e]
-                if all(n % p ** (j + m) in level_sets[j] for j in range(e))
-            )
-            for e in range(top + 1)
-        )
         assert [s.members for s in nu.nu_levels(f, lift, top)] == level_sets[1:], seed
-        assert candidate_residues(f, lift, top).survivors == expected, seed
-        on_tree += sum(map(len, expected[1:]))
-        off_tree += sum(map(len, level_sets[1:])) - sum(map(len, expected[1:]))
-    assert on_tree and off_tree and last_jumps and last_flat
+        if all(
+            n % p ** (e - 1 + m) in level_sets[e - 1]
+            for e in range(1, top + 1)
+            for n in level_sets[e]
+        ):
+            nested += 1
+            assert candidate_residues(f, lift, top).survivors == tuple(level_sets), seed
+        else:
+            unnested += 1
+            with pytest.raises(InvariantError) as caught:
+                candidate_residues(f, lift, top)
+            assert str(caught.value) == "level set not nested in the level below", seed
+    assert nested and unnested and last_jumps and last_flat

@@ -483,24 +483,16 @@ def test_module_entry_points(module):
     assert "RuntimeWarning" not in out.stderr, out.stderr
 
 
-def test_invariant_failure_exits_3_under_optimize():
-    # the child replaces every descent basis by a fresh power of the first
-    # variable, unequal to every other, so every candidate jumps and the
-    # survivors break the cardinality bound; under -O a bare assert would be
-    # stripped and the run would pass
-    child = """
-import itertools
+def _roots_under_optimize(stub):
+    """The finished child running ``--mode=roots`` on x over Z/4 to level 3
+    under -O, after the ``stub`` source replaced an engine seam; under -O a
+    bare assert would be stripped and the run would pass."""
+    child = f"""
 import sys
-from types import SimpleNamespace
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-from bsroots import Poly, nu
+{stub}
 from bsroots.cli import run
-fresh = itertools.count(1)
-def fresh_basis(gens, lift, e):
-    x = Poly.variable(gens[0].ctx, gens[0].nvars, 0)
-    return SimpleNamespace(elements=(x ** next(fresh),))
-nu.descent_basis = fresh_basis
 code, text = run(sys.argv[1:])
 print(text)
 sys.exit(code)
@@ -510,6 +502,44 @@ sys.exit(code)
     out = subprocess.run([sys.executable, "-O", "-c", child] + argv,
                          capture_output=True, text=True, env=_child_env(),
                          timeout=SUBPROCESS_TIMEOUT_S)
+    return out
+
+
+def test_invariant_failure_exits_3_under_optimize():
+    # the child replaces every descent basis by a fresh power of the first
+    # variable, unequal to every other, so nearly every candidate jumps:
+    # level 1 is (0, 1, 2) and level 2 is 0..5, whose 3 does not truncate
+    # to a member of level 1, so the nesting check fires
+    stub = """
+import itertools
+from types import SimpleNamespace
+from bsroots import Poly, nu
+fresh = itertools.count(1)
+def fresh_basis(gens, lift, e):
+    x = Poly.variable(gens[0].ctx, gens[0].nvars, 0)
+    return SimpleNamespace(elements=(x ** next(fresh),))
+nu.descent_basis = fresh_basis
+"""
+    out = _roots_under_optimize(stub)
+    assert out.returncode == 3, out.stderr
+    error = json.loads(out.stdout)["error"]
+    assert error == {"type": "InvariantError",
+                     "message": "level set not nested in the level below"}
+
+
+def test_cardinality_bound_exits_3_under_optimize():
+    # the child replaces the level sets by full windows, nested but above
+    # the bound (m+1)*C(deg(f)*p^m + 1, 1) = 6 of x over Z/4 from level 2 on
+    stub = """
+from bsroots import bsr
+from bsroots.nu import NuLevelSet
+def full_windows(f, lift, top, descent=None):
+    p, m = f.ctx.p, f.ctx.m
+    return tuple(NuLevelSet(e, p ** (e + m), tuple(range(p ** (e + m))))
+                 for e in range(1, top + 1))
+bsr.nu_levels = full_windows
+"""
+    out = _roots_under_optimize(stub)
     assert out.returncode == 3, out.stderr
     error = json.loads(out.stdout)["error"]
     assert error == {"type": "InvariantError",

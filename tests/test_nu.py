@@ -50,12 +50,21 @@ def test_is_nu_matches_window_and_periodicity():
 
 
 def test_nu_levels_are_nested():
-    """Each level refines the one below once both are read as sets of naturals."""
+    """Each level refines the one below once both are read as sets of
+    naturals: f = X^2 + 3Y at levels 1 and 2, and the four anchors under all
+    their lifts at levels 1 to 6."""
     f = F23Y()
     low = nu_set(f, STD9, 1)
     high = nu_set(f, STD9, 2)
     for n in high.members:
         assert n % low.window in low.members
+    for name in ANCHORS:
+        f, lifts = _anchor_lifts(name)
+        for lift in lifts:
+            levels = nu_levels(f, lift, 6)
+            for low, high in zip(levels, levels[1:]):
+                for n in high.members:
+                    assert n % low.window in low.members, (name, lift.corrections, n)
 
 
 def test_frobenius_shift_identity():
