@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .chainring import ChainRingCtx
 from .errors import InvariantError
@@ -135,9 +134,11 @@ def require_reconstruction_bound(
     """Refuse a top level at which bounded reconstruction could be ambiguous.
 
     Bounded fractions are unique modulo p^(top_level+m) only when it exceeds
-    2 * num_bound * den_bound; the default top level always does.
+    2 * num_bound * den_bound; the default top level always does. As
+    p^k >= 2^k, k = top_level+m past that bound's bit length always does.
     """
-    if ctx.p ** (top_level + ctx.m) <= 2 * den_bound * num_bound:
+    need, k = 2 * den_bound * num_bound, top_level + ctx.m
+    if k <= need.bit_length() and ctx.p**k <= need:
         raise ValueError(
             "p^(top_level+m) must exceed 2 * num_bound * den_bound "
             "for unambiguous reconstruction"
@@ -160,6 +161,8 @@ def detect_roots(
     truncation chain inside the level sets. Residues matching no bounded
     fraction are reported in ``unresolved``, never promoted or silently
     dropped. The tree is walked on ``descent`` (``candidate_residues``).
+    ``InvariantError`` is raised when two bounded fractions fit one residue,
+    or when a monic monomial f under the standard lift has a root >= 0.
     """
     ctx = f.ctx
     p, m = ctx.p, ctx.m
@@ -181,10 +184,6 @@ def detect_roots(
         else:
             unresolved.append(r)
     roots.sort(key=lambda entry: entry.alpha.frac)
-    for entry in roots:
-        shift = -(math.floor(entry.alpha.frac) + 1)
-        if not Fraction(-1) <= entry.alpha.frac + shift < 0:
-            raise InvariantError("no integral translate")
     if lift.is_standard and set(f.terms.values()) == {1} and len(f.terms) == 1:
         if not all(entry.alpha < 0 for entry in roots):
             raise InvariantError("positive root of a monomial")

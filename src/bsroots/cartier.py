@@ -14,7 +14,7 @@ Degrees drop by the factor p^e, which is the engine's source of finiteness.
 from __future__ import annotations
 
 from .chainring import ChainRingCtx
-from .poly import FrobeniusLift, frobenius_apply, head_key, phi_decompose
+from .poly import FrobeniusLift, head_key, phi_decompose
 
 
 class IdealGens:
@@ -67,13 +67,6 @@ class IdealGens:
 
     def __repr__(self):
         return f"IdealGens({list(self.gens)!r})"
-
-
-def frobenius_pullback_ideal(J: IdealGens, lift: FrobeniusLift, e: int) -> IdealGens:
-    """Generators of the extension of F^e(J) to the whole ring."""
-    return IdealGens(
-        [frobenius_apply(g, lift, e) for g in J.gens], ctx=J.ctx, nvars=J.nvars
-    )
 
 
 def cartier_generators(gens, lift: FrobeniusLift, e: int) -> IdealGens:

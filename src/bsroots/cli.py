@@ -264,8 +264,9 @@ def _windows(ctx, levels):
     ]
 
 
-def _chain_steps(windows):
-    return sum(w["window"] for w in windows)
+def _window_sum(ctx, top):
+    """Chain steps to level ``top``: the sum of p^(e+m) over e = 1..top."""
+    return ctx.p ** (ctx.m + 1) * (ctx.p**top - 1) // (ctx.p - 1)
 
 
 def _text_roots(doc, lines):
@@ -286,14 +287,13 @@ def _text_roots(doc, lines):
 
 
 def _require_nu_budget(ctx, top):
-    steps = 0
-    for e in range(1, top + 1):
-        steps += ctx.p ** (e + ctx.m)
-        if steps > NU_CHAIN_STEP_BUDGET:
-            raise ConfigError(
-                f"--mode=nu to level {top} walks more than {NU_CHAIN_STEP_BUDGET} "
-                "chain steps (the sum of p^(e+m) over the levels)"
-            )
+    # the sum is >= 2^top, so it is formed only below the budget's bit length
+    budget = NU_CHAIN_STEP_BUDGET
+    if top >= budget.bit_length() or _window_sum(ctx, top) > budget:
+        raise ConfigError(
+            f"--mode=nu to level {top} walks more than {budget} "
+            "chain steps (the sum of p^(e+m) over the levels)"
+        )
 
 
 def _require_power_degree(ctx, top, f, mode):
@@ -302,13 +302,14 @@ def _require_power_degree(ctx, top, f, mode):
     An up-front bound by the power the top level describes; the crosscheck's
     mod-p run goes to level top+m over m=0. The walks build far smaller
     powers, f^a for a <= p^m and f^(p^m*k) for k < p, which the bound
-    covers, and multiply them into bases one level down.
+    covers, and multiply them into bases one level down. As p^k >= 2^k,
+    p^k with k = top+m is formed only below k = 31.
     """
-    degree = max(f.degree(), 0) * ctx.p ** (top + ctx.m)
-    if degree >= EXPONENT_LIMIT:
+    deg, k = max(f.degree(), 0), top + ctx.m
+    if deg >= 1 and (k >= 31 or deg * ctx.p**k >= EXPONENT_LIMIT):
         raise ConfigError(
-            f"--mode={mode} to level {top} raises f to total degree {degree}, "
-            "which reaches 2^31, the limit of packed monomials"
+            f"--mode={mode} to level {top} raises f to total degree "
+            f"{deg}*{ctx.p}^{k}, which reaches 2^31, the limit of packed monomials"
         )
 
 
@@ -390,7 +391,7 @@ def _dispatch(args, ctx, names, f, lift, alpha, config):
         doc = {
             "config": config,
             "nu_windows": windows,
-            "counters": {"levels": top, "chain_steps": _chain_steps(windows)},
+            "counters": {"levels": top, "chain_steps": _window_sum(ctx, top)},
         }
         lines = [header]
         for w in windows:
@@ -437,7 +438,7 @@ def _dispatch(args, ctx, names, f, lift, alpha, config):
             "unresolved": list(report.unresolved),
             "counters": {
                 "levels": report.verified_to_level,
-                "chain_steps": _chain_steps(windows),
+                "chain_steps": _window_sum(ctx, report.verified_to_level),
             },
         }
         if args.mode == "bfunction":

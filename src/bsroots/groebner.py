@@ -341,9 +341,10 @@ def strong_groebner(J) -> GroebnerBasis:
 
 
 def min_p_power_in(gb: GroebnerBasis, g: Poly) -> int:
-    """Least t with p^t * g in the ideal of ``gb``; <= m+1 since p^(m+1) = 0."""
+    """Least t with p^t * g in the ideal of ``gb``; m+1 when no t <= m
+    works, as p^(m+1) * g = 0."""
     ctx = g.ctx
-    for t in range(ctx.m + 2):
+    for t in range(ctx.m + 1):
         if gb.contains(g * ctx.p**t):
             return t
-    raise InvariantError("p^(m+1) annihilates everything")
+    return ctx.m + 1

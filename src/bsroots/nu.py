@@ -53,12 +53,6 @@ meets on the tree, costs no second completion. On every anchor the level
 sets stop growing after a few levels; from there on each level steps the
 bases the level below already stepped, and a level whose bases all repeat
 costs no completion, while its window grows by a factor p.
-
-``nu_of_ideal`` is the relative variant: the largest n with f^n outside the
-e-fold Frobenius pullback of a fixed ideal J. Nonmembership is downward
-closed along the powers of f, so the first membership hit decides it, and
-the result always lands in the level-e invariant set of f (checked per call
-by ``is_nu``, the direct definition).
 """
 
 from __future__ import annotations
@@ -66,8 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cartier import IdealGens, cartier_generators, frobenius_pullback_ideal
-from .errors import InvariantError
+from .cartier import IdealGens, cartier_generators
 from .groebner import GroebnerBasis, strong_groebner
 from .poly import FrobeniusLift, Poly
 
@@ -258,32 +251,3 @@ def is_nu(f: Poly, lift: FrobeniusLift, e: int, n: int) -> bool:
 def nu_set(f: Poly, lift: FrobeniusLift, e: int) -> NuLevelSet:
     """All level-e invariants of f, walked up from level 1."""
     return nu_levels(f, lift, e)[-1]
-
-
-def nu_of_ideal(f: Poly, J: IdealGens, lift: FrobeniusLift, e: int) -> int:
-    """max{n >= 0 : f^n not in the e-fold pullback of J}.
-
-    Scans upward to the first member; the set of members is upward closed
-    along the powers of f, so first membership decides the maximum. Raises
-    when f^0 is already inside (the maximum does not exist) or when no power
-    up to 4 * p^(e+m) + 4 lands inside the pullback (J does not become full
-    after inverting f, so the invariant is undefined).
-    """
-    require_nonzerodivisor(f)
-    if e < 1:
-        raise ValueError("level must be >= 1")
-    cap = 4 * f.ctx.p ** (e + f.ctx.m) + 4
-    pulled = strong_groebner(frobenius_pullback_ideal(J, lift, e))
-    power = Poly.one(f.ctx, f.nvars)
-    n = 0
-    while not pulled.contains(power):
-        power = power * f
-        n += 1
-        if n > cap:
-            raise ValueError("J does not become full along powers of f")
-    if n == 0:
-        raise ValueError("f^0 already lies in the pulled-back ideal")
-    result = n - 1
-    if not is_nu(f, lift, e, result):
-        raise InvariantError("relative invariant escaped the level set")
-    return result

@@ -7,7 +7,10 @@ are more than naive. The Howell normal form (Storjohann & Mulders 1998)
 decides row spans over V, and the brute-force membership search reduces to
 it; exhaustive span enumeration checks it in turn. The reference Frobenius
 substitution applies a lift one step at a time, as the engine once did,
-and reads nothing the lift has memoized. Every reference reads a polynomial
+and reads nothing the lift has memoized. The Frobenius pullback of an
+ideal, F^e(J) extended to the whole ring, is the engine's ``frobenius_apply``
+on each generator; no mode needs it, and the tests check that level-e
+descent takes it back to J. Every reference reads a polynomial
 through ``exponent_terms``, on exponent tuples, never the engine's packed
 monomials. The reference product is the schoolbook double loop with
 generator exponent sums and a reduction at every step. The tuple normal
@@ -37,9 +40,10 @@ from fractions import Fraction
 from itertools import product
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly
-from bsroots.cartier import cartier_generators
+from bsroots.cartier import IdealGens, cartier_generators
 from bsroots.groebner import strong_groebner
 from bsroots.nu import descent_step, shift_powers
+from bsroots.poly import frobenius_apply
 
 
 # Degrevlex with x1 > x2 > ... > xn, spelled here from its definition so
@@ -289,6 +293,13 @@ def frobenius_apply_reference(f, lift, e):
             out = out + t
         f = out
     return f
+
+
+def frobenius_pullback_ideal(J: IdealGens, lift: FrobeniusLift, e: int) -> IdealGens:
+    """Generators of the extension of F^e(J) to the whole ring."""
+    return IdealGens(
+        [frobenius_apply(g, lift, e) for g in J.gens], ctx=J.ctx, nvars=J.nvars
+    )
 
 
 # Matrices over V = Z/p^(m+1) and the Howell normal form.

@@ -14,11 +14,11 @@ import math
 import random
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu_set
-from bsroots.cartier import IdealGens, cartier_generators, frobenius_pullback_ideal
+from bsroots.cartier import IdealGens, cartier_generators
 from bsroots.groebner import strong_groebner
 from bsroots.poly import frobenius_apply
 
-from _oracles import random_poly, random_unit_poly
+from _oracles import frobenius_pullback_ideal, random_poly, random_unit_poly
 
 DEFAULT_SEED = 20260815
 

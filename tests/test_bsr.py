@@ -155,6 +155,22 @@ def test_reconstruction_guard_and_bounds():
         candidate_residues(f, lift, 0)
 
 
+def test_reconstruction_bound_refuses_exactly_the_ambiguous_levels():
+    """The refusal skips forming p^(top+m) past the bound's bit length; it
+    must still refuse exactly when p^(top+m) <= 2 * den * num."""
+    for p, m in ((2, 0), (2, 1), (3, 0), (5, 1)):
+        ctx = ChainRingCtx(p, m)
+        for den, num in ((1, 1), (3, 3), (10, 10), (50, 100), (1, 64)):
+            for top in range(1, 16):
+                ambiguous = p ** (top + m) <= 2 * den * num
+                try:
+                    bsr.require_reconstruction_bound(ctx, top, den, num)
+                except ValueError:
+                    assert ambiguous, (p, m, den, num, top)
+                else:
+                    assert not ambiguous, (p, m, den, num, top)
+
+
 def test_strength_validation_and_nonroot():
     f, lift = _setup(3, 1, {(1,): 1}, 1)
     with pytest.raises(ValueError, match="e_stop"):

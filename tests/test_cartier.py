@@ -3,11 +3,17 @@ import random
 import pytest
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly
-from bsroots.cartier import IdealGens, cartier_generators, frobenius_pullback_ideal
+from bsroots.cartier import IdealGens, cartier_generators
 from bsroots.groebner import strong_groebner
 from bsroots.poly import phi_decompose
 
-from _oracles import descent_lifts, head_key_reference, random_poly, random_unit_poly
+from _oracles import (
+    descent_lifts,
+    frobenius_pullback_ideal,
+    head_key_reference,
+    random_poly,
+    random_unit_poly,
+)
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)

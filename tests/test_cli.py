@@ -321,6 +321,33 @@ def test_every_mode_past_degree_2_to_the_31_exits_2_before_work(monkeypatch, mod
             run(argv + [f"--poly={poly}"] + level)
 
 
+@pytest.mark.parametrize("mode", ["roots", "bfunction", "crosscheck", "strength"])
+def test_every_mode_far_past_degree_2_to_the_31_gives_the_refusal(monkeypatch, mode):
+    """A top level whose power of p has thousands of digits is refused by
+    the degree message, which names deg(f)*p^(top+m) and not its value; from
+    top+m = 31 on a nonconstant f is refused without forming p^(top+m)."""
+
+    def stub(*args, **kwargs):
+        raise EngineStarted(mode)
+
+    for name in ("detect_roots", "bfunction_report", "crosscheck_mod_p", "strength"):
+        monkeypatch.setattr(f"bsroots.cli.{name}", stub)
+    argv = ["--vars=x", "--poly=x", f"--mode={mode}", "--alpha=-1",
+            "--format=structured"]
+    for p, m, level in ((3, 1, 10_000), (3, 1, 10**9), (2, 0, 31), (2, 1, 30)):
+        code, text = run(argv + [f"--p={p}", f"--m={m}", f"--max-level={level}"])
+        assert code == 2, (p, m, level)
+        assert json.loads(text)["error"] == {
+            "type": "ConfigError",
+            "message": f"--mode={mode} to level {level} raises f to total degree "
+                       f"1*{p}^{level + m}, which reaches 2^31, the limit of "
+                       "packed monomials",
+        }
+    # 1 * 2^30 < 2^31: accepted
+    with pytest.raises(EngineStarted):
+        run(argv + ["--p=2", "--m=0", "--max-level=30"])
+
+
 def test_nu_mode_over_the_chain_step_budget_exits_2_before_work(monkeypatch):
     # p=2, m=0: levels 1..L walk 2^(L+1) - 2 chain steps, so level 19 is the
     # last within 2^20; the stub level sets keep the accepted run free
@@ -336,7 +363,7 @@ def test_nu_mode_over_the_chain_step_budget_exits_2_before_work(monkeypatch):
     monkeypatch.setattr("bsroots.cli.nu_levels", stub)
     argv = ["--p=2", "--m=0", "--vars=x", "--poly=x", "--mode=nu",
             "--format=structured"]
-    for level in (40, 20):
+    for level in (10**9, 40, 20):
         code, text = run(argv + [f"--max-level={level}"])
         assert code == 2
         error = json.loads(text)["error"]

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, is_nu, nu_set
-from bsroots.cartier import IdealGens
 from bsroots import nu
-from bsroots.nu import descent_basis, descent_runs, nu_levels, nu_of_ideal
+from bsroots.nu import descent_basis, descent_runs, nu_levels
 
 from _oracles import descent_walk, direct_descent_bases, random_unit_poly
 
@@ -93,33 +92,6 @@ def test_level_must_be_positive():
         nu_set(F23Y(), STD9, 0)
     with pytest.raises(ValueError):
         is_nu(F23Y(), STD9, -1, 0)
-
-
-def test_nu_of_ideal_monomial_values():
-    z3 = ChainRingCtx(3, 0)
-    x = Poly.variable(z3, 1, 0)
-    std = FrobeniusLift.standard(z3, 1)
-    # largest n with x^n outside (x^(k*p^e)) is k*p^e - 1
-    assert nu_of_ideal(x, IdealGens([x**2]), std, 1) == 5
-    x4 = Poly.variable(Z4, 1, 0)
-    std4 = FrobeniusLift.standard(Z4, 1)
-    assert nu_of_ideal(x4, IdealGens([x4**3]), std4, 2) == 11
-
-
-def test_nu_of_ideal_lies_in_level_set():
-    f = F23Y()
-    y = Poly.variable(Z9, 2, 1)
-    value = nu_of_ideal(f, IdealGens([f**2, y * f]), STD9, 1)
-    assert is_nu(f, STD9, 1, value)
-
-
-def test_nu_of_ideal_error_cases():
-    x = Poly.variable(Z4, 1, 0)
-    std = FrobeniusLift.standard(Z4, 1)
-    with pytest.raises(ValueError, match="does not become full"):
-        nu_of_ideal(x, IdealGens([Poly.const(Z4, 1, 2)]), std, 1)
-    with pytest.raises(ValueError, match="already lies"):
-        nu_of_ideal(x, IdealGens([Poly.one(Z4, 1)]), std, 1)
 
 
 def test_unit_polynomial_has_empty_level_sets():
