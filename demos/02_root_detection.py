@@ -6,7 +6,8 @@ A root is a p-adic integer whose truncation mod p^(e+m) lies in every level
 window. The windows are nested by truncation, so the residue tree is the
 level sets themselves, and each residue at the top level has its whole
 truncation chain in them. Those residues are matched against bounded
-fractions; what cannot be matched is reported, never guessed.
+fractions; what cannot be matched is reported as unresolved. A matched
+fraction is a root up to the top level only: a deeper level can drop it.
 """
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, candidate_residues, detect_roots

@@ -10,8 +10,8 @@ f^(p^m*(k+1))), so a jump at n forces a jump at a. The residue tree up to a
 chosen level E is therefore the level sets of the run walk
 (``nu.nu_levels``), under the window [0, p^m) at level 0. Residues at level
 E are then lifted back to bounded fractions; when p^(E+m) exceeds twice the
-bound box, at most one fraction fits per residue, so residues either
-resolve to a unique root or are reported unresolved, never guessed.
+bound box, at most one fraction fits per residue. A root is such a fraction
+whose truncations lie in the level sets up to E; a deeper level can drop it.
 
 The strength of a root grades how strongly the jump certifying each
 truncation holds: the least power of p that pushes the coordinates of f^a

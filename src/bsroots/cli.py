@@ -17,11 +17,11 @@ Expression grammar (no implicit multiplication):
   int    := one or more of the ASCII digits 0-9
 
 Exit codes: 0 success, 2 configuration or parse error (a ``--mode=nu`` run
-over ``NU_CHAIN_STEP_BUDGET`` chain steps, and an exponent or a degree that
-reaches 2^31 in the input or in f^(p^(top+m)), the power the top level
-describes, included), 3 engine error or crosscheck mismatch. Structured output is
-deterministic byte for byte for a given configuration: work counters are
-derived from the computed data, never from the clock.
+over ``NU_CHAIN_STEP_BUDGET`` chain steps, a degree of 2^31 or more in the
+input or in f^(p^(top+m)), the power the top level describes, and counts
+past the int-to-str digit limit included), 3 engine error or crosscheck
+mismatch. Structured output is byte-for-byte deterministic per configuration:
+work counters come from the computed data, never from the clock.
 """
 
 from __future__ import annotations
@@ -296,20 +296,27 @@ def _require_nu_budget(ctx, top):
         )
 
 
-def _require_power_degree(ctx, top, f, mode):
-    """Refuse a run at whose top level f^(p^(top+m)) would reach degree 2^31.
-
-    An up-front bound by the power the top level describes; the crosscheck's
-    mod-p run goes to level top+m over m=0. The walks build far smaller
-    powers, f^a for a <= p^m and f^(p^m*k) for k < p, which the bound
-    covers, and multiply them into bases one level down. As p^k >= 2^k,
-    p^k with k = top+m is formed only below k = 31.
-    """
+def _require_top_level(ctx, top, f, mode):
+    """Refuse a top level at which f^(p^(top+m)) reaches degree 2^31, or
+    whose chain steps, the largest count a run prints (at least the window
+    p^(top+m), below twice it), pass int-to-str conversion's digit limit (0:
+    none). The walks build smaller powers, f^a for a <= p^m and f^(p^m*k)
+    for k < p; the crosscheck's mod-p run goes to level top+m over m=0. As
+    p^k >= 2^k, p^k is formed for the degree only below k = 31."""
     deg, k = max(f.degree(), 0), top + ctx.m
     if deg >= 1 and (k >= 31 or deg * ctx.p**k >= EXPONENT_LIMIT):
         raise ConfigError(
             f"--mode={mode} to level {top} raises f to total degree "
             f"{deg}*{ctx.p}^{k}, which reaches 2^31, the limit of packed monomials"
+        )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 2^lo <= chain steps < 2^hi, and 2^(3*limit) < 10^limit < 2^(4*limit)
+    lo, hi = k * (ctx.p.bit_length() - 1), k * ctx.p.bit_length() + 1
+    near = limit and hi > 3 * limit
+    if near and (lo > 4 * limit or _window_sum(ctx, top) >= 10**limit):
+        raise ConfigError(
+            f"level {top} has the window {ctx.p}^{k}; its counts have more than "
+            f"{limit} decimal digits, the limit of sys.get_int_max_str_digits()"
         )
 
 
@@ -344,7 +351,7 @@ def run(argv=None):
             top = _default_top_level(ctx.p, ctx.m, args.den_bound, args.num_bound)
         elif args.mode in ("roots", "bfunction", "crosscheck"):
             require_reconstruction_bound(ctx, top, args.den_bound, args.num_bound)
-        _require_power_degree(ctx, top, f, args.mode)
+        _require_top_level(ctx, top, f, args.mode)
     except (ConfigError, ExprError, ValueError) as exc:
         return 2, _render_error(args, exc)
 

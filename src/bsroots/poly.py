@@ -22,13 +22,13 @@ P = (deg << n*W) - L, and
     guard.
 
 Every exponent and every total degree stays below ``EXPONENT_LIMIT`` = 2^31,
-so no field ever reaches its guard bit. The public constructor, ``term_mul``,
-products, powers and S-pair lcms check this from their operands' degrees and
-raise ``DegreeLimitError``, a ``ValueError``; nothing wraps. The public entry
-points take exponent tuples, and ``exponent_terms`` is the one decoded view
-of the packed ``terms``. ``head_key`` extends the order to polynomials by
-their leading term, the one order that generator lists and completed bases
-are kept in.
+so no field ever reaches its guard bit. The public constructor, products,
+powers, S-pair lcms and the shifted images of ``phi_decompose`` check this
+from their operands' degrees and raise ``DegreeLimitError``, a
+``ValueError``; nothing wraps. The public entry points take exponent tuples,
+and ``exponent_terms`` is the one decoded view of the packed ``terms``.
+``head_key`` extends the order to polynomials by their leading term, the one
+order that generator lists and completed bases are kept in.
 
 ``FrobeniusLift`` models ring endomorphisms F with F(xi) = xi^p + p*hi and
 F identity on coefficients. ``phi_decompose`` inverts the induced module
@@ -296,15 +296,6 @@ class Poly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def term_mul(self, mono, c):
-        """Multiply by the single term c * x^mono, mono an exponent tuple."""
-        shift = pack(mono, self.nvars)
-        if self.terms:
-            _check_degree(mono_degree(self.leading_monomial() + shift, self.nvars))
-        return Poly._from_terms(
-            self.ctx, self.nvars, {m + shift: cc * c for m, cc in self.terms.items()}
-        )
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
@@ -447,27 +438,21 @@ def frobenius_apply(f: Poly, lift: FrobeniusLift, e: int) -> Poly:
     return Poly._from_terms(f.ctx, f.nvars, acc)
 
 
-def _split_base_q(f: Poly, q: int):
-    """Naive digit split f = sum_alpha (x^q-substituted g_alpha) * x^alpha.
-
-    Exact for the standard lift; the first-order approximation otherwise.
-    The digit classes are keyed by the exponent tuples alpha, in ascending
-    order. A term x^(q*beta + alpha) lands in class alpha at the packed key
-    (P - P_alpha) / q of x^beta, with f's own coefficient, which is already
-    reduced and nonzero. P_alpha is packed inline, without ``_pack``'s
-    degree check: each digit is at most the exponent it comes from.
-    """
-    n = f.nvars
-    low, _, fields = _layout(n)
-    top = n * FIELD_BITS
-    terms = f.terms
+def _digit_classes(terms, nvars, q):
+    """The digit split of a terms dict: {alpha: (packed alpha, terms of
+    g_alpha)}, in no set order, with terms = sum (x^q-substituted g_alpha) *
+    x^alpha. x^(q*beta + alpha) lands in class alpha at the packed key
+    (P - P_alpha) / q of x^beta. P_alpha skips ``_pack``'s degree check, as
+    each digit is at most the exponent it comes from."""
+    low, _, fields = _layout(nvars)
+    top = nvars * FIELD_BITS
     lows = [-mono & low for mono in terms]
     # one pass per field over every term: the digits of x1, x2, ...
     digits = [
         [(x >> shift & FIELD_MASK) % q for x in lows]
         for shift in range(0, top, FIELD_BITS)
     ]
-    alphas = zip(*digits) if n else [()] * len(lows)  # zip() of no fields is empty
+    alphas = zip(*digits) if nvars else [()] * len(lows)  # zip() of no fields is empty
     comps = {}
     for (mono, c), alpha in zip(terms.items(), alphas):
         digit = comps.get(alpha)
@@ -475,38 +460,46 @@ def _split_base_q(f: Poly, q: int):
             packed = (sum(alpha) << top) - int.from_bytes(fields.pack(*alpha), "little")
             digit = comps[alpha] = (packed, {})
         digit[1][(mono - digit[0]) // q] = c
-    return {
-        alpha: Poly._from_reduced(f.ctx, n, beta_terms)
-        for alpha, (_, beta_terms) in sorted(comps.items())
-    }
+    return comps
+
+
+def _split_base_q(f: Poly, q: int):
+    """The digit split of f as {alpha: g_alpha}, alpha ascending."""
+    comps = sorted(_digit_classes(f.terms, f.nvars, q).items())
+    return {a: Poly._from_reduced(f.ctx, f.nvars, t) for a, (_, t) in comps}
 
 
 def phi_decompose(f: Poly, lift: FrobeniusLift, e: int) -> dict:
     """Coordinates of f in the free basis {F^e(g) * x^alpha, alpha in [0,p^e)^n}.
 
-    Returns {alpha: g_alpha} with zero components omitted. For a general lift
-    the naive split is corrected iteratively: subtracting the exact lift of
-    the current coordinates leaves a remainder of strictly larger coefficient
-    valuation, so at most m+1 rounds are needed.
-    """
+    Returns {alpha: g_alpha}, alpha ascending, with zero components omitted.
+    The digit split is exact for the standard lift. Otherwise each round
+    splits the remainder's term dict, adds each term c*x^beta of class alpha
+    into g_alpha and subtracts c * F^e(x^beta) * x^alpha, read from the
+    lift's memo, from a copy of the remainder; its valuation rises, so m+1
+    rounds leave nothing. A shifted image of degree 2^31 or more raises
+    ``DegreeLimitError`` before its terms are formed."""
     if e < 0:
         raise ValueError("negative level")
     if f.ctx != lift.ctx or f.nvars != lift.nvars:
         raise ValueError("mixed polynomial rings")
-    q = lift.ctx.p**e
+    ctx, n, q = f.ctx, f.nvars, f.ctx.p**e
     if lift.is_standard:
         return _split_base_q(f, q)
-    acc = {}
-    pending = f
-    rounds = 0
-    while not pending.is_zero():
-        if rounds > lift.ctx.m:
-            raise InvariantError("decomposition failed to converge")
-        rounds += 1
-        step = _split_base_q(pending, q)
-        rebuilt = Poly.zero(f.ctx, f.nvars)
-        for alpha, g in step.items():
-            acc[alpha] = acc.get(alpha, Poly.zero(f.ctx, f.nvars)) + g
-            rebuilt = rebuilt + frobenius_apply(g, lift, e).term_mul(alpha, 1)
-        pending = pending - rebuilt
-    return {alpha: g for alpha, g in sorted(acc.items()) if not g.is_zero()}
+    acc, pending, mod = {}, f.terms, ctx.modulus
+    for _ in range(ctx.m + 1):
+        rest = dict(pending)
+        for alpha, (shift, beta_terms) in _digit_classes(pending, n, q).items():
+            coords = acc.setdefault(alpha, {})
+            for beta, c in beta_terms.items():
+                coords[beta] = coords.get(beta, 0) + c
+                img = lift._power(beta, e)
+                _check_degree(mono_degree(img.leading_monomial() + shift, n))
+                for mono, d in img.terms.items():
+                    key = mono + shift
+                    rest[key] = rest.get(key, 0) - c * d
+        pending = {mono: r for mono, c in rest.items() if (r := c % mod)}
+    if pending:
+        raise InvariantError("decomposition failed to converge")
+    comps = {alpha: Poly._from_terms(ctx, n, acc[alpha]) for alpha in sorted(acc)}
+    return {alpha: g for alpha, g in comps.items() if g.terms}

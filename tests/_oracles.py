@@ -15,7 +15,10 @@ through ``exponent_terms``, on exponent tuples, never the engine's packed
 monomials. The reference product is the schoolbook double loop with
 generator exponent sums and a reduction at every step. The tuple normal
 form and digit split are the engine's own algorithms as they ran on tuples,
-so their results must match exactly. The reference Groebner completion at
+so their results must match exactly. The reference decomposition is the
+engine's earlier correction rounds on whole polynomials, over that digit
+split and the engine's ``frobenius_apply``, so the coordinates must match
+exactly too. The reference Groebner completion at
 the end is the engine's earlier, non-incremental code that
 never retires an element; the engine's minimal bases must generate the same
 ideals and give the same membership verdicts. The reference descent bases
@@ -41,6 +44,7 @@ from itertools import product
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly
 from bsroots.cartier import IdealGens, cartier_generators
+from bsroots.errors import InvariantError
 from bsroots.groebner import strong_groebner
 from bsroots.nu import descent_step, shift_powers
 from bsroots.poly import frobenius_apply
@@ -448,7 +452,7 @@ def membership_bruteforce(J, g, degree_cap):
     products = []
     for f in J.gens:
         for mu in _monomials_upto(nvars, degree_cap):
-            products.append(f.term_mul(mu, 1))
+            products.append(f * Poly.monomial(ctx, nvars, mu))
     products = [q.exponent_terms() for q in products]
     g_terms = g.exponent_terms()
     columns = sorted(
@@ -558,7 +562,7 @@ def normal_form_reference(g, basis):
         else:
             lm, lc, b = hit
             q = divide_exact(ctx, c, lc)
-            work = work - b.term_mul(mono_quot(lm, mono), q)
+            work = work - b * Poly.monomial(ctx, g.nvars, mono_quot(lm, mono), q)
     return Poly(ctx, g.nvars, out)
 
 
@@ -613,6 +617,30 @@ def split_base_q_reference(f, q):
         alpha = tuple(e % q for e in mono)
         comps.setdefault(alpha, {})[tuple(e // q for e in mono)] = c
     return sorted(comps.items())
+
+
+def phi_decompose_reference(f, lift, e):
+    """Coordinates {alpha: g_alpha} of f at level e by the engine's earlier
+    rounds on whole polynomials.
+
+    Each round splits the pending remainder into its digit classes, adds
+    each class g into the coordinate at alpha, and subtracts the sum of the
+    rebuilt F^e(g) * x^alpha; after m+1 rounds nothing may be left.
+    """
+    ctx, n = f.ctx, f.nvars
+    acc = {}
+    pending = f
+    for _ in range(ctx.m + 1):
+        rebuilt = Poly.zero(ctx, n)
+        for alpha, terms in split_base_q_reference(pending, ctx.p**e):
+            g = Poly(ctx, n, terms)
+            acc[alpha] = acc.get(alpha, Poly.zero(ctx, n)) + g
+            shift = Poly.monomial(ctx, n, alpha)
+            rebuilt = rebuilt + frobenius_apply(g, lift, e) * shift
+        pending = pending - rebuilt
+    if not pending.is_zero():
+        raise InvariantError("decomposition failed to converge")
+    return {alpha: g for alpha, g in sorted(acc.items()) if not g.is_zero()}
 
 
 def _s_poly_reference(f, g):

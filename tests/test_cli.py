@@ -348,6 +348,48 @@ def test_every_mode_far_past_degree_2_to_the_31_gives_the_refusal(monkeypatch, m
         run(argv + ["--p=2", "--m=0", "--max-level=30"])
 
 
+@pytest.mark.parametrize("mode", ["roots", "bfunction", "crosscheck", "strength"])
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+def test_counts_past_the_int_to_str_limit_exit_2_before_work(monkeypatch, mode, fmt):
+    """A constant f passes the degree refusal at every level, so the top
+    level's counts are refused by their decimal digits: the chain steps
+    p^(m+1) * (p^top - 1) / (p - 1), at least the window p^(top+m). At
+    p=2, m=0, level 2126 the window has 640 digits and the count 641. The
+    engine is stubbed, so no level is walked."""
+
+    def stub(*args, **kwargs):
+        raise EngineStarted(mode)
+
+    for name in ("detect_roots", "bfunction_report", "crosscheck_mod_p", "strength"):
+        monkeypatch.setattr(f"bsroots.cli.{name}", stub)
+    argv = ["--vars=x", "--poly=1", f"--mode={mode}", "--alpha=-1", f"--format={fmt}"]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        for p, m, last in ((3, 1, 1340), (2, 0, 2125)):
+            ring = [f"--p={p}", f"--m={m}"]
+            with pytest.raises(EngineStarted):
+                run(argv + ring + [f"--max-level={last}"])
+            for level in (last + 1, 10_000, 10**9):
+                code, text = run(argv + ring + [f"--max-level={level}"])
+                message = (
+                    f"level {level} has the window {p}^{level + m}; its counts have "
+                    "more than 640 decimal digits, the limit of "
+                    "sys.get_int_max_str_digits()"
+                )
+                assert code == 2, (p, m, level)
+                if fmt == "structured":
+                    error = {"type": "ConfigError", "message": message}
+                    assert json.loads(text)["error"] == error
+                else:
+                    assert text == f"error: {message}"
+        sys.set_int_max_str_digits(0)  # no limit
+        with pytest.raises(EngineStarted):
+            run(argv + ["--p=3", "--m=1", "--max-level=1000000000"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_nu_mode_over_the_chain_step_budget_exits_2_before_work(monkeypatch):
     # p=2, m=0: levels 1..L walk 2^(L+1) - 2 chain steps, so level 19 is the
     # last within 2^20; the stub level sets keep the accepted run free

@@ -168,7 +168,7 @@ def _ideal_element(rng, J):
     h = Poly.zero(J.ctx, J.nvars)
     for f in J.gens:
         mono = tuple(rng.randint(0, 1) for _ in range(J.nvars))
-        h = h + f.term_mul(mono, rng.randrange(J.ctx.modulus))
+        h = h + f * Poly.monomial(J.ctx, J.nvars, mono, rng.randrange(J.ctx.modulus))
     return h
 
 

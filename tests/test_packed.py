@@ -119,8 +119,10 @@ def test_poly_kernels_match_tuple_oracles(p, m):
         f, g = (_support(rng, ctx, nvars, 4) for _ in range(2))
         # the leading monomial of top, and the products of high and g, reach
         # total degrees up to 2^31 - 1
-        top = f.term_mul(_shift(rng, nvars, TOP - 4), 1)
-        high = f.term_mul(_shift(rng, nvars, TOP - 8), rng.randrange(1, ctx.modulus))
+        top = f * Poly.monomial(ctx, nvars, _shift(rng, nvars, TOP - 4))
+        high = f * Poly.monomial(
+            ctx, nvars, _shift(rng, nvars, TOP - 8), rng.randrange(1, ctx.modulus)
+        )
         for h in (f, g, top, high):
             if not h.is_zero():
                 lm = unpack(h.leading_monomial(), nvars)
@@ -133,11 +135,6 @@ def test_poly_kernels_match_tuple_oracles(p, m):
         for a, b in ((f, g), (high, g), (top, Poly.one(ctx, nvars))):
             want = poly_mul_reference(a, b).terms
             assert (a * b).terms == want and (b * a).terms == want, (a, b)
-            if not b.is_zero():
-                mono, c = _lt(b)
-                assert a.term_mul(mono, c) == poly_mul_reference(
-                    a, Poly.monomial(ctx, nvars, mono, c)
-                )
 
 
 @pytest.mark.parametrize("p,m", RINGS)
@@ -155,21 +152,22 @@ def test_completion_kernels_match_tuple_oracles_at_high_exponents(p, m):
     for _ in range(12):
         nvars = rng.randint(1, 3)
         s = _shift(rng, nvars, TOP - 64)
+        xs = Poly.monomial(ctx, nvars, s)
         gens = [_support(rng, ctx, nvars, 3) * p ** rng.randint(0, m) for _ in range(2)]
         gb = strong_groebner(IdealGens(gens, ctx=ctx, nvars=nvars))
         shifted = strong_groebner(
-            IdealGens([g.term_mul(s, 1) for g in gens], ctx=ctx, nvars=nvars)
+            IdealGens([g * xs for g in gens], ctx=ctx, nvars=nvars)
         )
-        assert shifted.elements == tuple(g.term_mul(s, 1) for g in gb.elements)
+        assert shifted.elements == tuple(g * xs for g in gb.elements)
         for _ in range(4):
             g = _support(rng, ctx, nvars, 5)
-            for h, basis in ((g, gb), (g.term_mul(s, 1), shifted)):
+            for h, basis in ((g, gb), (g * xs, shifted)):
                 got = normal_form(h, basis)
                 assert got == normal_form_tuple_reference(h, basis.elements), (h, basis)
-            shifted_form = normal_form(g.term_mul(s, 1), shifted)
-            assert shifted_form == normal_form(g, gb).term_mul(s, 1)
+            shifted_form = normal_form(g * xs, shifted)
+            assert shifted_form == normal_form(g, gb) * xs
         units = [
-            _normalize_unit_reference(g.term_mul(s, 1)) for g in gens if not g.is_zero()
+            _normalize_unit_reference(g * xs) for g in gens if not g.is_zero()
         ]
         for a in units:
             for b in units:
@@ -223,10 +221,6 @@ def test_degrees_from_2_to_the_31_are_refused():
     with pytest.raises(DegreeLimitError, match=r"2\^31"):
         power * (x + y) ** 2 * power
     assert (power * x ** (2**30 - 1)).exponent_terms() == {(TOP, 0): 1}
-    # term_mul checks the shifted leading monomial
-    assert power.term_mul((2**30 - 1, 0), 1).degree() == TOP
-    with pytest.raises(DegreeLimitError, match=r"2\^31"):
-        power.term_mul((0, 2**30), 1)
     # powers are refused up front, before any squaring
     assert (x ** TOP).exponent_terms() == {(TOP, 0): 1}
     with pytest.raises(DegreeLimitError, match=r"2\^31"):

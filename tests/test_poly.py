@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu_set
+from bsroots.errors import DegreeLimitError, InvariantError
 from bsroots.poly import (
     NEG_INF,
     _split_base_q,
@@ -19,6 +20,7 @@ from _oracles import (
     descent_lifts,
     frobenius_apply_reference,
     grevlex_reference_key,
+    phi_decompose_reference,
     poly_mul_reference,
     random_poly,
 )
@@ -105,11 +107,6 @@ def test_mul_matches_schoolbook_reference(p, m):
         want = poly_mul_reference(f, g).terms
         assert (f * g).terms == want, (f, g)
         assert (g * f).terms == want, (f, g)
-        if not g.is_zero():
-            mono, c = _lead(g)
-            assert f.term_mul(mono, c).terms == poly_mul_reference(
-                f, Poly.monomial(ctx, f.nvars, mono, c)
-            ).terms
 
 
 def test_frozen_decompose_standard():
@@ -166,8 +163,53 @@ def test_decompose_resubstitution_identity(e):
                 for alpha, g in comps.items():
                     assert not g.is_zero()
                     assert all(0 <= t < p**e for t in alpha)
-                    rebuilt = rebuilt + frobenius_apply(g, lift, e).term_mul(alpha, 1)
+                    shift = Poly.monomial(ctx, 2, alpha)
+                    rebuilt = rebuilt + frobenius_apply(g, lift, e) * shift
                 assert rebuilt == f, (p, m, lift.corrections, f)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_decompose_matches_poly_rounds_reference(e):
+    # the lifts of the descent workload, and a correction of degree p + 1,
+    # whose images F^e(x^beta) outgrow p^e * beta
+    rng = random.Random(70 + e)
+    for p, m in RINGS:
+        ctx = ChainRingCtx(p, m)
+        x, y = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)
+        steep = FrobeniusLift(ctx, 2, [x ** (p + 1) + y, None])
+        for lift in descent_lifts(ctx) + [steep]:
+            for _ in range(4):
+                f = random_poly(rng, ctx, 2, 2 * p**e + 2, 5)
+                got = list(phi_decompose(f, lift, e).items())
+                assert got == list(phi_decompose_reference(f, lift, e).items()), f
+
+
+def test_nonstandard_decomposition_refuses_degree_2_to_the_31():
+    # over Z/4 with F(x) = x^2 + 2*x^3, F(x^b) = x^(2b) + 2*x^(2b+1) for an
+    # odd b: x^(2b) takes a second round, whose image is shifted by x
+    x = Poly.variable(Z4, 1, 0)
+    lift = FrobeniusLift(Z4, 1, [x**3])
+    for b in (2**30 - 3, 2**30 - 1):
+        assert frobenius_apply(x**b, lift, 1) == x ** (2 * b) + x ** (2 * b + 1) * 2
+    b = 2**30 - 3  # the shifted image reaches 2^31 - 4
+    want = {(0,): x**b, (1,): x**b * 2}
+    assert phi_decompose(x ** (2 * b), lift, 1) == want
+    assert phi_decompose_reference(x ** (2 * b), lift, 1) == want
+    b = 2**30 - 1  # x^(2^31 - 1) has the shifted image x^(2b+1) * x
+    for decompose in (phi_decompose, phi_decompose_reference):
+        with pytest.raises(DegreeLimitError, match=r"2\^31"):
+            decompose(x ** (2 * b + 1), lift, 1)
+
+
+def test_decompose_stops_after_m_plus_1_rounds():
+    # a memo planted with F(x) = x^2 + x^3, whose correction is no multiple
+    # of p: every round leaves a remainder, x^2 -> 3x^3 -> x^4
+    x = Poly.variable(Z4, 1, 0)
+    lift = FrobeniusLift(Z4, 1, [x])
+    lift._powers[(pack((1,), 1), 1)] = x**2 + x**3
+    for decompose in (phi_decompose, phi_decompose_reference):
+        with pytest.raises(InvariantError, match="failed to converge"):
+            decompose(x**2, lift, 1)
 
 
 def test_decompose_level_zero():
@@ -308,7 +350,7 @@ def _check_cached_leading_terms(rng, ctx, nvars):
         for h in (f, g):
             shift = tuple(rng.randint(0, 2) for _ in range(nvars))
             built += [
-                h.term_mul(shift, rng.randrange(1, mod)),
+                h * Poly.monomial(ctx, nvars, shift, rng.randrange(1, mod)),
                 h.with_ctx(other),
                 frobenius_apply(h, lift, 1),
             ]
@@ -373,7 +415,9 @@ def test_arithmetic_results_are_reduced():
             -f,
             f * g,
             f * rng.randint(-20, 20),
-            f.term_mul((rng.randint(0, 2), rng.randint(0, 2)), rng.randint(-20, 20)),
+            f * Poly.monomial(
+                Z9, 2, (rng.randint(0, 2), rng.randint(0, 2)), rng.randint(-20, 20)
+            ),
             frobenius_apply(f, lift, 1),
             *_split_base_q(f * g, 3).values(),
         ]
@@ -386,5 +430,3 @@ def test_public_entry_points_validate_exponents():
     for bad in ((1,), (1, 0, 0), (1, -1)):
         with pytest.raises(ValueError, match="bad exponent tuple"):
             Poly(Z9, 2, {bad: 1})
-        with pytest.raises(ValueError, match="bad exponent tuple"):
-            F23Y().term_mul(bad, 1)
