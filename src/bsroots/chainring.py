@@ -64,18 +64,3 @@ class ChainRingCtx:
             x //= self.p
             v += 1
         return v
-
-    def unit_part(self, x: int) -> int:
-        """The unit u with x = u * p^val(x); unit_part(0) = 1."""
-        x %= self.modulus
-        if x == 0:
-            return 1
-        while x % self.p == 0:
-            x //= self.p
-        return x
-
-    def invert(self, x: int) -> int:
-        x %= self.modulus
-        if x % self.p == 0:
-            raise ValueError("not a unit")
-        return pow(x, -1, self.modulus)

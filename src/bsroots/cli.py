@@ -16,12 +16,11 @@ Expression grammar (no implicit multiplication):
   base   := int | var | '(' expr ')'
   int    := one or more of the ASCII digits 0-9
 
-Exit codes: 0 success, 2 configuration or parse error (a ``--mode=nu`` run
-over ``NU_CHAIN_STEP_BUDGET`` chain steps, a degree of 2^31 or more in the
-input or in f^(p^(top+m)), the power the top level describes, and counts
-past the int-to-str digit limit included), 3 engine error or crosscheck
-mismatch. Structured output is byte-for-byte deterministic per configuration:
-work counters come from the computed data, never from the clock.
+Exit codes: 0 success, 2 configuration or parse error (a degree of 2^31 or
+more in the input, and a top level at which max(deg f, 1)*p^(top+m) reaches
+2^31, in every mode, included), 3 engine error or crosscheck mismatch.
+Structured output is byte-for-byte deterministic per configuration: work
+counters come from the computed data, never from the clock.
 """
 
 from __future__ import annotations
@@ -45,19 +44,6 @@ from .errors import InvariantError
 from .nu import nu_levels
 from .padic import PAdicRational
 from .poly import EXPONENT_LIMIT, FrobeniusLift, Poly
-
-
-# A --mode=nu run whose windows, the sum of p^(e+m) over the levels up to
-# max_level, exceed this many chain steps is refused up front. The walk
-# steps, per level, at most one candidate per run below and shift, bisects
-# between them so that only the steps locating a run boundary are taken,
-# and completes each distinct step once, so the sum bounds the level, not
-# the work: it stops runaway levels (p=2 to level 40 is 2^41 steps), not
-# slow runs. The p=2 anchor x^3+y^2+x*y with m=2 to level 16, about 2^19
-# chain steps, takes about 0.015 s inside `run` on a 2-vCPU host. A bound
-# on the descent steps themselves is an open item of ROADMAP.md ("A budget
-# that measures cost").
-NU_CHAIN_STEP_BUDGET = 2**20
 
 
 class ExprError(ValueError):
@@ -286,37 +272,20 @@ def _text_roots(doc, lines):
         lines.append("no surviving residues")
 
 
-def _require_nu_budget(ctx, top):
-    # the sum is >= 2^top, so it is formed only below the budget's bit length
-    budget = NU_CHAIN_STEP_BUDGET
-    if top >= budget.bit_length() or _window_sum(ctx, top) > budget:
-        raise ConfigError(
-            f"--mode=nu to level {top} walks more than {budget} "
-            "chain steps (the sum of p^(e+m) over the levels)"
-        )
-
-
 def _require_top_level(ctx, top, f, mode):
-    """Refuse a top level at which f^(p^(top+m)) reaches degree 2^31, or
-    whose chain steps, the largest count a run prints (at least the window
-    p^(top+m), below twice it), pass int-to-str conversion's digit limit (0:
-    none). The walks build smaller powers, f^a for a <= p^m and f^(p^m*k)
-    for k < p; the crosscheck's mod-p run goes to level top+m over m=0. As
-    p^k >= 2^k, p^k is formed for the degree only below k = 31."""
-    deg, k = max(f.degree(), 0), top + ctx.m
-    if deg >= 1 and (k >= 31 or deg * ctx.p**k >= EXPONENT_LIMIT):
+    """Refuse a top level at which max(deg f, 1)*p^(top+m) reaches 2^31.
+
+    The top level describes f^(p^(top+m)); the walks build smaller powers,
+    f^a for a <= p^m and f^(p^m*k) for k < p, and the crosscheck's mod-p run
+    goes to level top+m over m=0. A constant f counts as degree 1, so every
+    count a run prints (at most the chain steps, below twice the window
+    p^(top+m)) stays below 2^32. As p^k >= 2^k, p^k is formed only below
+    k = 31."""
+    deg, k = max(f.degree(), 1), top + ctx.m
+    if k >= 31 or deg * ctx.p**k >= EXPONENT_LIMIT:
         raise ConfigError(
-            f"--mode={mode} to level {top} raises f to total degree "
+            f"--mode={mode} to level {top} has max(deg f, 1)*p^(top+m) = "
             f"{deg}*{ctx.p}^{k}, which reaches 2^31, the limit of packed monomials"
-        )
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # 2^lo <= chain steps < 2^hi, and 2^(3*limit) < 10^limit < 2^(4*limit)
-    lo, hi = k * (ctx.p.bit_length() - 1), k * ctx.p.bit_length() + 1
-    near = limit and hi > 3 * limit
-    if near and (lo > 4 * limit or _window_sum(ctx, top) >= 10**limit):
-        raise ConfigError(
-            f"level {top} has the window {ctx.p}^{k}; its counts have more than "
-            f"{limit} decimal digits, the limit of sys.get_int_max_str_digits()"
         )
 
 
@@ -340,16 +309,15 @@ def run(argv=None):
             raise ConfigError("bounds must be positive")
         if args.max_level is not None and args.max_level < 1:
             raise ConfigError("--max-level must be >= 1")
-        if args.mode == "nu":
-            if args.max_level is None:
-                args.max_level = 2
-            _require_nu_budget(ctx, args.max_level)
-        elif args.mode == "strength" and args.max_level is None:
-            args.max_level = 4
-        top = args.max_level
-        if top is None:
+        if args.max_level is not None:
+            top = args.max_level
+        elif args.mode == "nu":
+            top = 2
+        elif args.mode == "strength":
+            top = 4
+        else:
             top = _default_top_level(ctx.p, ctx.m, args.den_bound, args.num_bound)
-        elif args.mode in ("roots", "bfunction", "crosscheck"):
+        if args.mode in ("roots", "bfunction", "crosscheck"):
             require_reconstruction_bound(ctx, top, args.den_bound, args.num_bound)
         _require_top_level(ctx, top, f, args.mode)
     except (ConfigError, ExprError, ValueError) as exc:
@@ -366,13 +334,13 @@ def run(argv=None):
             if h is not None
         },
         "mode": args.mode,
-        "max_level": args.max_level,
+        "max_level": top,
         "den_bound": args.den_bound,
         "num_bound": args.num_bound,
         "alpha": str(alpha.frac) if alpha is not None else None,
     }
     try:
-        code, doc, lines = _dispatch(args, ctx, names, f, lift, alpha, config)
+        code, doc, lines = _dispatch(args, ctx, f, lift, alpha, config, top)
     except (ValueError, InvariantError) as exc:
         return 3, _render_error(args, exc)
     if args.format == "structured":
@@ -389,10 +357,9 @@ def _render_error(args, exc):
     return f"error: {exc}"
 
 
-def _dispatch(args, ctx, names, f, lift, alpha, config):
+def _dispatch(args, ctx, f, lift, alpha, config, top):
     header = f"p={args.p} m={args.m} f={config['poly']}"
     if args.mode == "nu":
-        top = args.max_level
         sets = nu_levels(f, lift, top)
         windows = _windows(ctx, [s.members for s in sets])
         doc = {
@@ -407,7 +374,7 @@ def _dispatch(args, ctx, names, f, lift, alpha, config):
         return 0, doc, lines
 
     if args.mode == "strength":
-        res = strength(f, lift, alpha, e_stop=args.max_level)
+        res = strength(f, lift, alpha, e_stop=top)
         row = {
             "alpha": str(res.alpha.frac),
             "value": res.value,
@@ -428,14 +395,9 @@ def _dispatch(args, ctx, names, f, lift, alpha, config):
 
     if args.mode in ("roots", "bfunction"):
         if args.mode == "roots":
-            report = detect_roots(
-                f, lift, args.max_level, args.den_bound, args.num_bound
-            )
+            report = detect_roots(f, lift, top, args.den_bound, args.num_bound)
         else:
-            report = bfunction_report(
-                f, lift, args.max_level, args.den_bound, args.num_bound
-            )
-        config["max_level"] = report.verified_to_level
+            report = bfunction_report(f, lift, top, args.den_bound, args.num_bound)
         windows = _windows(ctx, report.tree.survivors[1:])
         doc = {
             "config": config,
@@ -462,10 +424,7 @@ def _dispatch(args, ctx, names, f, lift, alpha, config):
         return 0, doc, lines
 
     # crosscheck
-    result = crosscheck_mod_p(
-        f, lift, args.max_level, args.den_bound, args.num_bound
-    )
-    config["max_level"] = result.report.verified_to_level
+    result = crosscheck_mod_p(f, lift, top, args.den_bound, args.num_bound)
     doc = {
         "config": config,
         "verified_to_level": result.report.verified_to_level,

@@ -230,9 +230,6 @@ class Poly:
         mono = self.leading_monomial()
         return mono, self.terms[mono]
 
-    def leading_coeff(self):
-        return self.terms[self.leading_monomial()]
-
     def has_unit_coeff(self):
         """True iff f is a nonzerodivisor on V[x], i.e. some coefficient is a unit."""
         p = self.ctx.p

@@ -374,7 +374,7 @@ def howell_form(mat: Matrix) -> Matrix:
             v = ctx.val(r[lead])
             q = pivots.get(lead)
             if q is None or ctx.val(q[lead]) > v:
-                u_inv = pow(ctx.unit_part(r[lead]), -1, mod)
+                u_inv = pow(unit_part(ctx, r[lead]), -1, mod)
                 r = [(x * u_inv) % mod for x in r]
                 pivots[lead] = r
                 ann = mod // p**v
@@ -519,10 +519,20 @@ class ReferenceBasis:
 
 
 def _normalize_unit_reference(g):
-    u = g.ctx.unit_part(_lt(g)[1])
+    u = unit_part(g.ctx, _lt(g)[1])
     if u == 1:
         return g
-    return g * g.ctx.invert(u)
+    return g * pow(u, -1, g.ctx.modulus)
+
+
+def unit_part(ctx, x):
+    """The unit u with x = u * p^val(x) in V; unit_part(ctx, 0) = 1."""
+    x %= ctx.modulus
+    if x == 0:
+        return 1
+    while x % ctx.p == 0:
+        x //= ctx.p
+    return x
 
 
 def divide_exact(ctx, a, b):
@@ -538,7 +548,7 @@ def divide_exact(ctx, a, b):
         return None
     if b == 0:
         return 0
-    q = (a * pow(ctx.unit_part(b), -1, ctx.modulus)) % ctx.modulus
+    q = (a * pow(unit_part(ctx, b), -1, ctx.modulus)) % ctx.modulus
     q //= ctx.p**jb
     return q % (ctx.modulus // ctx.p**jb)
 

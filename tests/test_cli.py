@@ -13,7 +13,7 @@ import pytest
 import bsroots
 from bsroots import ChainRingCtx, Poly, detect_roots, FrobeniusLift
 from bsroots.bsr import CrosscheckResult
-from bsroots.cli import NU_CHAIN_STEP_BUDGET, ExprError, parse_poly, run
+from bsroots.cli import ExprError, parse_poly, run
 from bsroots.nu import NuLevelSet
 
 from _oracles import random_poly
@@ -253,8 +253,8 @@ def test_degrees_from_2_to_the_31_exit_2_before_work(monkeypatch):
 
 
 def test_nu_mode_past_degree_2_to_the_31_exits_2_before_work(monkeypatch):
-    # p=2, m=1: level L walks to f^(2^(L+1)), and levels 1..18 take
-    # 2^20 - 4 chain steps, within the budget
+    # p=2, m=1: level L describes f^(2^(L+1)); the stub level sets keep the
+    # accepted run free
     calls = []
 
     def stub(f, lift, top):
@@ -311,7 +311,7 @@ def test_every_mode_past_degree_2_to_the_31_exits_2_before_work(monkeypatch, mod
         assert code == 2, (poly, level)
         error = json.loads(text)["error"]
         assert error["type"] == "ConfigError"
-        assert f"--mode={mode} to level {top} raises f" in error["message"]
+        assert f"--mode={mode} to level {top} has max(deg f, 1)" in error["message"]
         assert "reaches 2^31, the limit of packed monomials" in error["message"]
     for poly, level in (
         ("x^8388607", ["--max-level=8"]),
@@ -324,8 +324,9 @@ def test_every_mode_past_degree_2_to_the_31_exits_2_before_work(monkeypatch, mod
 @pytest.mark.parametrize("mode", ["roots", "bfunction", "crosscheck", "strength"])
 def test_every_mode_far_past_degree_2_to_the_31_gives_the_refusal(monkeypatch, mode):
     """A top level whose power of p has thousands of digits is refused by
-    the degree message, which names deg(f)*p^(top+m) and not its value; from
-    top+m = 31 on a nonconstant f is refused without forming p^(top+m)."""
+    the degree message, which names max(deg f, 1)*p^(top+m) and not its
+    value; from top+m = 31 on every f is refused without forming
+    p^(top+m)."""
 
     def stub(*args, **kwargs):
         raise EngineStarted(mode)
@@ -339,83 +340,90 @@ def test_every_mode_far_past_degree_2_to_the_31_gives_the_refusal(monkeypatch, m
         assert code == 2, (p, m, level)
         assert json.loads(text)["error"] == {
             "type": "ConfigError",
-            "message": f"--mode={mode} to level {level} raises f to total degree "
-                       f"1*{p}^{level + m}, which reaches 2^31, the limit of "
-                       "packed monomials",
+            "message": f"--mode={mode} to level {level} has max(deg f, 1)*"
+                       f"p^(top+m) = 1*{p}^{level + m}, which reaches 2^31, the "
+                       "limit of packed monomials",
         }
     # 1 * 2^30 < 2^31: accepted
     with pytest.raises(EngineStarted):
         run(argv + ["--p=2", "--m=0", "--max-level=30"])
 
 
-@pytest.mark.parametrize("mode", ["roots", "bfunction", "crosscheck", "strength"])
+@pytest.mark.parametrize(
+    "mode", ["nu", "roots", "bfunction", "crosscheck", "strength"]
+)
 @pytest.mark.parametrize("fmt", ["structured", "text"])
-def test_counts_past_the_int_to_str_limit_exit_2_before_work(monkeypatch, mode, fmt):
-    """A constant f passes the degree refusal at every level, so the top
-    level's counts are refused by their decimal digits: the chain steps
-    p^(m+1) * (p^top - 1) / (p - 1), at least the window p^(top+m). At
-    p=2, m=0, level 2126 the window has 640 digits and the count 641. The
-    engine is stubbed, so no level is walked."""
+def test_every_mode_refuses_from_the_same_level(monkeypatch, mode, fmt):
+    """One rule for every mode: max(deg f, 1)*p^(top+m) >= 2^31 exits 2 before
+    any engine call. At m=0 both x and the constant 1 are accepted at level
+    30 and refused at 31 for p=2, and accepted at 19 and refused at 20 for
+    p=3. A constant f at level 10000 gets the same message, naming 3^10001
+    without forming it, also under the lowest non-zero int-to-str digit
+    limit."""
 
     def stub(*args, **kwargs):
         raise EngineStarted(mode)
 
-    for name in ("detect_roots", "bfunction_report", "crosscheck_mod_p", "strength"):
+    for name in ("nu_levels", "detect_roots", "bfunction_report",
+                 "crosscheck_mod_p", "strength"):
         monkeypatch.setattr(f"bsroots.cli.{name}", stub)
-    argv = ["--vars=x", "--poly=1", f"--mode={mode}", "--alpha=-1", f"--format={fmt}"]
+    argv = ["--vars=x", f"--mode={mode}", "--alpha=-1", f"--format={fmt}"]
+
+    def refused(extra, message):
+        code, text = run(argv + extra)
+        assert code == 2, extra
+        if fmt == "structured":
+            error = {"type": "ConfigError", "message": message}
+            assert json.loads(text)["error"] == error
+        else:
+            assert text == f"error: {message}"
+
+    tail = "which reaches 2^31, the limit of packed monomials"
+    # 2^30 < 2^31 and 3^19 < 2^31 < 3^20; at p=3, level 20 is below the
+    # bit-length shortcut, so only counting a constant as degree 1 refuses it
+    for poly, p, last in (("x", 2, 30), ("1", 2, 30), ("x", 3, 19), ("1", 3, 19)):
+        ring = [f"--p={p}", "--m=0", f"--poly={poly}"]
+        with pytest.raises(EngineStarted):
+            run(argv + ring + [f"--max-level={last}"])
+        refused(
+            ring + [f"--max-level={last + 1}"],
+            f"--mode={mode} to level {last + 1} has max(deg f, 1)*p^(top+m) = "
+            f"1*{p}^{last + 1}, {tail}",
+        )
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)
-        for p, m, last in ((3, 1, 1340), (2, 0, 2125)):
-            ring = [f"--p={p}", f"--m={m}"]
-            with pytest.raises(EngineStarted):
-                run(argv + ring + [f"--max-level={last}"])
-            for level in (last + 1, 10_000, 10**9):
-                code, text = run(argv + ring + [f"--max-level={level}"])
-                message = (
-                    f"level {level} has the window {p}^{level + m}; its counts have "
-                    "more than 640 decimal digits, the limit of "
-                    "sys.get_int_max_str_digits()"
-                )
-                assert code == 2, (p, m, level)
-                if fmt == "structured":
-                    error = {"type": "ConfigError", "message": message}
-                    assert json.loads(text)["error"] == error
-                else:
-                    assert text == f"error: {message}"
-        sys.set_int_max_str_digits(0)  # no limit
-        with pytest.raises(EngineStarted):
-            run(argv + ["--p=3", "--m=1", "--max-level=1000000000"])
+        refused(
+            ["--p=3", "--m=1", "--poly=1", "--max-level=10000"],
+            f"--mode={mode} to level 10000 has max(deg f, 1)*p^(top+m) = "
+            f"1*3^10001, {tail}",
+        )
     finally:
         sys.set_int_max_str_digits(limit)
 
 
-def test_nu_mode_over_the_chain_step_budget_exits_2_before_work(monkeypatch):
-    # p=2, m=0: levels 1..L walk 2^(L+1) - 2 chain steps, so level 19 is the
-    # last within 2^20; the stub level sets keep the accepted run free
-    calls = []
-
-    def stub(f, lift, top):
-        calls.append(top)
-        return tuple(
-            NuLevelSet(e=e, window=2**e, members=())
-            for e in range(1, top + 1)
-        )
-
-    monkeypatch.setattr("bsroots.cli.nu_levels", stub)
-    argv = ["--p=2", "--m=0", "--vars=x", "--poly=x", "--mode=nu",
-            "--format=structured"]
-    for level in (10**9, 40, 20):
-        code, text = run(argv + [f"--max-level={level}"])
-        assert code == 2
-        error = json.loads(text)["error"]
-        assert error["type"] == "ConfigError"
-        assert f"more than {NU_CHAIN_STEP_BUDGET} chain steps" in error["message"]
-    assert calls == []
-    code, text = run(argv + ["--max-level=19"])
+@pytest.mark.parametrize(
+    "anchor, top",
+    [
+        (["--p=2", "--vars=x,y", "--poly=x^3+y^2+x*y"], 27),
+        (["--p=3", "--vars=x,y", "--poly=x^2+y^3"], 16),
+        (["--p=2", "--vars=x,y", "--poly=x^3+y^2", "--lift", "x:x*y+y^2",
+          "--lift", "y:x"], 27),
+    ],
+    ids=["p2", "p3", "nonstandard-lift"],
+)
+def test_nu_mode_reaches_the_deepest_level_of_roots_mode(anchor, top):
+    """The anchors at m=2 and the last level the rule accepts (3*2^29 and
+    3*3^18 are below 2^31): ``--mode=nu`` runs the same level walk as
+    ``--mode=roots`` and prints the same level sets."""
+    argv = anchor + ["--m=2", f"--max-level={top}", "--format=structured"]
+    code, nu_text = run(argv + ["--mode=nu"])
     assert code == 0
-    assert json.loads(text)["counters"]["chain_steps"] == 2**20 - 2
-    assert calls == [19]
+    code, roots_text = run(argv + ["--mode=roots"])
+    assert code == 0
+    windows = json.loads(nu_text)["nu_windows"]
+    assert len(windows) == top
+    assert windows == json.loads(roots_text)["nu_windows"]
 
 
 def test_engine_error_exits_3():

@@ -35,7 +35,7 @@ Z27 = ChainRingCtx(3, 2)
 def _assert_minimal(gb):
     """No element's leading term is certified by another's; no duplicates."""
     heads = [
-        (unpack(g.leading_monomial(), gb.nvars), gb.ctx.val(g.leading_coeff()))
+        (unpack(g.leading_monomial(), gb.nvars), gb.ctx.val(g.leading_term()[1]))
         for g in gb.elements
     ]
     assert len(set(gb.elements)) == len(gb.elements), gb
