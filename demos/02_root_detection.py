@@ -1,29 +1,28 @@
 """
-Detecting rational roots from the residue tree
-==============================================
+Detecting rational roots from the level sets
+============================================
 
 A root is a p-adic integer whose truncation mod p^(e+m) lies in every level
-window. The windows are nested by truncation, so the residue tree is the
-level sets themselves, and each residue at the top level has its whole
-truncation chain in them. Those residues are matched against bounded
-fractions; what cannot be matched is reported as unresolved. A matched
-fraction is a root up to the top level only: a deeper level can drop it.
+window. The windows are nested by truncation, so each residue at the top
+level has its whole truncation chain in the level sets below. Those
+residues are matched against bounded fractions; what cannot be matched is
+reported as unresolved. A matched fraction is a root up to the top level
+only: a deeper level can drop it.
 """
 
-from bsroots import ChainRingCtx, FrobeniusLift, Poly, candidate_residues, detect_roots
+from bsroots import ChainRingCtx, FrobeniusLift, Poly, detect_roots
 
 ctx = ChainRingCtx(3, 1)
 f = Poly(ctx, 2, {(2, 0): 1, (0, 1): 3})
 lift = FrobeniusLift.standard(ctx, 2)
 
-# the tree per level: the level set, each member truncating to a member of
-# the level below (the tree checks this nesting)
-tree = candidate_residues(f, lift, 4)
-for e in range(1, 5):
-    print(f"level {e} survivors (mod {3 ** (e + 1)}): {tree.survivors[e]}")
+# the level sets the roots are read from, each member truncating to a member
+# of the level below (every mode checks this nesting)
+report = detect_roots(f, lift, top_level=4, den_bound=10, num_bound=10)
+for level in report.levels:
+    print(f"level {level.e} survivors (mod {level.window}): {level.members}")
 
 # reconstruct bounded fractions from the top-level residues
-report = detect_roots(f, lift, top_level=4, den_bound=10, num_bound=10)
 print("\nroots found:")
 for entry in report.roots:
     print(f"  alpha = {entry.alpha.frac}   residue {entry.residue}"

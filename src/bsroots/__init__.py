@@ -10,7 +10,7 @@ layers underneath (Groebner bases, Cartier descent, p-adic rationals, ...)
 are imported from their modules.
 """
 
-from .bsr import bfunction_report, candidate_residues, detect_roots, strength
+from .bsr import bfunction_report, detect_roots, strength
 from .cfun import (
     LevelFunction,
     bfunction_contains,
@@ -21,7 +21,7 @@ from .cfun import (
 )
 from .chainring import ChainRingCtx
 from .errors import InvariantError
-from .nu import is_nu, nu_set
+from .nu import is_nu, nu_levels, nu_set
 from .poly import FrobeniusLift, Poly
 
 __version__ = "0.1.0"
@@ -33,7 +33,7 @@ __all__ = [
     "FrobeniusLift",
     "is_nu",
     "nu_set",
-    "candidate_residues",
+    "nu_levels",
     "detect_roots",
     "strength",
     "bfunction_report",

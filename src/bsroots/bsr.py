@@ -2,16 +2,13 @@
 
 A candidate root is a p-adically integral rational alpha all of whose
 truncations land in the level sets: truncate_below(alpha, e+m) must be a
-level-e invariant for every e. The level sets are nested by truncation, for
-every lift: at n = a + k*p^(e-1+m), a < p^(e-1+m), the level-e bases at n
-and n+1 are the steps by k of the level-(e-1) bases at a and a+1 (at
-a+1 = p^(e-1+m) the wrap (f^(p^m)), whose step is the basis of
-f^(p^m*(k+1))), so a jump at n forces a jump at a. The residue tree up to a
-chosen level E is therefore the level sets of the run walk
-(``nu.nu_levels``), under the window [0, p^m) at level 0. Residues at level
-E are then lifted back to bounded fractions; when p^(E+m) exceeds twice the
-bound box, at most one fraction fits per residue. A root is such a fraction
-whose truncations lie in the level sets up to E; a deeper level can drop it.
+level-e invariant for every e. The level sets of the run walk
+(``nu.nu_levels``) are nested by truncation, and the walk checks it, so each
+member at a chosen level E has its whole truncation chain in the levels
+below. Members at level E are lifted back to bounded fractions; when
+p^(E+m) exceeds twice the bound box, at most one fraction fits per residue.
+A root is such a fraction whose truncations lie in the level sets up to E; a
+deeper level can drop it.
 
 The strength of a root grades how strongly the jump certifying each
 truncation holds: the least power of p that pushes the coordinates of f^a
@@ -34,21 +31,6 @@ from .poly import FrobeniusLift, Poly
 
 
 @dataclass(frozen=True)
-class ResidueTree:
-    """``survivors[e]``, e = 0..top_level, is the level-e set ([0, p^m) at 0).
-
-    A jump at n = a + k*p^(e-1+m) forces one at a one level down, as equal
-    bases at a and a+1 have equal steps by k (and the wrap's step is the
-    basis at n+1), so each member has its whole truncation chain in them.
-    """
-
-    p: int
-    m: int
-    top_level: int
-    survivors: tuple
-
-
-@dataclass(frozen=True)
 class RootEntry:
     alpha: PAdicRational
     residue: int
@@ -65,7 +47,7 @@ class RootReport:
     num_bound: int
     roots: tuple
     unresolved: tuple
-    tree: ResidueTree
+    levels: tuple  # the nu.NuLevelSet of each level 1..verified_to_level
 
 
 @dataclass(frozen=True)
@@ -97,37 +79,6 @@ def _default_top_level(p: int, m: int, den_bound: int, num_bound: int) -> int:
     return max(3, k + 1 - m)
 
 
-def candidate_residues(
-    f: Poly,
-    lift: FrobeniusLift,
-    top_level: int,
-    descent: DescentContext = None,
-) -> ResidueTree:
-    """The level sets at levels 0..top_level, checked to nest.
-
-    Level 0 is the whole window [0, p^m) and level e the level set walked on
-    ``descent`` (``nu.nu_levels``). A jump at n = a + k*p^(e-1+m) forces one
-    at a one level down (equal bases at a and a+1 have equal steps by k, and
-    the wrap's step is the basis at n+1), so every member has its truncation
-    chain in the level sets. A level set above the cardinality bound, or not
-    nested in the one below, raises ``InvariantError``.
-    """
-    require_nonzerodivisor(f)
-    if top_level < 1:
-        raise ValueError("top level must be >= 1")
-    p, m = f.ctx.p, f.ctx.m
-    card_bound = (m + 1) * math.comb(int(f.degree()) * p**m + f.nvars, f.nvars)
-    survivors = [tuple(range(p**m))]
-    for level in nu_levels(f, lift, top_level, descent):
-        if len(level.members) > card_bound:
-            raise InvariantError("level set exceeded cardinality bound")
-        below = set(survivors[-1])
-        if any(n % (level.window // p) not in below for n in level.members):
-            raise InvariantError("level set not nested in the level below")
-        survivors.append(level.members)
-    return ResidueTree(p=p, m=m, top_level=top_level, survivors=tuple(survivors))
-
-
 def require_reconstruction_bound(
     ctx: ChainRingCtx, top_level: int, den_bound: int, num_bound: int
 ):
@@ -153,16 +104,16 @@ def detect_roots(
     num_bound: int = 100,
     descent: DescentContext = None,
 ) -> RootReport:
-    """Identify bounded rational roots from the residue tree at ``top_level``.
+    """Identify bounded rational roots from the level set at ``top_level``.
 
-    A fraction reconstructed from a residue r is r mod p^(top_level+m), and
-    the level sets are nested (a jump at n forces one at n mod p^(e-1+m), as
-    equal bases have equal steps), so every returned root has its full
-    truncation chain inside the level sets. Residues matching no bounded
-    fraction are reported in ``unresolved``, never promoted or silently
-    dropped. The tree is walked on ``descent`` (``candidate_residues``).
-    ``InvariantError`` is raised when two bounded fractions fit one residue,
-    or when a monic monomial f under the standard lift has a root >= 0.
+    The level sets 1..top_level are walked on ``descent`` (``nu.nu_levels``,
+    which checks that they nest). A fraction reconstructed from a member r
+    of the top level is r mod p^(top_level+m), so every returned root has
+    its full truncation chain inside the level sets. Members matching no
+    bounded fraction are reported in ``unresolved``, never promoted or
+    silently dropped. ``InvariantError`` is raised when two bounded
+    fractions fit one residue, or when a monic monomial f under the standard
+    lift has a root >= 0.
     """
     ctx = f.ctx
     p, m = ctx.p, ctx.m
@@ -172,10 +123,10 @@ def detect_roots(
         top_level = _default_top_level(p, m, den_bound, num_bound)
     require_reconstruction_bound(ctx, top_level, den_bound, num_bound)
     modulus = p ** (top_level + m)
-    tree = candidate_residues(f, lift, top_level, descent)
+    levels = nu_levels(f, lift, top_level, descent)
     roots = []
     unresolved = []
-    for r in tree.survivors[top_level]:
+    for r in levels[-1].members:
         verified = reconstruct(r, modulus, den_bound, num_bound)
         if len(verified) > 1:
             raise InvariantError("reconstruction bound violated")
@@ -195,7 +146,7 @@ def detect_roots(
         num_bound=num_bound,
         roots=tuple(roots),
         unresolved=tuple(sorted(unresolved)),
-        tree=tree,
+        levels=levels,
     )
 
 
@@ -215,9 +166,9 @@ def strength(
     is also the maximum over the coordinates of f^a. The walk runs from
     level 1 to ``e_stop`` along a_e = a_(e-1) + k_e * p^(e-1+m), taking
     both bases as steps from the level below on ``descent`` (a new
-    ``nu.DescentContext`` when None). On the context of a residue tree
-    that reached e_stop, the bases of a root's truncations are steps the
-    tree already completed. The level sequence is nonincreasing; the walk
+    ``nu.DescentContext`` when None). On the context of a level walk that
+    reached e_stop, the bases of a root's truncations are steps the walk
+    already completed. The level sequence is nonincreasing; the walk
     stops early once two consecutive levels agree or the value 0 is
     reached, both of which are final. A ``PAdicRational`` over a prime
     other than the ring's is refused.
@@ -268,9 +219,9 @@ def bfunction_report(
     """Root report with strengths attached: the structured b-function data.
 
     Each strength walks levels 1..min(4, verified_to_level) on the context
-    the residue tree was walked on (``descent``, or a new one), so it
-    shares the tree's completed steps and completes only the few the tree
-    did not take.
+    the level sets were walked on (``descent``, or a new one), so it shares
+    the walk's completed steps and completes only the few the walk did not
+    take.
     """
     descent = descent_context(f, lift, descent)
     report = detect_roots(f, lift, top_level, den_bound, num_bound, descent)

@@ -3,7 +3,7 @@
 Subcommand-free interface driven by --mode:
 
   nu          level sets for e = 1..max_level
-  roots       residue tree walk plus bounded reconstruction
+  roots       level walk plus bounded reconstruction
   strength    the graded value at one alpha
   bfunction   roots with strengths attached
   crosscheck  compare against the reduction mod p
@@ -241,18 +241,16 @@ def _root_entry_doc(entry):
     }
 
 
-def _windows(ctx, levels):
-    """Level windows of the member tuples of levels 1, 2, ... in order: the
-    level sets, in every mode (the residue tree is the level sets)."""
+def _windows(levels):
+    """``nu_windows`` from the ``nu.NuLevelSet`` of each level, in every mode."""
     return [
-        {"e": e, "window": ctx.p ** (e + ctx.m), "members": list(members)}
-        for e, members in enumerate(levels, start=1)
+        {"e": s.e, "window": s.window, "members": list(s.members)} for s in levels
     ]
 
 
-def _window_sum(ctx, top):
-    """Chain steps to level ``top``: the sum of p^(e+m) over e = 1..top."""
-    return ctx.p ** (ctx.m + 1) * (ctx.p**top - 1) // (ctx.p - 1)
+def _counters(levels):
+    """The level count and the chain steps, the sum of the windows."""
+    return {"levels": len(levels), "chain_steps": sum(s.window for s in levels)}
 
 
 def _text_roots(doc, lines):
@@ -340,7 +338,7 @@ def run(argv=None):
         "alpha": str(alpha.frac) if alpha is not None else None,
     }
     try:
-        code, doc, lines = _dispatch(args, ctx, f, lift, alpha, config, top)
+        code, doc, lines = _dispatch(args, f, lift, alpha, config, top)
     except (ValueError, InvariantError) as exc:
         return 3, _render_error(args, exc)
     if args.format == "structured":
@@ -357,16 +355,12 @@ def _render_error(args, exc):
     return f"error: {exc}"
 
 
-def _dispatch(args, ctx, f, lift, alpha, config, top):
+def _dispatch(args, f, lift, alpha, config, top):
     header = f"p={args.p} m={args.m} f={config['poly']}"
     if args.mode == "nu":
-        sets = nu_levels(f, lift, top)
-        windows = _windows(ctx, [s.members for s in sets])
-        doc = {
-            "config": config,
-            "nu_windows": windows,
-            "counters": {"levels": top, "chain_steps": _window_sum(ctx, top)},
-        }
+        levels = nu_levels(f, lift, top)
+        windows = _windows(levels)
+        doc = {"config": config, "nu_windows": windows, "counters": _counters(levels)}
         lines = [header]
         for w in windows:
             members = ", ".join(str(n) for n in w["members"])
@@ -398,17 +392,13 @@ def _dispatch(args, ctx, f, lift, alpha, config, top):
             report = detect_roots(f, lift, top, args.den_bound, args.num_bound)
         else:
             report = bfunction_report(f, lift, top, args.den_bound, args.num_bound)
-        windows = _windows(ctx, report.tree.survivors[1:])
         doc = {
             "config": config,
             "verified_to_level": report.verified_to_level,
-            "nu_windows": windows,
+            "nu_windows": _windows(report.levels),
             "roots": [_root_entry_doc(e) for e in report.roots],
             "unresolved": list(report.unresolved),
-            "counters": {
-                "levels": report.verified_to_level,
-                "chain_steps": _window_sum(ctx, report.verified_to_level),
-            },
+            "counters": _counters(report.levels),
         }
         if args.mode == "bfunction":
             doc["strengths"] = [

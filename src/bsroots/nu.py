@@ -24,7 +24,8 @@ f^n is the completed level-1 descent of f^(p^m*k) times the basis of f^a
 one level down; level 0 is (f^a) itself. At a = 0, k = 1 the shift identity
 gives the end of every window in closed form, the wrap
 I_e(f^(p^(e+m))) = f^(p^m) * I_e(1) = (f^(p^m)). The only powers built are
-f^a, a <= p^m, and the shifts f^(p^m*k), k < p.
+f^a, a <= p^m, and the shifts f^(p^m*k), 0 < k < p, each the first time a
+step by k is completed.
 
 A level is walked by its runs, the maximal stretches of n that share one
 basis, so a run ending at n is the jump n. One step per run one level down
@@ -45,22 +46,31 @@ most p steps per run below, and only the steps that locate a run boundary
 are completed.
 
 A step is completed once per call. Each public entry point makes one
-``DescentContext``, or takes the caller's, and the walk, the residue tree
-read off it and the strengths of its roots (``bsr.strength``) take their
-steps on it. The context keeps every completed step under (basis one level
-down, k): a level-e basis equal to one of level e-1, or a basis a strength
-meets on the tree, costs no second completion. On every anchor the level
-sets stop growing after a few levels; from there on each level steps the
-bases the level below already stepped, and a level whose bases all repeat
-costs no completion, while its window grows by a factor p.
+``DescentContext``, or takes the caller's, and the walk and the strengths of
+its roots (``bsr.strength``) take their steps on it. The context keeps every
+completed step under (basis one level down, k): a level-e basis equal to one
+of level e-1, or a basis of a root's truncation that the walk already
+stepped, costs no second completion. On every anchor the level sets stop
+growing after a few levels; from there on each level steps the bases the
+level below already stepped, and a level whose bases all repeat costs no
+completion, while its window grows by a factor p.
+
+The level sets are nested by truncation, for every lift: at
+n = a + k*p^(e-1+m), a < p^(e-1+m), the level-e bases at n and n+1 are the
+steps by k of the level-(e-1) bases at a and a+1 (at a+1 = p^(e-1+m) the
+wrap, whose step is the basis at n+1), so a jump at n forces a jump at a.
+``nu_levels`` checks that nesting from level 2 up, and the cardinality
+bound at every level, raising ``InvariantError``, also under ``python -O``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .cartier import IdealGens, cartier_generators
+from .errors import InvariantError
 from .groebner import GroebnerBasis, strong_groebner
 from .poly import FrobeniusLift, Poly
 
@@ -104,26 +114,14 @@ def descent_step(below, shift, lift: FrobeniusLift) -> GroebnerBasis:
     return descent_basis(below, lift, 1)
 
 
-def shift_powers(f: Poly):
-    """([f^a for a <= p^m], [None, f^(p^m), f^(2*p^m), ..., f^((p-1)*p^m)]):
-    one shift per digit k < p, as the wrap needs none."""
-    p, m = f.ctx.p, f.ctx.m
-    powers = [Poly.one(f.ctx, f.nvars)]
-    for _ in range(p**m):
-        powers.append(powers[-1] * f)
-    shifts = [None, powers[-1]]
-    while len(shifts) < p:
-        shifts.append(shifts[-1] * powers[-1])
-    return powers, shifts
-
-
 class DescentContext:
     """The descent steps of one (f, lift), each completed once.
 
-    Holds the shifts of ``shift_powers(f)``, the level-0 bases (f^a,),
-    a <= p^m, and the wrap basis, and keeps every completed step for as long
-    as the context lives, under (basis elements one level down, shift index
-    k): a repeated step returns the basis completed the first time. Equal
+    Holds the level-0 bases (f^a,), a <= p^m, the wrap basis and the shifts
+    f^(p^m*k), 0 < k < p, under ``shifts[k]``, each built the first time a
+    step by k is completed. It keeps every completed step for as long as the
+    context lives, under (basis elements one level down, shift index k): a
+    repeated step returns the basis completed the first time. Equal
     completed bases are kept as one tuple. The step from the unit basis at
     k = 0 is known from the start, as I_1((1)) = (1).
     """
@@ -131,8 +129,11 @@ class DescentContext:
     def __init__(self, f: Poly, lift: FrobeniusLift):
         require_nonzerodivisor(f)
         self.f, self.lift = f, lift
-        powers, self.shifts = shift_powers(f)
+        powers = [Poly.one(f.ctx, f.nvars)]
+        for _ in range(f.ctx.p**f.ctx.m):
+            powers.append(powers[-1] * f)
         self.bottom = [(g,) for g in powers]
+        self.shifts = {}  # k -> f^(p^m*k), built on first use
         unit = self.bottom[0]  # I_1((1)) = (1): the unit basis descends to itself
         self._steps = {(unit, 0): unit}  # (elements one level down, k) -> elements
         self._interned = {unit: unit}  # elements -> the one tuple of that value
@@ -153,7 +154,9 @@ class DescentContext:
         key = (elems, k)
         done = self._steps.get(key)
         if done is None:
-            done = descent_step(elems, self.shifts[k], self.lift).elements
+            if k and k not in self.shifts:
+                self.shifts[k] = self.bottom[-1][0] ** k
+            done = descent_step(elems, self.shifts.get(k), self.lift).elements
             done = self._steps[key] = self._interned.setdefault(done, done)
         return done
 
@@ -223,16 +226,26 @@ def nu_levels(
     """The level sets of f at e = 1..top, read off the runs of each level.
 
     A run ending at n, before the next basis starts at n+1, is the jump n.
-    ``descent`` is passed on to ``descent_runs``.
+    ``descent`` is passed on to ``descent_runs``. A level set with more than
+    (m+1)*C(deg f*p^m + nvars, nvars) members, or one whose members do not
+    all truncate into the level set below, raises ``InvariantError``.
     """
     require_nonzerodivisor(f)
     if top < 1:
         raise ValueError("level must be >= 1")
     p, m = f.ctx.p, f.ctx.m
-    return tuple(
-        NuLevelSet(e, p ** (e + m), tuple(n - 1 for n, _ in runs[1:]))
-        for e, runs in descent_runs(f, lift, top, descent)
-    )
+    card_bound = (m + 1) * math.comb(int(f.degree()) * p**m + f.nvars, f.nvars)
+    levels = []
+    for e, runs in descent_runs(f, lift, top, descent):
+        members = tuple(n - 1 for n, _ in runs[1:])
+        if len(members) > card_bound:
+            raise InvariantError("level set exceeded cardinality bound")
+        if levels:
+            below = levels[-1]
+            if not {n % below.window for n in members} <= set(below.members):
+                raise InvariantError("level set not nested in the level below")
+        levels.append(NuLevelSet(e, p ** (e + m), members))
+    return tuple(levels)
 
 
 def is_nu(f: Poly, lift: FrobeniusLift, e: int, n: int) -> bool:

@@ -1,9 +1,8 @@
 """Rational numbers inside Z_p: fractions with denominator prime to p.
 
 These are the candidate roots the detector reconstructs. A value alpha has a
-well defined residue mod p^k for every k (``truncate_below``), a digit
-expansion, and a complementary tail (``truncate_above``) so that
-alpha = truncate_below(k) + p^k * truncate_above(k).
+well defined residue mod p^k for every k (``truncate_below``) and a digit
+expansion.
 
 ``reconstruct`` inverts truncation under size bounds: it lists every bounded
 fraction whose residue matches. When 2 * num_bound * den_bound < modulus the
@@ -74,11 +73,6 @@ class PAdicRational:
             raise ValueError("negative digit count")
         q = self.p**k
         return (self.frac.numerator * pow(self.frac.denominator, -1, q)) % q
-
-    def truncate_above(self, k: int) -> "PAdicRational":
-        """The tail t with value = truncate_below(k) + p^k * t."""
-        low = self.truncate_below(k)
-        return PAdicRational(self.p, (self.frac - low) / self.p**k)
 
     def __eq__(self, other):
         return (

@@ -31,8 +31,8 @@ bases: every level set in full, then the survivors filtered out of it by
 the definition, each truncation a survivor one level down. The engine no
 longer filters, as the level sets nest by truncation; the filter stays as
 the independent check of that, so the tests assert that it keeps every
-member and that the tree gives the same survivors, roots and unresolved
-residues.
+member and that the engine's level sets, roots and unresolved residues
+are the same.
 """
 
 import heapq
@@ -46,7 +46,7 @@ from bsroots import ChainRingCtx, FrobeniusLift, Poly
 from bsroots.cartier import IdealGens, cartier_generators
 from bsroots.errors import InvariantError
 from bsroots.groebner import strong_groebner
-from bsroots.nu import descent_step, shift_powers
+from bsroots.nu import descent_step
 from bsroots.poly import frobenius_apply
 
 
@@ -108,11 +108,13 @@ def descent_walk(f, lift, top):
     One ``nu.descent_step`` for every n, in ascending n: the level-e basis at
     n = a + k*p^(e-1+m), a < p^(e-1+m), comes from the level-(e-1) basis at
     a and the shift f^(p^m*k), and the wrap n = p^(e+m) from the basis at 0
-    and the shift f^(p^(m+1)), which this walk builds itself.
+    and the shift f^(p^(m+1)). The walk builds every power it uses.
     """
     p, m = f.ctx.p, f.ctx.m
-    powers, shifts = shift_powers(f)
-    shifts.append(powers[-1] ** p)
+    powers = [Poly.one(f.ctx, f.nvars)]
+    for _ in range(p**m):
+        powers.append(powers[-1] * f)
+    shifts = [None] + [powers[-1] ** k for k in range(1, p + 1)]
     below = [(g,) for g in powers[:-1]]
     for e in range(1, top + 1):
         step = p ** (e - 1 + m)

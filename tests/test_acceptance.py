@@ -12,8 +12,8 @@ from bsroots import (
     ChainRingCtx,
     FrobeniusLift,
     Poly,
-    candidate_residues,
     detect_roots,
+    nu_levels,
     nu_set,
     strength,
 )
@@ -45,9 +45,9 @@ def test_criterion_1_running_example_levels_and_roots():
     started = time.monotonic()
     f, lift = _setup(3, 1, {(2, 0): 1, (0, 1): 3}, 2)
 
-    tree = candidate_residues(f, lift, 3)
+    levels = nu_levels(f, lift, 3)
     level2 = {4, 5, 8, 13, 14, 17, 22, 23, 26}
-    assert set(tree.survivors[2]) == level2
+    assert set(levels[1].members) == level2
     assert set(nu_set(f, lift, 2).members) == level2
 
     window = 3 ** (3 + 1)
@@ -63,7 +63,7 @@ def test_criterion_1_running_example_levels_and_roots():
         formula.add((k * step + 1) // 2)
         k += 2
     formula = {n for n in formula if n < window}
-    assert set(tree.survivors[3]) == formula
+    assert set(levels[2].members) == formula
     assert set(nu_set(f, lift, 3).members) == formula
 
     report = detect_roots(f, lift, top_level=4, den_bound=10, num_bound=10)
@@ -93,7 +93,7 @@ def test_criterion_3_lift_dependence_of_levels_but_not_roots():
     F2 = FrobeniusLift(ctx, 2, [x * y + y * y, None])
 
     for g, lift, members in ((x, F1, (1, 3)), (x + y, F1, (1, 2, 3)), (x, F2, (1, 2, 3))):
-        assert candidate_residues(g, lift, 1).survivors[1] == members
+        assert nu_levels(g, lift, 1)[0].members == members
         assert nu_set(g, lift, 1).members == members
 
     r1 = detect_roots(x, F1, top_level=7, den_bound=10, num_bound=10)

@@ -17,8 +17,8 @@ from bsroots import (
     FrobeniusLift,
     Poly,
     bfunction_report,
-    candidate_residues,
     detect_roots,
+    nu_levels,
     nu_set,
     strength,
 )
@@ -51,17 +51,17 @@ def running_example_report():
 
 def test_running_example_level_sets(running_example_report):
     f, lift, rep = running_example_report
-    tree = rep.tree
-    assert tree.survivors[0] == (0, 1, 2)
+    levels = rep.levels
+    assert [(s.e, s.window) for s in levels] == [(1, 9), (2, 27), (3, 81), (4, 243)]
     frozen = {
         1: (1, 2, 4, 5, 7, 8),
         2: (4, 5, 8, 13, 14, 17, 22, 23, 26),
         3: (13, 14, 26, 40, 41, 53, 67, 68, 80),
     }
     for e, members in frozen.items():
-        assert tree.survivors[e] == members
+        assert levels[e - 1].members == members
         assert nu_set(f, lift, e).members == members
-    assert tree.survivors[4] == (40, 41, 80, 121, 122, 161, 202, 203, 242)
+    assert levels[3].members == (40, 41, 80, 121, 122, 161, 202, 203, 242)
 
 
 def test_running_example_roots_and_strengths(running_example_report):
@@ -96,22 +96,22 @@ def test_monomial_over_z4():
     assert [(str(e.alpha.frac), e.residue) for e in rep.roots] == [("-1", 255)]
     # the second all-ones branch survives but fits no bounded fraction
     assert rep.unresolved == (127,)
-    assert rep.tree.survivors[7] == (127, 255)
+    assert rep.levels[6].members == (127, 255)
 
 
 def test_survivor_shape_for_single_variable():
     # m=0: exactly one survivor per level, the all-(p-1) residue
     for p in (2, 3):
         f, lift = _setup(p, 0, {(1,): 1}, 1)
-        tree = candidate_residues(f, lift, 5)
+        levels = nu_levels(f, lift, 5)
         for e in range(1, 6):
-            assert tree.survivors[e] == (p**e - 1,)
+            assert levels[e - 1].members == (p**e - 1,)
     # m=1: survival only pins the low e digits, leaving p^m branches
     f, lift = _setup(2, 1, {(1,): 1}, 1)
-    tree = candidate_residues(f, lift, 4)
+    levels = nu_levels(f, lift, 4)
     for e in range(1, 5):
         expected = tuple(r for r in range(2 ** (e + 1)) if (r + 1) % 2**e == 0)
-        assert tree.survivors[e] == expected
+        assert levels[e - 1].members == expected
 
 
 def test_lift_changes_levels_but_not_roots():
@@ -121,12 +121,12 @@ def test_lift_changes_levels_but_not_roots():
     std = FrobeniusLift.standard(ctx, 2)
     bent = FrobeniusLift(ctx, 2, [x * y + y * y, None])
     assert bent.image(0).exponent_terms() == {(2, 0): 1, (1, 1): 2, (0, 2): 2}
-    assert candidate_residues(x, std, 1).survivors[1] == (1, 3)
-    assert nu_set(x, std, 1).members == (1, 3)
-    assert candidate_residues(x, bent, 1).survivors[1] == (1, 2, 3)
-    assert nu_set(x, bent, 1).members == (1, 2, 3)
     r_std = detect_roots(x, std, top_level=7, den_bound=10, num_bound=10)
     r_bent = detect_roots(x, bent, top_level=7, den_bound=10, num_bound=10)
+    assert r_std.levels[0].members == (1, 3)
+    assert nu_set(x, std, 1).members == (1, 3)
+    assert r_bent.levels[0].members == (1, 2, 3)
+    assert nu_set(x, bent, 1).members == (1, 2, 3)
     assert [e.alpha.frac for e in r_std.roots] == [e.alpha.frac for e in r_bent.roots]
 
 
@@ -151,8 +151,8 @@ def test_reconstruction_guard_and_bounds():
         detect_roots(f, lift, top_level=3, den_bound=10, num_bound=10)
     with pytest.raises(ValueError, match="bounds"):
         detect_roots(f, lift, top_level=7, den_bound=0, num_bound=10)
-    with pytest.raises(ValueError, match="top level"):
-        candidate_residues(f, lift, 0)
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        nu_levels(f, lift, 0)
 
 
 def test_reconstruction_bound_refuses_exactly_the_ambiguous_levels():
@@ -196,7 +196,7 @@ def test_binomial_strength_over_z4():
     assert [(str(e.alpha.frac), e.strength, e.stabilized) for e in rep.roots] == [
         ("-1", 2, True)
     ]
-    assert rep.tree.survivors[2] == (3, 7)
+    assert rep.levels[1].members == (3, 7)
     assert nu_set(f, lift, 2).members == (3, 7)
 
 
@@ -258,7 +258,7 @@ REPORT_CASES = {
 
 @pytest.mark.parametrize("case", list(REPORT_CASES))
 def test_report_strengths_match_standalone_strength(case):
-    """Strengths on the tree's context equal strengths on a fresh one."""
+    """Strengths on the level walk's context equal strengths on a fresh one."""
     (f, lift), top = REPORT_CASES[case]
     rep = bfunction_report(f, lift, top, 10, 10)
     e_stop = min(4, rep.verified_to_level)
@@ -272,8 +272,9 @@ def test_report_strengths_match_standalone_strength(case):
 
 
 def test_report_strengths_complete_only_what_the_tree_did_not(monkeypatch):
-    """On the README example the tree completes 29 steps, and its three
-    strengths add the 2 it did not take; on fresh contexts they complete 12."""
+    """On the README example the level walk completes 29 steps, and its
+    three strengths add the 2 it did not take; on fresh contexts they
+    complete 12."""
     (f, lift), top = REPORT_CASES["readme"]
     completed = 0
     complete = nu.descent_step
@@ -304,7 +305,7 @@ def test_context_refused_for_another_pair():
         with pytest.raises(ValueError, match="made for another f or lift"):
             strength(h, lift_h, Fraction(-1), 4, descent)
         with pytest.raises(ValueError, match="made for another f or lift"):
-            candidate_residues(h, lift_h, top, descent)
+            nu_levels(h, lift_h, top, descent)
         with pytest.raises(ValueError, match="made for another f or lift"):
             bfunction_report(h, lift_h, top, 10, 10, descent)
 
@@ -351,7 +352,8 @@ def _assert_matches_full_walk(f, lift, top, den_bound, num_bound):
     rep = detect_roots(f, lift, top, den_bound, num_bound)
     level_sets, survivors = residue_tree_reference(f, lift, top)
     assert level_sets == survivors, (f.terms, lift.corrections)
-    assert rep.tree.survivors == survivors, (f.terms, lift.corrections)
+    members = tuple(s.members for s in rep.levels)
+    assert members == survivors[1:], (f.terms, lift.corrections)
     roots, unresolved = roots_reference(f, lift, top, den_bound, num_bound)
     assert [(e.alpha.frac, e.residue) for e in rep.roots] == roots
     assert rep.unresolved == unresolved
@@ -445,10 +447,10 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
     # jump need not force one at its truncation one level down, and the
     # last n of a window is a jump at some levels and not at others. The run
     # walk must match the per-n walk through the same stub. Where the per-n
-    # level sets nest by truncation, the tree must be them; where they do
-    # not, the tree's nesting check must refuse them.
-    # x^4 in three variables only raises the tree's cardinality bound above
-    # the synthetic level sets.
+    # level sets nest by truncation, nu_levels must give them; where they do
+    # not, its nesting check must refuse them.
+    # x^4 in three variables only raises the cardinality bound of nu_levels
+    # above the synthetic level sets.
     d, nvars, top = 4, 3, 4
     ctx = ChainRingCtx(p, m)
     f = Poly.variable(ctx, nvars, 0) ** d
@@ -488,17 +490,19 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
                 last_jumps += 1
             else:
                 last_flat += 1
-        assert [s.members for s in nu.nu_levels(f, lift, top)] == level_sets[1:], seed
+        by_level = nu.descent_runs(f, lift, top)
+        walked = [tuple(n - 1 for n, _ in runs[1:]) for _, runs in by_level]
+        assert walked == level_sets[1:], seed
         if all(
             n % p ** (e - 1 + m) in level_sets[e - 1]
             for e in range(1, top + 1)
             for n in level_sets[e]
         ):
             nested += 1
-            assert candidate_residues(f, lift, top).survivors == tuple(level_sets), seed
+            assert [s.members for s in nu.nu_levels(f, lift, top)] == level_sets[1:], seed
         else:
             unnested += 1
             with pytest.raises(InvariantError) as caught:
-                candidate_residues(f, lift, top)
+                nu.nu_levels(f, lift, top)
             assert str(caught.value) == "level set not nested in the level below", seed
     assert nested and unnested and last_jumps and last_flat

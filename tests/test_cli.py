@@ -560,8 +560,8 @@ def test_module_entry_points(module):
     assert "RuntimeWarning" not in out.stderr, out.stderr
 
 
-def _roots_under_optimize(stub):
-    """The finished child running ``--mode=roots`` on x over Z/4 to level 3
+def _run_under_optimize(stub, mode):
+    """The finished child running ``--mode=<mode>`` on x over Z/4 to level 3
     under -O, after the ``stub`` source replaced an engine seam; under -O a
     bare assert would be stripped and the run would pass."""
     child = f"""
@@ -574,7 +574,7 @@ code, text = run(sys.argv[1:])
 print(text)
 sys.exit(code)
 """
-    argv = ["--p=2", "--m=1", "--vars=x", "--poly=x", "--mode=roots", "--max-level=3",
+    argv = ["--p=2", "--m=1", "--vars=x", "--poly=x", f"--mode={mode}", "--max-level=3",
             "--den-bound=1", "--num-bound=1", "--format=structured"]
     out = subprocess.run([sys.executable, "-O", "-c", child] + argv,
                          capture_output=True, text=True, env=_child_env(),
@@ -586,7 +586,7 @@ def test_invariant_failure_exits_3_under_optimize():
     # the child replaces every descent basis by a fresh power of the first
     # variable, unequal to every other, so nearly every candidate jumps:
     # level 1 is (0, 1, 2) and level 2 is 0..5, whose 3 does not truncate
-    # to a member of level 1, so the nesting check fires
+    # to a member of level 1, so the nesting check fires, in nu mode too
     stub = """
 import itertools
 from types import SimpleNamespace
@@ -597,27 +597,30 @@ def fresh_basis(gens, lift, e):
     return SimpleNamespace(elements=(x ** next(fresh),))
 nu.descent_basis = fresh_basis
 """
-    out = _roots_under_optimize(stub)
-    assert out.returncode == 3, out.stderr
-    error = json.loads(out.stdout)["error"]
-    assert error == {"type": "InvariantError",
-                     "message": "level set not nested in the level below"}
+    for mode in ("roots", "nu"):
+        out = _run_under_optimize(stub, mode)
+        assert out.returncode == 3, (mode, out.stderr)
+        error = json.loads(out.stdout)["error"]
+        assert error == {"type": "InvariantError",
+                         "message": "level set not nested in the level below"}, mode
 
 
 def test_cardinality_bound_exits_3_under_optimize():
-    # the child replaces the level sets by full windows, nested but above
-    # the bound (m+1)*C(deg(f)*p^m + 1, 1) = 6 of x over Z/4 from level 2 on
+    # the child replaces the runs of each level by one run per n, so every
+    # level set is its full window, nested but above the bound
+    # (m+1)*C(deg(f)*p^m + 1, 1) = 6 of x over Z/4 from level 2 on, in nu
+    # mode too
     stub = """
-from bsroots import bsr
-from bsroots.nu import NuLevelSet
+from bsroots import nu
 def full_windows(f, lift, top, descent=None):
     p, m = f.ctx.p, f.ctx.m
-    return tuple(NuLevelSet(e, p ** (e + m), tuple(range(p ** (e + m))))
-                 for e in range(1, top + 1))
-bsr.nu_levels = full_windows
+    for e in range(1, top + 1):
+        yield e, [(n, None) for n in range(p ** (e + m) + 1)]
+nu.descent_runs = full_windows
 """
-    out = _roots_under_optimize(stub)
-    assert out.returncode == 3, out.stderr
-    error = json.loads(out.stdout)["error"]
-    assert error == {"type": "InvariantError",
-                     "message": "level set exceeded cardinality bound"}
+    for mode in ("roots", "nu"):
+        out = _run_under_optimize(stub, mode)
+        assert out.returncode == 3, (mode, out.stderr)
+        error = json.loads(out.stdout)["error"]
+        assert error == {"type": "InvariantError",
+                         "message": "level set exceeded cardinality bound"}, mode

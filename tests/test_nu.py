@@ -323,6 +323,21 @@ def test_context_refuses_another_f_or_lift():
     assert nu_levels(*same, 2, descent) == nu_levels(f, std, 2)
 
 
+def test_context_builds_only_the_shifts_its_steps_use():
+    """At p=101 the walk of x over Z/101 to level 2 completes steps by a
+    few shift indices k only, so the context builds those shifts f^(p^m*k)
+    and not all 100."""
+    ctx = ChainRingCtx(101, 0)
+    x = Poly.variable(ctx, 1, 0)
+    lift = FrobeniusLift.standard(ctx, 1)
+    descent = nu.DescentContext(x, lift)
+    assert descent.shifts == {}
+    assert nu_levels(x, lift, 2, descent) == nu_levels(x, lift, 2)
+    assert 0 < len(descent.shifts) < 10
+    for k, shift in descent.shifts.items():
+        assert 0 < k < 101 and shift == x**k
+
+
 def test_frozen_windows_of_the_anchors_at_depth():
     """Level 12 of the p=2 anchor and level 5 of the p=3 anchor, as the
     per-n walk gave them."""
