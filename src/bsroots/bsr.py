@@ -26,8 +26,12 @@ from .chainring import ChainRingCtx
 from .errors import InvariantError
 from .groebner import GroebnerBasis, min_p_power_in
 from .nu import DescentContext, descent_context, nu_levels, require_nonzerodivisor
-from .padic import PAdicRational, fraction_val, reconstruct
+from .padic import PAdicRational, reconstruct
 from .poly import FrobeniusLift, Poly
+
+# the levels a strength walks unless told otherwise: the CLI's strength mode
+# and the strengths of a b-function report stop here
+STRENGTH_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -122,12 +126,11 @@ def detect_roots(
     if top_level is None:
         top_level = _default_top_level(p, m, den_bound, num_bound)
     require_reconstruction_bound(ctx, top_level, den_bound, num_bound)
-    modulus = p ** (top_level + m)
     levels = nu_levels(f, lift, top_level, descent)
     roots = []
     unresolved = []
     for r in levels[-1].members:
-        verified = reconstruct(r, modulus, den_bound, num_bound)
+        verified = reconstruct(r, p, top_level + m, den_bound, num_bound)
         if len(verified) > 1:
             raise InvariantError("reconstruction bound violated")
         if verified:
@@ -154,7 +157,7 @@ def strength(
     f: Poly,
     lift: FrobeniusLift,
     alpha,
-    e_stop: int = 4,
+    e_stop: int = STRENGTH_LEVELS,
     descent: DescentContext = None,
 ) -> StrengthResult:
     """Largest p-power gap left by the descent of f^a, a the truncation.
@@ -218,14 +221,14 @@ def bfunction_report(
 ) -> RootReport:
     """Root report with strengths attached: the structured b-function data.
 
-    Each strength walks levels 1..min(4, verified_to_level) on the context
-    the level sets were walked on (``descent``, or a new one), so it shares
-    the walk's completed steps and completes only the few the walk did not
-    take.
+    Each strength walks levels 1..min(STRENGTH_LEVELS, verified_to_level)
+    on the context the level sets were walked on (``descent``, or a new
+    one), so it shares the walk's completed steps and completes only the
+    few the walk did not take.
     """
     descent = descent_context(f, lift, descent)
     report = detect_roots(f, lift, top_level, den_bound, num_bound, descent)
-    e_stop = min(4, report.verified_to_level)
+    e_stop = min(STRENGTH_LEVELS, report.verified_to_level)
     graded = []
     for entry in report.roots:
         res = strength(f, lift, entry.alpha, e_stop, descent)
@@ -249,20 +252,23 @@ def crosscheck_mod_p(
     Checks: the negative roots agree exactly with the mod-p roots, every
     positive root is an integer translate of a negative one, and the two
     root sets agree modulo Z. Failures come back as structured mismatch
-    strings, not exceptions. The report over V walks a new
-    ``nu.DescentContext``. The mod-p report shares it when f mod p is f under
-    the same lift (m = 0 and the standard lift), as its steps are then the
-    same descents; otherwise it makes its own.
+    strings, not exceptions. At m = 0 under the standard lift, f mod p is f
+    under the same lift, at the same level and bounds, so the mod-p report is
+    the report over V. Otherwise the mod-p report walks a
+    ``nu.DescentContext`` of its own, to level verified_to_level + m.
     """
-    descent = DescentContext(f, lift)
-    report = bfunction_report(f, lift, top_level, den_bound, num_bound, descent)
-    ctx0 = ChainRingCtx(f.ctx.p, 0)
-    f0 = f.with_ctx(ctx0)
-    lift0 = FrobeniusLift.standard(ctx0, f.nvars)
-    shared = descent if (f0, lift0) == (f, lift) else None
-    report0 = bfunction_report(
-        f0, lift0, report.verified_to_level + f.ctx.m, den_bound, num_bound, shared
-    )
+    report = bfunction_report(f, lift, top_level, den_bound, num_bound)
+    if f.ctx.m == 0 and lift.is_standard:
+        report0 = report
+    else:
+        ctx0 = ChainRingCtx(f.ctx.p, 0)
+        report0 = bfunction_report(
+            f.with_ctx(ctx0),
+            FrobeniusLift.standard(ctx0, f.nvars),
+            report.verified_to_level + f.ctx.m,
+            den_bound,
+            num_bound,
+        )
     mismatches = []
     ours = {entry.alpha.frac for entry in report.roots}
     negatives = {a for a in ours if a < 0}
@@ -279,61 +285,3 @@ def crosscheck_mod_p(
     return CrosscheckResult(
         report=report, report_mod_p=report0, mismatches=tuple(mismatches)
     )
-
-
-@dataclass(frozen=True)
-class StrengthVsBRow:
-    m: int
-    alpha: PAdicRational
-    strength: int
-    stabilized: bool
-    b_valuation: float
-    satisfies_bound: bool
-    nondecreasing_in_m: bool
-
-
-def strength_vs_bsato(
-    f: Poly,
-    lift: FrobeniusLift,
-    b_values,
-    m_range,
-    e_stop: int = 4,
-):
-    """Compare strengths against the p-adic size of classical root data.
-
-    ``b_values`` pairs each alpha with the value of a classical polynomial
-    invariant at alpha; the comparison is val_p(value) >= strength, with
-    val_p(0) = +inf. ``f`` acts as an integer template re-read over each
-    Z/p^(m+1); rows also track that strengths never decrease as m grows.
-    The alphas of one m share one ``nu.DescentContext``.
-    """
-    p = f.ctx.p
-    rows = []
-    previous = {}
-    for m in sorted(m_range):
-        ctx_m = ChainRingCtx(p, m)
-        f_m = f.with_ctx(ctx_m)
-        lift_m = FrobeniusLift(
-            ctx_m,
-            f.nvars,
-            [None if h is None else h.with_ctx(ctx_m) for h in lift.corrections],
-        )
-        descent = DescentContext(f_m, lift_m)
-        for alpha_in, b_value in b_values:
-            alpha = PAdicRational(p, alpha_in)
-            res = strength(f_m, lift_m, alpha, e_stop, descent)
-            b_val = fraction_val(p, b_value)
-            prev = previous.get(alpha.frac)
-            rows.append(
-                StrengthVsBRow(
-                    m=m,
-                    alpha=alpha,
-                    strength=res.value,
-                    stabilized=res.stabilized,
-                    b_valuation=b_val,
-                    satisfies_bound=b_val >= res.value,
-                    nondecreasing_in_m=prev is None or res.value >= prev,
-                )
-            )
-            previous[alpha.frac] = res.value
-    return rows

@@ -54,17 +54,6 @@ class IdealGens:
             kept.append(g)
         self.gens = tuple(kept)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IdealGens)
-            and other.ctx == self.ctx
-            and other.nvars == self.nvars
-            and other.gens == self.gens
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.nvars, self.gens))
-
     def __repr__(self):
         return f"IdealGens({list(self.gens)!r})"
 

@@ -32,6 +32,7 @@ import sys
 from fractions import Fraction
 
 from .bsr import (
+    STRENGTH_LEVELS,
     _default_top_level,
     bfunction_report,
     crosscheck_mod_p,
@@ -312,7 +313,7 @@ def run(argv=None):
         elif args.mode == "nu":
             top = 2
         elif args.mode == "strength":
-            top = 4
+            top = STRENGTH_LEVELS
         else:
             top = _default_top_level(ctx.p, ctx.m, args.den_bound, args.num_bound)
         if args.mode in ("roots", "bfunction", "crosscheck"):

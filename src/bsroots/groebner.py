@@ -135,9 +135,6 @@ class GroebnerBasis:
             and other.elements == self.elements
         )
 
-    def __hash__(self):
-        return hash((self.ctx, self.nvars, self.elements))
-
     def __repr__(self):
         return f"GroebnerBasis({list(self.elements)!r})"
 

@@ -5,32 +5,15 @@ well defined residue mod p^k for every k (``truncate_below``) and a digit
 expansion.
 
 ``reconstruct`` inverts truncation under size bounds: it lists every bounded
-fraction whose residue matches. When 2 * num_bound * den_bound < modulus the
-answer has at most one element, which is what makes root identification from
-a single residue sound.
+fraction whose residue mod p^k matches. When 2 * num_bound * den_bound < p^k
+the answer has at most one element, which is what makes root identification
+from a single residue sound.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .chainring import smallest_prime_factor
-
-
-def prime_power_base(modulus: int) -> tuple[int, int]:
-    """(p, k) with modulus = p^k; raises for non prime powers."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    n = modulus
-    p = smallest_prime_factor(n)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
-        raise ValueError(f"{modulus} is not a prime power")
-    return p, k
 
 
 class PAdicRational:
@@ -94,37 +77,20 @@ class PAdicRational:
         return str(self.frac)
 
 
-def fraction_val(p: int, x) -> float:
-    """p-adic valuation of a Fraction or int; +inf for zero."""
-    x = Fraction(x)
-    if x == 0:
-        return math.inf
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
-def reconstruct(residue: int, modulus: int, den_bound: int, num_bound: int):
+def reconstruct(residue: int, p: int, k: int, den_bound: int, num_bound: int):
     """All u/v in lowest terms with p not dividing v, 0 < v <= den_bound,
-    |u| <= num_bound and u = residue * v mod modulus; sorted by (v, u)."""
-    p, _ = prime_power_base(modulus)
+    |u| <= num_bound and u = residue * v mod p^k; sorted by (v, u)."""
+    modulus = p**k
     residue %= modulus
     found = []
     for v in range(1, den_bound + 1):
         if v % p == 0:
             continue
         target = (residue * v) % modulus
-        k_lo = -((num_bound + target) // modulus)
-        k_hi = (num_bound - target) // modulus
-        for k in range(k_lo, k_hi + 1):
-            u = target + k * modulus
+        j_lo = -((num_bound + target) // modulus)
+        j_hi = (num_bound - target) // modulus
+        for j in range(j_lo, j_hi + 1):
+            u = target + j * modulus
             if abs(u) > num_bound:
                 continue
             if math.gcd(u, v) != 1:

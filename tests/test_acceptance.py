@@ -17,7 +17,7 @@ from bsroots import (
     nu_set,
     strength,
 )
-from bsroots.bsr import crosscheck_mod_p, strength_vs_bsato
+from bsroots.bsr import crosscheck_mod_p
 from bsroots.cartier import IdealGens
 from bsroots.groebner import strong_groebner
 
@@ -25,6 +25,7 @@ from _oracles import (
     Matrix,
     exhaustive_span,
     howell_form,
+    int_val,
     membership_bruteforce,
     monomial_root_set,
     random_poly,
@@ -218,25 +219,29 @@ def test_criterion_7_monomial_closed_forms():
 
 
 def test_criterion_8_strength_against_classical_b():
-    ctx = ChainRingCtx(3, 0)
-    x = Poly.variable(ctx, 1, 0)
-    lift = FrobeniusLift.standard(ctx, 1)
-
-    def b_x(s):
-        return s + 1
-
-    def b_x2(s):
-        return (s + 1) * (s + Fraction(1, 2))
-
-    points_x = [Fraction(-1), Fraction(-2), Fraction(0)]
-    points_x2 = [Fraction(-1), Fraction(-1, 2), Fraction(-2), Fraction(1, 2)]
-    rows = strength_vs_bsato(
-        x, lift, [(a, b_x(a)) for a in points_x], m_range=(0, 1, 2)
-    )
-    rows += strength_vs_bsato(
-        x * x, lift, [(a, b_x2(a)) for a in points_x2], m_range=(0, 1, 2)
-    )
-    assert len(rows) == 21
-    violations = [r for r in rows if not (r.satisfies_bound and r.nondecreasing_in_m)]
-    assert not violations, violations
-    _passed(8, f"val_p(b(alpha)) >= strength and monotone in m on {len(rows)} rows")
+    # b(s) = s + 1 for x and (s + 1)(s + 1/2) for x^2, over Z/3^(m+1)
+    cases = [
+        ({(1,): 1}, lambda s: s + 1, [Fraction(-1), Fraction(-2), Fraction(0)]),
+        (
+            {(2,): 1},
+            lambda s: (s + 1) * (s + Fraction(1, 2)),
+            [Fraction(-1), Fraction(-1, 2), Fraction(-2), Fraction(1, 2)],
+        ),
+    ]
+    rows = 0
+    for terms, b, points in cases:
+        previous = {}
+        for m in (0, 1, 2):
+            f, lift = _setup(3, m, terms, 1)
+            for alpha in points:
+                value = strength(f, lift, alpha).value
+                b_alpha = b(alpha)
+                assert b_alpha.denominator % 3 != 0
+                # val_3(b(alpha)) >= value; int_val caps at value, and
+                # b(alpha) = 0 reads as the cap
+                assert int_val(3, b_alpha.numerator, value) >= value, (m, alpha)
+                assert value >= previous.get(alpha, 0), (m, alpha)
+                previous[alpha] = value
+                rows += 1
+    assert rows == 21
+    _passed(8, f"val_p(b(alpha)) >= strength and monotone in m on {rows} rows")

@@ -23,7 +23,7 @@ from bsroots import (
     strength,
 )
 from bsroots import bsr, nu
-from bsroots.bsr import _default_top_level, crosscheck_mod_p, strength_vs_bsato
+from bsroots.bsr import _default_top_level, crosscheck_mod_p
 from bsroots.errors import InvariantError
 from bsroots.padic import PAdicRational
 
@@ -213,40 +213,16 @@ def test_crosscheck_all_three_examples():
         assert negatives == {e.alpha.frac for e in cc.report_mod_p.roots}
 
 
-def test_strength_vs_bsato_rows():
-    ctx = ChainRingCtx(3, 0)
-    x = Poly.variable(ctx, 1, 0)
-    lift = FrobeniusLift.standard(ctx, 1)
-
-    def b(s):
-        return (s + 1) * (s + Fraction(1, 2))
-
+def test_strength_of_x_squared_against_classical_b():
+    """b(s) = (s + 1)(s + 1/2) vanishes at -1 and -1/2, where the strength of
+    x^2 over Z/3^(m+1) is m + 1; val_3 b = 1 at -2 and 1/2, where it is 0."""
     points = [Fraction(-1), Fraction(-1, 2), Fraction(-2), Fraction(1, 2)]
-    rows = strength_vs_bsato(x * x, lift, [(a, b(a)) for a in points], m_range=(0, 1, 2))
-    assert len(rows) == 12
-    assert all(r.satisfies_bound for r in rows)
-    assert all(r.nondecreasing_in_m for r in rows)
-    table = {(r.m, r.alpha.frac): (r.strength, r.b_valuation) for r in rows}
+    b = {a: (a + 1) * (a + Fraction(1, 2)) for a in points}
+    assert list(b.values()) == [0, 0, Fraction(3, 2), Fraction(3, 2)]
     for m in (0, 1, 2):
-        assert table[(m, Fraction(-1))] == (m + 1, float("inf"))
-        assert table[(m, Fraction(-1, 2))] == (m + 1, float("inf"))
-        assert table[(m, Fraction(-2))] == (0, 1)
-        assert table[(m, Fraction(1, 2))] == (0, 1)
-
-
-def test_strength_vs_bsato_shares_one_context_per_m(monkeypatch):
-    ctx = ChainRingCtx(3, 0)
-    x = Poly.variable(ctx, 1, 0)
-    made = []
-
-    def counted(f, lift):
-        made.append(f.ctx.m)
-        return nu.DescentContext(f, lift)
-
-    monkeypatch.setattr(bsr, "DescentContext", counted)
-    alphas = [(Fraction(-1), 0), (Fraction(-1, 2), 0), (Fraction(-2), 1)]
-    rows = strength_vs_bsato(x * x, FrobeniusLift.standard(ctx, 1), alphas, (0, 1, 2))
-    assert len(rows) == 9 and made == [0, 1, 2]
+        f, lift = _setup(3, m, {(2,): 1}, 1)
+        got = [strength(f, lift, a).value for a in points]
+        assert got == [m + 1, m + 1, 0, 0], m
 
 
 # the README example at level 4 and f = x + 2y over Z/4 at level 7
@@ -261,7 +237,7 @@ def test_report_strengths_match_standalone_strength(case):
     """Strengths on the level walk's context equal strengths on a fresh one."""
     (f, lift), top = REPORT_CASES[case]
     rep = bfunction_report(f, lift, top, 10, 10)
-    e_stop = min(4, rep.verified_to_level)
+    e_stop = min(bsr.STRENGTH_LEVELS, rep.verified_to_level)
     shared = nu.DescentContext(f, lift)
     detect_roots(f, lift, top, 10, 10, shared)
     assert rep.roots
@@ -322,8 +298,8 @@ CROSSCHECK_CASES = {
 def test_crosscheck_gives_its_mod_p_run_a_context_of_its_own(case, monkeypatch):
     """At m = 1 the cross-check completes what its two reports complete each
     on a fresh context: the mod-p run takes no step of the run over V. At
-    m = 0, where f mod p is f under the same lift, the mod-p run shares the
-    context of the run over V and completes no new step."""
+    m = 0, where f mod p is f under the same lift, the mod-p report is the
+    report over V and completes no new step."""
     (f, lift), top = CROSSCHECK_CASES[case]
     completed = 0
     complete = nu.descent_step
@@ -346,6 +322,25 @@ def test_crosscheck_gives_its_mod_p_run_a_context_of_its_own(case, monkeypatch):
         assert in_v > 0 and completed > 0 and in_cc == in_v
     else:
         assert in_v > 0 and completed > 0 and in_cc == in_v + completed
+
+
+@pytest.mark.parametrize("case", list(CROSSCHECK_CASES))
+def test_crosscheck_walks_the_levels_once_at_m0(case, monkeypatch):
+    """The cross-check walks the level sets once at m = 0 under the standard
+    lift, where the mod-p report is the report over V, and twice at m = 1."""
+    (f, lift), top = CROSSCHECK_CASES[case]
+    walks = 0
+    walk = bsr.nu_levels
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return walk(*args)
+
+    monkeypatch.setattr(bsr, "nu_levels", counted)
+    cc = crosscheck_mod_p(f, lift, top, 3, 3)
+    assert cc.ok
+    assert walks == (1 if case == "m=0" else 2)
 
 
 def _assert_matches_full_walk(f, lift, top, den_bound, num_bound):

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bsroots.padic import PAdicRational, fraction_val, reconstruct
-from bsroots.padic import prime_power_base
+from bsroots.padic import PAdicRational, reconstruct
 
 from _oracles import reconstruct_double_loop
 
@@ -58,39 +57,25 @@ def test_equality_with_a_number_is_false():
     assert a == b and hash(a) == hash(b)
 
 
-def test_prime_power_base():
-    assert prime_power_base(243) == (3, 5)
-    assert prime_power_base(64) == (2, 6)
-    with pytest.raises(ValueError):
-        prime_power_base(12)
-
-
-def test_fraction_val():
-    assert fraction_val(3, Fraction(9, 2)) == 2
-    assert fraction_val(3, Fraction(2, 9)) == -2
-    assert fraction_val(3, 0) == float("inf")
-    assert fraction_val(2, Fraction(3, 5)) == 0
-
-
 def test_reconstruct_frozen():
     # -1/2 mod 3^5: residue 121
-    got = reconstruct(121, 243, 10, 10)
+    got = reconstruct(121, 3, 5, 10, 10)
     assert [a.frac for a in got] == [Fraction(-1, 2)]
-    got = reconstruct(242, 243, 10, 10)
+    got = reconstruct(242, 3, 5, 10, 10)
     assert [a.frac for a in got] == [Fraction(-1)]
 
 
 def test_reconstruct_matches_double_loop():
     rng = random.Random(31)
     cases = []
-    for modulus, p in ((27, 3), (243, 3), (64, 2), (16, 2), (125, 5)):
+    for p, k in ((3, 3), (3, 5), (2, 6), (2, 4), (5, 3)):
         for _ in range(12):
             cases.append(
-                (rng.randrange(modulus), modulus, p, rng.randint(1, 8), rng.randint(1, 12))
+                (rng.randrange(p**k), p, k, rng.randint(1, 8), rng.randint(1, 12))
             )
-    for residue, modulus, p, den_bound, num_bound in cases:
-        want = reconstruct_double_loop(residue, modulus, den_bound, num_bound, p)
-        got = reconstruct(residue, modulus, den_bound, num_bound)
+    for residue, p, k, den_bound, num_bound in cases:
+        want = reconstruct_double_loop(residue, p**k, den_bound, num_bound, p)
+        got = reconstruct(residue, p, k, den_bound, num_bound)
         assert sorted(a.frac for a in got) == want
         # the advertised sort order is (denominator, numerator)
         keyed = [(a.denominator, a.numerator) for a in got]
@@ -98,16 +83,16 @@ def test_reconstruct_matches_double_loop():
 
 
 def test_reconstruct_unique_under_injectivity_bound():
-    # 2 * num * den < modulus forces at most one hit
+    # 2 * num * den < 3^5 forces at most one hit
     rng = random.Random(32)
     for _ in range(60):
         residue = rng.randrange(243)
-        got = reconstruct(residue, 243, 10, 10)
+        got = reconstruct(residue, 3, 5, 10, 10)
         assert len(got) <= 1
 
 
 def test_reconstruct_small_modulus_lists_all():
-    got = reconstruct(1, 4, 3, 5)
+    got = reconstruct(1, 2, 2, 3, 5)
     assert Fraction(1) in [a.frac for a in got]
     assert Fraction(5) in [a.frac for a in got]
     assert Fraction(-3) in [a.frac for a in got]
