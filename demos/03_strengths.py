@@ -9,15 +9,8 @@ f^(a+1), walked level by level until the value stabilizes.
 
 from fractions import Fraction
 
-from bsroots import (
-    ChainRingCtx,
-    FrobeniusLift,
-    Poly,
-    bfunction_report,
-    stalk,
-    strength,
-    support_module,
-)
+from bsroots import ChainRingCtx, FrobeniusLift, Poly, bfunction_report, strength
+from bsroots.cfun import stalk, support_module
 
 ctx = ChainRingCtx(3, 1)
 f = Poly(ctx, 2, {(2, 0): 1, (0, 1): 3})

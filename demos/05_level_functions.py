@@ -8,16 +8,8 @@ the structured root data answers whether a function vanishes to the
 required order at every root.
 """
 
-from bsroots import (
-    ChainRingCtx,
-    FrobeniusLift,
-    LevelFunction,
-    Poly,
-    bfunction_contains,
-    bfunction_report,
-    chi,
-    refine,
-)
+from bsroots import ChainRingCtx, FrobeniusLift, Poly, bfunction_report
+from bsroots.cfun import LevelFunction, bfunction_contains, chi, refine
 
 ctx = ChainRingCtx(3, 1)
 

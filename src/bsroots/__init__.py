@@ -5,20 +5,14 @@ level, extracts the levelwise invariant sets, identifies the bounded rational
 roots they cut out, and grades each root by its strength. All arithmetic
 is exact over the chain ring Z/p^(m+1).
 
-The package exports the entry points of the demos and the README; the
-layers underneath (Groebner bases, Cartier descent, p-adic rationals, ...)
-are imported from their modules.
+The package exports the engine's entry points. The level-function layer
+(``LevelFunction``, ``chi``, ``refine``, ``stalk``, ``support_module``,
+``bfunction_contains``) is imported from ``bsroots.cfun``, and the layers
+underneath (Groebner bases, Cartier descent, p-adic rationals, ...) from
+their modules.
 """
 
 from .bsr import bfunction_report, detect_roots, strength
-from .cfun import (
-    LevelFunction,
-    bfunction_contains,
-    chi,
-    refine,
-    stalk,
-    support_module,
-)
 from .chainring import ChainRingCtx
 from .errors import InvariantError
 from .nu import is_nu, nu_levels, nu_set
@@ -37,11 +31,5 @@ __all__ = [
     "detect_roots",
     "strength",
     "bfunction_report",
-    "LevelFunction",
-    "chi",
-    "refine",
-    "stalk",
-    "support_module",
-    "bfunction_contains",
     "__version__",
 ]

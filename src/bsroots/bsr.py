@@ -20,7 +20,7 @@ two consecutive levels agree (or the value hits 0, which is final).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .chainring import ChainRingCtx
 from .errors import InvariantError
@@ -34,39 +34,23 @@ from .poly import FrobeniusLift, Poly
 STRENGTH_LEVELS = 4
 
 
-@dataclass(frozen=True)
-class RootEntry:
-    alpha: PAdicRational
-    residue: int
-    strength: int = None
-    stabilized: bool = None
+RootEntry = namedtuple(
+    "RootEntry", "alpha residue strength stabilized", defaults=(None, None)
+)
+
+# levels: the nu.NuLevelSet of each level 1..verified_to_level
+RootReport = namedtuple(
+    "RootReport", "p m verified_to_level den_bound num_bound roots unresolved levels"
+)
+
+# per_level: the (e, value) pairs actually computed
+StrengthResult = namedtuple("StrengthResult", "alpha value stabilized per_level")
 
 
-@dataclass(frozen=True)
-class RootReport:
-    p: int
-    m: int
-    verified_to_level: int
-    den_bound: int
-    num_bound: int
-    roots: tuple
-    unresolved: tuple
-    levels: tuple  # the nu.NuLevelSet of each level 1..verified_to_level
-
-
-@dataclass(frozen=True)
-class StrengthResult:
-    alpha: PAdicRational
-    value: int
-    stabilized: bool
-    per_level: tuple  # (e, value) pairs actually computed
-
-
-@dataclass(frozen=True)
-class CrosscheckResult:
-    report: RootReport
-    report_mod_p: RootReport
-    mismatches: tuple
+class CrosscheckResult(
+    namedtuple("CrosscheckResult", "report report_mod_p mismatches")
+):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -234,10 +218,8 @@ def bfunction_report(
         res = strength(f, lift, entry.alpha, e_stop, descent)
         if res.value < 1:
             raise InvariantError("verified root with vanishing strength")
-        graded.append(
-            replace(entry, strength=res.value, stabilized=res.stabilized)
-        )
-    return replace(report, roots=tuple(graded))
+        graded.append(entry._replace(strength=res.value, stabilized=res.stabilized))
+    return report._replace(roots=tuple(graded))
 
 
 def crosscheck_mod_p(

@@ -15,7 +15,7 @@ two constraints and the query is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bsr import RootReport
 from .chainring import ChainRingCtx
@@ -95,21 +95,21 @@ def refine(phi: LevelFunction, to_level: int) -> LevelFunction:
     return LevelFunction(phi.ctx, to_level, [phi.values[r % step] for r in range(size)])
 
 
-@dataclass(frozen=True)
-class FiniteSupportModule:
+class FiniteSupportModule(namedtuple("FiniteSupportModule", "ctx points")):
     """Support points alpha_i with vanishing orders t_i in [0, m+1]."""
 
-    ctx: ChainRingCtx
-    points: tuple  # (PAdicRational, int) pairs, distinct alphas
+    __slots__ = ()
 
-    def __post_init__(self):
+    # points: (PAdicRational, int) pairs, distinct alphas
+    def __new__(cls, ctx: ChainRingCtx, points: tuple):
         seen = set()
-        for alpha, t in self.points:
+        for alpha, t in points:
             if alpha.frac in seen:
                 raise ValueError("support points must be distinct")
             seen.add(alpha.frac)
-            if not 0 <= t <= self.ctx.m + 1:
+            if not 0 <= t <= ctx.m + 1:
                 raise ValueError("order out of range [0, m+1]")
+        return super().__new__(cls, ctx, points)
 
 
 def support_module(ctx: ChainRingCtx, report: RootReport) -> FiniteSupportModule:

@@ -18,7 +18,8 @@ Expression grammar (no implicit multiplication):
 
 Exit codes: 0 success, 2 configuration or parse error (a degree of 2^31 or
 more in the input, and a top level at which max(deg f, 1)*p^(top+m) reaches
-2^31, in every mode, included), 3 engine error or crosscheck mismatch.
+2^31, in every mode, included), 3 engine error (running out of memory
+included) or crosscheck mismatch.
 Structured output is byte-for-byte deterministic per configuration: work
 counters come from the computed data, never from the clock.
 """
@@ -340,7 +341,7 @@ def run(argv=None):
     }
     try:
         code, doc, lines = _dispatch(args, f, lift, alpha, config, top)
-    except (ValueError, InvariantError) as exc:
+    except (ValueError, InvariantError, MemoryError) as exc:
         return 3, _render_error(args, exc)
     if args.format == "structured":
         return code, json.dumps(doc, indent=2)
@@ -349,11 +350,13 @@ def run(argv=None):
 
 def _render_error(args, exc):
     fmt = getattr(args, "format", "text")
+    # a MemoryError usually carries no message; its type name then stands in
+    message = str(exc) or type(exc).__name__
     if fmt == "structured":
         return json.dumps(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}}, indent=2
+            {"error": {"type": type(exc).__name__, "message": message}}, indent=2
         )
-    return f"error: {exc}"
+    return f"error: {message}"
 
 
 def _dispatch(args, f, lift, alpha, config, top):

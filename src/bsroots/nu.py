@@ -66,7 +66,7 @@ bound at every level, raising ``InvariantError``, also under ``python -O``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .cartier import IdealGens, cartier_generators
@@ -81,13 +81,10 @@ def require_nonzerodivisor(f: Poly):
         raise ValueError("f must be a nonzerodivisor (some unit coefficient)")
 
 
-@dataclass(frozen=True)
-class NuLevelSet:
+class NuLevelSet(namedtuple("NuLevelSet", "e window members")):
     """All level-e invariants in the canonical window [0, p^(e+m))."""
 
-    e: int
-    window: int
-    members: tuple
+    __slots__ = ()
 
     def __contains__(self, n):
         return n % self.window in self.members

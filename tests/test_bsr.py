@@ -97,6 +97,11 @@ def test_monomial_over_z4():
     # the second all-ones branch survives but fits no bounded fraction
     assert rep.unresolved == (127,)
     assert rep.levels[6].members == (127, 255)
+    # an ungraded entry carries no strength
+    assert repr(rep.roots[0]) == (
+        "RootEntry(alpha=PAdicRational(2, -1), residue=255, strength=None, "
+        "stabilized=None)"
+    )
 
 
 def test_survivor_shape_for_single_variable():
@@ -209,6 +214,7 @@ def test_crosscheck_all_three_examples():
     for (f, lift), top in cases:
         cc = crosscheck_mod_p(f, lift, top_level=top, den_bound=10, num_bound=10)
         assert cc.ok, cc.mismatches
+        assert not bsr.CrosscheckResult(cc.report, cc.report_mod_p, ("engineered",)).ok
         negatives = {e.alpha.frac for e in cc.report.roots if e.alpha.frac < 0}
         assert negatives == {e.alpha.frac for e in cc.report_mod_p.roots}
 
@@ -245,6 +251,48 @@ def test_report_strengths_match_standalone_strength(case):
         alone = strength(f, lift, entry.alpha, e_stop)
         assert (entry.strength, entry.stabilized) == (alone.value, alone.stabilized)
         assert strength(f, lift, entry.alpha, e_stop, shared) == alone
+
+
+def test_report_grades_entries_without_changing_the_ungraded_report(monkeypatch):
+    (f, lift), top = REPORT_CASES["readme"]
+    ungraded = []
+    detect = bsr.detect_roots
+
+    def kept(*args):
+        ungraded.append(detect(*args))
+        return ungraded[-1]
+
+    monkeypatch.setattr(bsr, "detect_roots", kept)
+    rep = bfunction_report(f, lift, top, 10, 10)
+    [before] = ungraded
+    graded = [(e.strength, e.stabilized) for e in rep.roots]
+    assert graded == [(2, True), (1, True), (1, True)]
+    assert [(e.strength, e.stabilized) for e in before.roots] == [(None, None)] * 3
+    assert [(e.alpha, e.residue) for e in rep.roots] == [
+        (e.alpha, e.residue) for e in before.roots
+    ]
+    assert rep == bsr.RootReport(
+        before.p, before.m, before.verified_to_level, before.den_bound,
+        before.num_bound, rep.roots, before.unresolved, before.levels,
+    )
+
+
+def test_records_are_read_only():
+    """Writing to a field of a result record raises ``AttributeError``."""
+    (f, lift), top = REPORT_CASES["x+2y"]
+    cc = crosscheck_mod_p(f, lift, top, 3, 3)
+    rep = cc.report
+    records = {
+        "report": (rep, "roots"),
+        "entry": (rep.roots[0], "strength"),
+        "level set": (rep.levels[0], "members"),
+        "strength": (strength(f, lift, rep.roots[0].alpha), "value"),
+        "crosscheck": (cc, "mismatches"),
+    }
+    for name, (record, field) in records.items():
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert getattr(record, field) is not None, name
 
 
 def test_report_strengths_complete_only_what_the_tree_did_not(monkeypatch):

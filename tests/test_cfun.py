@@ -6,20 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsroots import (
-    ChainRingCtx,
-    FrobeniusLift,
+from bsroots import ChainRingCtx, FrobeniusLift, Poly, bfunction_report, detect_roots
+from bsroots.cfun import (
+    FiniteSupportModule,
     LevelFunction,
-    Poly,
     bfunction_contains,
-    bfunction_report,
     chi,
-    detect_roots,
     refine,
     stalk,
     support_module,
 )
-from bsroots.cfun import FiniteSupportModule
 from bsroots.padic import PAdicRational
 
 Z4 = ChainRingCtx(2, 1)
@@ -107,6 +103,12 @@ def test_support_module_validation():
         FiniteSupportModule(Z9, ((good, 1), (good, 2)))
     with pytest.raises(ValueError, match="order"):
         FiniteSupportModule(Z9, ((good, 3),))
+    with pytest.raises(ValueError, match="order"):
+        FiniteSupportModule(Z9, points=((good, -1),))
+    module = FiniteSupportModule(Z9, ((good, 0), (PAdicRational(3, Fraction(1, 2)), 2)))
+    assert stalk(module, Fraction(1, 2)) == 2
+    with pytest.raises(AttributeError):
+        module.points = ()
 
 
 def test_containment_requires_separating_level(graded_report):

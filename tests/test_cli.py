@@ -433,6 +433,27 @@ def test_engine_error_exits_3():
     assert "error" in text
 
 
+@pytest.mark.parametrize("mode", ["nu", "roots", "bfunction", "crosscheck", "strength"])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_out_of_memory_exits_3_with_the_usual_error(monkeypatch, mode, fmt):
+    # a stub in place of the context every mode builds first; a wide level
+    # (p=101, m=2) runs out of memory there, building f^a for a <= p^m
+    def out_of_memory(self, f, lift):
+        raise MemoryError
+
+    monkeypatch.setattr("bsroots.nu.DescentContext.__init__", out_of_memory)
+    code, text = run(["--p=2", "--m=1", "--vars=x", "--poly=x", f"--mode={mode}",
+                      "--alpha=-1", "--max-level=4", "--den-bound=1", "--num-bound=1",
+                      f"--format={fmt}"])
+    assert code == 3
+    if fmt == "text":
+        assert text == "error: MemoryError"
+    else:
+        assert json.loads(text) == {
+            "error": {"type": "MemoryError", "message": "MemoryError"}
+        }
+
+
 def test_missing_required_flag_raises_system_exit():
     with pytest.raises(SystemExit):
         run(["--p=2", "--m=1", "--vars=x", "--mode=nu"])
@@ -540,6 +561,23 @@ print(json.dumps({"code": code, "doc": json.loads(text), "numpy_attempts": attem
     assert [r["fraction"] for r in result["doc"]["roots"]] == ["-1", "-1/2", "1/2"]
     assert result["numpy_attempts"] == []
     assert result["loaded"] == []
+
+
+def test_import_loads_only_what_a_run_uses():
+    """``import bsroots.cli`` loads none of these beyond a bare interpreter;
+    the bare run counts what ``site`` preloads here (a ``.pth`` file can)."""
+    unused = {"dataclasses", "inspect", "ast", "dis", "tokenize", "bsroots.cfun"}
+    report = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+    loaded = []
+    for prelude in ("", "import bsroots.cli; "):
+        out = subprocess.run([sys.executable, "-c", prelude + report],
+                             capture_output=True, text=True, env=_child_env(),
+                             timeout=SUBPROCESS_TIMEOUT_S)
+        assert out.returncode == 0, out.stderr
+        loaded.append(set(json.loads(out.stdout)))
+    bare, cli = loaded
+    assert "bsroots.cli" in cli
+    assert sorted((cli - bare) & unused) == []
 
 
 @pytest.mark.skipif(shutil.which("bsroots") is None,

@@ -45,6 +45,8 @@ def test_is_nu_matches_window_and_periodicity():
         assert is_nu(f, STD9, 1, n) == member
         assert is_nu(f, STD9, 1, n + ns.window) == member
         assert (n in ns) == member
+        # membership reduces mod the window, also where n equals a field
+        assert (n + ns.window in ns) == member
     assert (10 in ns) == (1 in ns.members)
 
 
