@@ -7,12 +7,17 @@ generators under two kinds of syzygies:
 
   * S-polynomials match leading monomials at the lcm and leading
     coefficients at the common power p^max(val, val);
-  * annihilator multiples p^(m+1-j) * g, with j running through the distinct
-    coefficient valuations of g from the top down, expose what survives of g
-    after its deepest coefficient layer dies. They are inserted as soon as g
-    is, and unreduced: their leading terms are often reducible, by g itself
-    among others, while their tails carry new information, and reduction
-    first would lose it.
+  * the annihilator multiple Ann(lc(g)) * g = p^(m+1-v) * g of an element
+    g with lc(g) = p^v (the A-polynomial of Norton and Salagean) kills the
+    leading term and keeps the terms of valuation below v. It is inserted
+    as soon as g is, and unreduced: its leading term is often reducible
+    while its tail carries new information, and reduction first would lose
+    it. Its own multiple follows, until a unit leading coefficient ends the
+    chain. A multiple p^s * g that kills only a lower layer keeps lm(g), so
+    g dominates it, S(g, p^s * g) = 0, and S(p^s * g, k) = p^c * S(g, k)
+    with c = max(v+s, v_k) - max(v, v_k), as both pairs share the lcm
+    monomial: a representation of S(g, k) gives one of S(p^s * g, k), and
+    such multiples are never inserted.
 
 Completion follows the sugar strategy (Giovini, Mora, Niesi, Robbiano and
 Traverso, ISSAC 1991). One queue holds the generators and the pairs, lowest
@@ -57,8 +62,9 @@ No insertion is checked against the earlier ones. A reduced insertion is a
 nonzero normal form, whose leading term no unretired element certifies,
 while every earlier element is certified by an unretired one (itself, or
 what retired it). So it never repeats an earlier element, and it enlarges
-the ideal of leading terms, which can grow only finitely often; each
-insertion brings at most m+1 annihilator multiples, so completion ends.
+the ideal of leading terms, which can grow only finitely often; each link
+of an annihilator chain is a multiple of the one before by p^(m+1-v) with
+v <= m, so an insertion brings at most m of them, and completion ends.
 
 Elements are unit-normalized (leading coefficient an exact power of p); the
 result holds the unretired elements only, each tail reduced by them, sorted
@@ -78,8 +84,8 @@ remainder in descending monomial order, so the first key is the leading
 monomial. S-polynomials reach it as such dicts, with unreduced coefficients.
 An inserted remainder is unit-normalized in one pass over its terms and
 becomes a ``Poly`` once, leading monomial preset; its annihilator multiple
-is built only when some coefficient valuation lies below the largest, and
-then from the terms that survive. The tidy step reduces each element's tail
+is built from the terms of valuation below the leading coefficient's, and
+not at all when that is a unit. The tidy step reduces each element's tail
 dict and puts the head back in front of it.
 """
 
@@ -87,7 +93,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from math import gcd
 
 from .errors import InvariantError
 from .poly import Poly, guard_bits, head_key, lcm, mono_degree
@@ -227,18 +232,13 @@ def _s_poly(f: Poly, g: Poly) -> dict:
     return acc
 
 
-def _annihilator(terms, mod):
-    """Terms of p^(m+1-jmax) * g, for ``terms`` those of g and jmax its
-    largest coefficient valuation; None when all valuations agree, which
-    terminates the chain.
-
-    gcd(c, p^(m+1)) = p^val(c) for c != 0, so one pass finds p^jmax. The
-    multiple keeps exactly the terms whose coefficient p^jmax does not
-    divide, and only those are multiplied.
+def _annihilator(terms, lc, mod):
+    """Terms of Ann(lc) * g = p^(m+1-v) * g, for ``terms`` those of the
+    unit-normalized g with lc = p^v: those that lc does not divide, the
+    valuations below v, multiplied. None when lc is a unit ends the chain.
     """
-    top = max(gcd(c, mod) for c in terms.values())
-    k = mod // top
-    return {mono: c * k % mod for mono, c in terms.items() if c % top} or None
+    k = mod // lc
+    return {mono: c * k % mod for mono, c in terms.items() if c % lc} or None
 
 
 def strong_groebner(J) -> GroebnerBasis:
@@ -289,7 +289,7 @@ def strong_groebner(J) -> GroebnerBasis:
                     lts[:] = [t for t in lts if t[1] < v or (lm - t[0]) & guards]
                 lts.append((lm, v, lc, g, j))
             # the annihilator multiple goes in unreduced
-            h = _annihilator(h, mod)
+            h = _annihilator(h, lc, mod)
             if h is not None:
                 lm = max(h)
 

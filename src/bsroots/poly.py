@@ -132,10 +132,11 @@ class Poly:
     """Immutable sparse polynomial; ``terms`` maps packed monomials to
     coefficients.
 
-    The leading monomial is computed on first use and cached.
+    The leading monomial and the hash are computed on first use and cached;
+    nothing changes ``terms`` after construction.
     """
 
-    __slots__ = ("ctx", "nvars", "terms", "_lm")
+    __slots__ = ("ctx", "nvars", "terms", "_lm", "_hash")
 
     def __init__(self, ctx: ChainRingCtx, nvars: int, terms=None):
         mod = ctx.modulus
@@ -148,6 +149,7 @@ class Poly:
         self.nvars = nvars
         self.terms = clean
         self._lm = None
+        self._hash = None
 
     @classmethod
     def _from_terms(cls, ctx: ChainRingCtx, nvars: int, terms) -> "Poly":
@@ -173,6 +175,7 @@ class Poly:
         self.nvars = nvars
         self.terms = terms
         self._lm = lm
+        self._hash = None
         return self
 
     @classmethod
@@ -317,7 +320,12 @@ class Poly:
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.nvars, frozenset(self.terms.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(
+                (self.ctx, self.nvars, frozenset(self.terms.items()))
+            )
+        return h
 
     def to_string(self, names=None):
         """Render in the surface syntax accepted by the expression parser."""

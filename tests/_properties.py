@@ -124,7 +124,10 @@ def frobenius_power_compat(rng, budget=30):
         if a == 0 and b == 0:
             a = 1
         f = Poly(ctx, 2, {(a, b): 1})
-        assert frobenius_apply(f, lift, 1) == f**ctx.p
+        # a failure, not an assert: helper-module asserts vanish under -O
+        if frobenius_apply(f, lift, 1) != f**ctx.p:
+            failures.append(f"case {i}: F(f) != f^p for {f!r}")
+            continue
         low = nu_set(f, lift, 1)
         high = nu_set(f, lift, 2)
         for n in low.members:

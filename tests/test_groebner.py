@@ -16,7 +16,6 @@ from bsroots.groebner import (
 from bsroots.poly import guard_bits, pack, unpack
 
 from _oracles import (
-    _annihilator_step_reference,
     _normalize_unit_reference,
     _s_poly_reference,
     head_key_reference,
@@ -46,9 +45,9 @@ def _assert_minimal(gb):
 
 def test_frozen_basis_principal_x_plus_2():
     gb = strong_groebner(IdealGens([Poly(Z4, 1, {(1,): 1, (0,): 2})]))
-    # completion also meets the annihilator multiple 2(x+2) = 2x + 4 = 2x,
-    # whose leading term 2x is certified by the leading term x of x+2
-    # (x divides x, and val(1) = 0 <= val(2) = 1): 2x is redundant
+    # the leading coefficient of x+2 is a unit, so completion meets no
+    # annihilator multiple: the multiple 2(x+2) = 2x that kills the tail is
+    # in the ideal, but x certifies its leading term 2x and its tail is 0
     assert [g.exponent_terms() for g in gb.elements] == [{(1,): 1, (0,): 2}]
 
 
@@ -335,8 +334,9 @@ def test_reducer_takes_unreduced_term_dicts(p, m):
 
 @pytest.mark.parametrize("p,m", RINGS)
 def test_annihilator_matches_the_full_multiple(p, m):
-    """The annihilator terms are those of g * p^(m+1-jmax), or None when that
-    multiple is zero, which is when all coefficient valuations agree."""
+    """The annihilator terms are those of g * p^(m+1-v), for g unit-normalized
+    with lc = p^v, or None exactly when that multiple is zero, which is when
+    no coefficient valuation lies below v."""
     ctx = ChainRingCtx(p, m)
     rng = random.Random(6000 + 100 * p + m)
     chains = ends = 0
@@ -345,19 +345,22 @@ def test_annihilator_matches_the_full_multiple(p, m):
         g = random_poly(rng, ctx, nv, 3, 4) * p ** rng.randint(0, m)
         if g.is_zero():
             continue
-        want = _annihilator_step_reference(g)
-        got = _annihilator(g.terms, ctx.modulus)
-        if want is None:
+        g = _normalize_unit_reference(g)
+        lc = g.leading_term()[1]
+        v = ctx.val(lc)
+        want = g * p ** (m + 1 - v)
+        got = _annihilator(g.terms, lc, ctx.modulus)
+        if want.is_zero():
             assert got is None, g
-            assert len({ctx.val(c) for c in g.terms.values()}) == 1, g
+            assert min(ctx.val(c) for c in g.terms.values()) == v, g
             ends += 1
         else:
             assert got == want.terms, g
             chains += 1
-    # one valuation throughout: the chain ends at once
+    # a unit leading coefficient ends the chain at once, whatever the tail
     for j in range(m + 1):
-        g = Poly(ctx, 2, {(2, 0): p**j, (0, 1): (p - 1) * p**j, (0, 0): (p + 1) * p**j})
-        assert _annihilator(g.terms, ctx.modulus) is None
+        g = Poly(ctx, 2, {(2, 0): 1, (0, 1): (p - 1) * p**j, (0, 0): (p + 1) * p**j})
+        assert _annihilator(g.terms, 1, ctx.modulus) is None
 
 
 @pytest.mark.parametrize("p,m", RINGS)
@@ -372,19 +375,67 @@ def test_incremental_completion_matches_reference(p, m):
     for _ in range(30):
         nv = rng.randint(1, 3)
         gens = [random_poly(rng, ctx, nv, 3, 3) for _ in range(rng.randint(1, 3))]
-        J = IdealGens(gens, ctx=ctx, nvars=nv)
-        gb = strong_groebner(J)
-        ref = strong_groebner_reference(J)
-        for g in gb.elements:
-            assert normal_form_reference(g, ref).is_zero(), (J, g)
-        for g in ref.elements:
-            assert normal_form(g, gb).is_zero(), (J, g)
-        _assert_minimal(gb)
-        for _ in range(5):
-            # a random ideal element plus noise makes reduction do real work
-            g = random_poly(rng, ctx, nv, 4, 3) + _ideal_element(rng, J)
-            verdict = normal_form_reference(g, ref).is_zero()
-            assert normal_form(g, gb).is_zero() == verdict, (J, g)
+        _assert_matches_reference(rng, IdealGens(gens, ctx=ctx, nvars=nv))
+
+
+def _assert_matches_reference(rng, J):
+    """Each of the engine's and the reference's bases reduces the other's
+    elements to zero, the engine's is minimal, and membership verdicts on
+    random ideal elements plus noise agree."""
+    gb = strong_groebner(J)
+    ref = strong_groebner_reference(J)
+    for g in gb.elements:
+        assert normal_form_reference(g, ref).is_zero(), (J, g)
+    for g in ref.elements:
+        assert normal_form(g, gb).is_zero(), (J, g)
+    _assert_minimal(gb)
+    for _ in range(5):
+        # a random ideal element plus noise makes reduction do real work
+        g = random_poly(rng, J.ctx, J.nvars, 4, 3) + _ideal_element(rng, J)
+        verdict = normal_form_reference(g, ref).is_zero()
+        assert normal_form(g, gb).is_zero() == verdict, (J, g)
+
+
+@pytest.mark.parametrize("p,m", RINGS)
+def test_layered_generators_match_reference(p, m):
+    """Generators with leading coefficient u * p^v, v >= 1, and a tail term
+    of lower valuation: the engine's chain takes one annihilator multiple
+    per insertion and the reference every coefficient layer, yet each basis
+    reduces the other's elements to zero and membership verdicts agree."""
+    ctx = ChainRingCtx(p, m)
+    rng = random.Random(8000 + 100 * p + m)
+    for _ in range(30):
+        nv = rng.randint(1, 3)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            # a degree-3 head over a tail of degree <= 2 with a unit constant
+            terms = random_poly(rng, ctx, nv, 2, 3).exponent_terms()
+            terms[(0,) * nv] = _random_unit(rng, ctx)
+            top = [0] * nv
+            top[rng.randrange(nv)] = 3
+            v = rng.randint(1, m)
+            terms[tuple(top)] = _random_unit(rng, ctx) * p**v
+            g = Poly(ctx, nv, terms)
+            assert ctx.val(g.leading_term()[1]) == v
+            gens.append(g)
+        _assert_matches_reference(rng, IdealGens(gens, ctx=ctx, nvars=nv))
+
+
+def test_unit_leading_coefficient_forms_no_pairs(monkeypatch):
+    """A generator with a unit leading coefficient has no annihilator
+    multiple: alone, it completes to itself and forms no S-polynomial, even
+    when its tail holds coefficients of valuation 1 and 2."""
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return _s_poly(f, g)
+
+    monkeypatch.setattr("bsroots.groebner._s_poly", counted)
+    x, y = Poly.variable(Z27, 2, 0), Poly.variable(Z27, 2, 1)
+    for g in (x + y * 3 + 9, x**2 + x * y * 9 + y**2 * 3):
+        assert strong_groebner(IdealGens([g])).elements == (g,)
+        assert calls == [], g
 
 
 @pytest.mark.parametrize("ctx", [Z4, Z9, Z27], ids=str)

@@ -378,6 +378,10 @@ def test_equality_and_hash_ignore_the_leading_term_cache():
     assert fresh == filled and filled == fresh
     assert hash(fresh) == hash(filled)
     assert len({fresh, filled}) == 1
+    # the hash is cached on first use; the internal constructor starts empty
+    internal = Poly._from_reduced(fresh.ctx, fresh.nvars, dict(fresh.terms))
+    assert hash(internal) == hash(internal) == hash(fresh)
+    assert internal in {fresh} and fresh in {internal}
 
 
 def _assert_clean(h):
