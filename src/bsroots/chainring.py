@@ -12,16 +12,32 @@ Convention: val(0) = m+1, not infinity, so strength values stay in
 from __future__ import annotations
 
 
-def smallest_prime_factor(n: int) -> int:
-    """Least prime dividing n >= 2, by trial division."""
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
+# Miller-Rabin with these bases decides primality exactly for every
+# n < 3.18*10^23 (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", 2017), so for every p whose modulus p^(m+1) fits in 2^63
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin; exact below 3.18*10^23."""
+    if n < 2:
+        return False
+    if any(n % q == 0 for q in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class ChainRingCtx:
@@ -30,16 +46,19 @@ class ChainRingCtx:
     __slots__ = ("p", "m", "modulus")
 
     def __init__(self, p: int, m: int):
-        if p < 2 or smallest_prime_factor(p) != p:
+        if p < 2:
             raise ValueError(f"p must be prime, got {p}")
         if m < 0:
             raise ValueError(f"m must be >= 0, got {m}")
-        modulus = p ** (m + 1)
-        if modulus > 2**63:
+        # p^(m+1) >= 2^((m+1)*(bit length - 1)), so the power is formed only
+        # when it is below 2^127, and primality is tested only at p <= 2^63
+        if (m + 1) * (p.bit_length() - 1) > 63 or p ** (m + 1) > 2**63:
             raise ValueError("modulus p^(m+1) exceeds 2^63")
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         self.p = p
         self.m = m
-        self.modulus = modulus
+        self.modulus = p ** (m + 1)
 
     def __repr__(self):
         return f"ChainRingCtx(p={self.p}, m={self.m})"

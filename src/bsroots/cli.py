@@ -16,10 +16,11 @@ Expression grammar (no implicit multiplication):
   base   := int | var | '(' expr ')'
   int    := one or more of the ASCII digits 0-9
 
-Exit codes: 0 success, 2 configuration or parse error (a degree of 2^31 or
-more in the input, and a top level at which max(deg f, 1)*p^(top+m) reaches
-2^31, in every mode, included), 3 engine error (running out of memory
-included) or crosscheck mismatch.
+Exit codes: 0 success, 2 configuration or parse error (a p that is not a
+prime, a modulus p^(m+1) above 2^63, an f that is a zerodivisor, a degree of
+2^31 or more in the input, and a top level at which max(deg f, 1)*p^(top+m)
+reaches 2^31, in every mode, included), 3 engine error (running out of
+memory included) or crosscheck mismatch.
 Structured output is byte-for-byte deterministic per configuration: work
 counters come from the computed data, never from the clock.
 """
@@ -43,7 +44,7 @@ from .bsr import (
 )
 from .chainring import ChainRingCtx
 from .errors import InvariantError
-from .nu import nu_levels
+from .nu import nu_levels, require_nonzerodivisor
 from .padic import PAdicRational
 from .poly import EXPONENT_LIMIT, FrobeniusLift, Poly
 
@@ -296,6 +297,7 @@ def run(argv=None):
         ctx = ChainRingCtx(args.p, args.m)
         names = _parse_var_names(args.vars)
         f = parse_poly(args.poly, ctx, names)
+        require_nonzerodivisor(f)
         lift = _parse_lift(args.lift, ctx, names)
         alpha = None
         if args.alpha is not None:

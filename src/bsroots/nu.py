@@ -35,21 +35,22 @@ The chain is monotone: along the powers of f the descent ideals only shrink,
 I_e(f^(n+1)) inside I_e(f^n), so a basis once left never returns. That
 gives the sandwich rule: for x < y < z, I_e(f^x) = I_e(f^z) forces
 I_e(f^y) to the same ideal, as I_e(f^z) is inside I_e(f^y), which is inside
-I_e(f^x). So a level lists its candidate run starts a + k*p^(e-1+m), one
-per run of level e-1 that starts below p^(e-1+m) and per k < p, with two
-ends known without a step: n = 0, whose basis is (1) as I_1((1)) = (1), and
-the wrap at p^(e+m). It takes the candidates whose steps are already
-completed, then bisects each gap between known candidates: a gap whose ends
-hold one basis is one run and costs no step, and otherwise its midpoint is
-stepped. Each candidate is stepped at most once, so a level asks for at
-most p steps per run below, and only the steps that locate a run boundary
-are completed.
+I_e(f^x). So the candidate run starts of a level are a + k*p^(e-1+m), for
+run i of the size runs of level e-1 that start below p^(e-1+m) and k < p,
+numbered k*size + i, and the wrap at p^(e+m), numbered p*size: the numbers
+ascend with n, and no list of them is built. Two ends are known without a
+step: n = 0, whose basis is (1) as I_1((1)) = (1), and the wrap. A level
+reads off the candidates whose steps its runs below already hold, then
+bisects each gap between known numbers: a gap whose ends hold one basis is
+one run and costs no step, and otherwise its midpoint (k and i by divmod)
+is stepped. So a level costs its runs below and the steps it holds and
+completes, not p, and completes only the steps that locate a run boundary.
 
 A step is completed once per call. Each public entry point makes one
 ``DescentContext``, or takes the caller's, and the walk and the strengths of
 its roots (``bsr.strength``) take their steps on it. The context keeps every
-completed step under (basis one level down, k): a level-e basis equal to one
-of level e-1, or a basis of a root's truncation that the walk already
+completed step, as basis one level down -> {k: basis}: a level-e basis equal
+to one of level e-1, or a basis of a root's truncation that the walk already
 stepped, costs no second completion. On every anchor the level sets stop
 growing after a few levels; from there on each level steps the bases the
 level below already stepped, and a level whose bases all repeat costs no
@@ -116,8 +117,9 @@ class DescentContext:
 
     Holds the level-0 bases (f^a,), a <= p^m, the wrap basis and the shifts
     f^(p^m*k), 0 < k < p, under ``shifts[k]``, each built the first time a
-    step by k is completed. It keeps every completed step for as long as the
-    context lives, under (basis elements one level down, shift index k): a
+    step by k is completed. ``steps`` keeps every completed step for as long
+    as the context lives, as basis elements one level down -> {shift index
+    k: basis elements}, the digit transitions of the p-automatic view: a
     repeated step returns the basis completed the first time. Equal
     completed bases are kept as one tuple. The step from the unit basis at
     k = 0 is known from the start, as I_1((1)) = (1).
@@ -132,7 +134,7 @@ class DescentContext:
         self.bottom = [(g,) for g in powers]
         self.shifts = {}  # k -> f^(p^m*k), built on first use
         unit = self.bottom[0]  # I_1((1)) = (1): the unit basis descends to itself
-        self._steps = {(unit, 0): unit}  # (elements one level down, k) -> elements
+        self.steps = {unit: {0: unit}}  # elements one level down -> {k: elements}
         self._interned = {unit: unit}  # elements -> the one tuple of that value
 
     @cached_property
@@ -140,21 +142,16 @@ class DescentContext:
         """Basis elements of (f^(p^m)), the last run of every level."""
         return strong_groebner(IdealGens(self.bottom[-1])).elements
 
-    def known(self, elems, k: int):
-        """What ``step`` gives for (elems, k) if that step is held, else None;
-        completes nothing."""
-        return self._steps.get((elems, k))
-
     def step(self, elems, k: int) -> tuple:
         """Basis elements of level e at f^(a + k*p^(e-1+m)), from ``elems``,
         the basis elements of level e-1 at f^a (``descent_step``)."""
-        key = (elems, k)
-        done = self._steps.get(key)
+        held = self.steps.setdefault(elems, {})
+        done = held.get(k)
         if done is None:
             if k and k not in self.shifts:
                 self.shifts[k] = self.bottom[-1][0] ** k
             done = descent_step(elems, self.shifts.get(k), self.lift).elements
-            done = self._steps[key] = self._interned.setdefault(done, done)
+            done = held[k] = self._interned.setdefault(done, done)
         return done
 
 
@@ -181,11 +178,11 @@ def descent_runs(
     A run is (first n, basis elements of I_e(f^n)), a maximal stretch of n
     that share one basis. The runs of a level cover n = 0..p^(e+m) in
     ascending order, and neighbouring runs hold different bases. The
-    candidate run starts of level e are a + k*p^(e-1+m) for each run
-    (a, basis) of level e-1 with a < p^(e-1+m) and each k < p, in ascending
-    n, followed by the wrap. A candidate whose step ``descent`` already holds
-    is read off it (``DescentContext.known``), n = 0 included; then each gap
-    between known candidates is bisected by the sandwich rule: equal ends
+    candidate run start a + k*p^(e-1+m), for run i = (a, basis) of the size
+    runs of level e-1 with a < p^(e-1+m) and k < p, is numbered k*size + i,
+    and the wrap p*size. The candidates whose steps ``descent`` already holds
+    (``DescentContext.steps``) are read off it, n = 0 included; then each
+    gap between known numbers is bisected by the sandwich rule: equal ends
     make the gap one run, and otherwise the midpoint is stepped. Steps go
     through ``descent`` (a new context when None), so a step the walk or an
     earlier call on the same context already took is not completed again.
@@ -196,24 +193,26 @@ def descent_runs(
     for e in range(1, top + 1):
         step = p ** (e - 1 + m)
         below = [run for run in runs if run[0] < step]
-        starts = [(a + k * step, elems, k) for k in range(p) for a, elems in below]
-        bases = [descent.known(elems, k) for _, elems, k in starts]
-        starts.append((p * step, None, None))
-        bases.append(descent.wrap)
-        known = [i for i, elems in enumerate(bases) if elems is not None]
+        size = len(below)
+        bases = {p * size: descent.wrap}
+        for i, (_, elems) in enumerate(below):
+            for k, done in descent.steps.get(elems, {}).items():
+                bases[k * size + i] = done
+        known = sorted(bases)
         gaps = list(zip(known, known[1:]))
         while gaps:
             lo, hi = gaps.pop()
             if hi - lo > 1 and bases[lo] != bases[hi]:
                 mid = (lo + hi) // 2
-                _, elems, k = starts[mid]
-                bases[mid] = descent.step(elems, k)
+                k, i = divmod(mid, size)
+                bases[mid] = descent.step(below[i][1], k)
                 gaps += ((lo, mid), (mid, hi))
         runs = []
-        for (n, _, _), elems in zip(starts, bases):
-            # a candidate left unknown lies between two equal ends
-            if elems is not None and (not runs or elems != runs[-1][1]):
-                runs.append((n, elems))
+        for index in sorted(bases):
+            # index p*size, the wrap, reads as k = p on the run at n = 0
+            k, i = divmod(index, size)
+            if not runs or bases[index] != runs[-1][1]:
+                runs.append((below[i][0] + k * step, bases[index]))
         yield e, runs
 
 

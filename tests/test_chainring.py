@@ -1,6 +1,7 @@
 import pytest
 
 from bsroots import ChainRingCtx
+from bsroots.chainring import is_prime
 
 from _oracles import divide_exact, unit_part
 
@@ -41,6 +42,45 @@ def test_ctx_validation():
     with pytest.raises(ValueError, match="2\\^63"):
         ChainRingCtx(2, 63)
     ChainRingCtx(2, 62)  # 2^63 itself is allowed
+
+
+def test_ctx_accepts_a_61_bit_prime():
+    # 2^61 - 1 is a Mersenne prime; trial division would take 2^30 steps
+    assert ChainRingCtx(2**61 - 1, 0).modulus == 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        (2**31 - 1) ** 2,  # the square of a prime, with no factor below 2^31
+        561,  # Carmichael numbers: Fermat liars for every base prime to them
+        41041,
+        3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # a strong pseudoprime to the first nine primes
+    ],
+)
+def test_ctx_refuses_composites_with_no_small_factor(p):
+    with pytest.raises(ValueError, match="prime"):
+        ChainRingCtx(p, 0)
+
+
+@pytest.mark.parametrize("p,m", [(3, 10**8), (2**127 - 1, 0), (2**61 - 1, 1)])
+def test_ctx_refuses_a_huge_modulus_without_forming_it(p, m):
+    # 3^(10^8 + 1) has about 48 million digits, and 2^127 - 1 is prime: the
+    # modulus is refused by bit lengths, before the power or a primality test
+    with pytest.raises(ValueError, match="2\\^63"):
+        ChainRingCtx(p, m)
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [True] * 20000
+    sieve[0] = sieve[1] = False
+    for q in range(2, 142):
+        if sieve[q]:
+            sieve[q * q :: q] = [False] * len(sieve[q * q :: q])
+    assert [n for n in range(20000) if is_prime(n)] == [
+        n for n in range(20000) if sieve[n]
+    ]
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])

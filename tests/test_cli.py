@@ -426,11 +426,36 @@ def test_nu_mode_reaches_the_deepest_level_of_roots_mode(anchor, top):
     assert windows == json.loads(roots_text)["nu_windows"]
 
 
-def test_engine_error_exits_3():
-    # 2*x is a zerodivisor over Z/4; the level walk refuses it
-    code, text = run(["--p=2", "--m=1", "--vars=x", "--poly=2*x", "--mode=nu"])
+def test_engine_error_exits_3(monkeypatch):
+    # a stub in place of the level walk, failing as the engine would
+    def engine_error(*args, **kwargs):
+        raise ValueError("engine failure")
+
+    monkeypatch.setattr("bsroots.cli.nu_levels", engine_error)
+    code, text = run(["--p=2", "--m=1", "--vars=x", "--poly=x", "--mode=nu"])
     assert code == 3
-    assert "error" in text
+    assert text == "error: engine failure"
+
+
+@pytest.mark.parametrize("poly", ["3*x", "0"])
+@pytest.mark.parametrize("mode", ["nu", "roots", "bfunction", "crosscheck", "strength"])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_zerodivisor_exits_2_before_work(monkeypatch, poly, mode, fmt):
+    # over Z/9 an f with no unit coefficient is a zerodivisor; every mode
+    # builds a descent context first, so none may be built
+    def no_work(self, f, lift):
+        raise AssertionError("engine work started")
+
+    monkeypatch.setattr("bsroots.nu.DescentContext.__init__", no_work)
+    code, text = run(["--p=3", "--m=1", "--vars=x", f"--poly={poly}", f"--mode={mode}",
+                      "--alpha=-1", "--max-level=4", "--den-bound=1", "--num-bound=1",
+                      f"--format={fmt}"])
+    assert code == 2
+    message = "f must be a nonzerodivisor (some unit coefficient)"
+    if fmt == "text":
+        assert text == f"error: {message}"
+    else:
+        assert json.loads(text) == {"error": {"type": "ValueError", "message": message}}
 
 
 @pytest.mark.parametrize("mode", ["nu", "roots", "bfunction", "crosscheck", "strength"])

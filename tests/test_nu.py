@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -338,6 +339,26 @@ def test_context_builds_only_the_shifts_its_steps_use():
     assert 0 < len(descent.shifts) < 10
     for k, shift in descent.shifts.items():
         assert 0 < k < 101 and shift == x**k
+
+
+@pytest.mark.parametrize("name", ["1", "x"])
+def test_a_wide_level_costs_what_it_steps(name):
+    """Level 1 at p = 1000003 has a million candidate run starts, of which
+    the walk steps a few: for f = 1 none, as n = 0 and the wrap hold one
+    basis. The candidates are numbered, not listed, so the walk's memory
+    peak stays far below one entry per candidate (145 MB when each was
+    listed and looked up)."""
+    ctx = ChainRingCtx(1000003, 0)
+    f = Poly.one(ctx, 1) if name == "1" else Poly.variable(ctx, 1, 0)
+    lift = FrobeniusLift.standard(ctx, 1)
+    tracemalloc.start()
+    try:
+        (level,) = nu_levels(f, lift, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert level.members == (() if name == "1" else (ctx.p - 1,))
 
 
 def test_frozen_windows_of_the_anchors_at_depth():
