@@ -57,27 +57,30 @@ class CrosscheckResult(
         return not self.mismatches
 
 
-def _default_top_level(p: int, m: int, den_bound: int, num_bound: int) -> int:
+def reconstruction_level(p: int, m: int, den_bound: int, num_bound: int) -> int:
+    """The least e with p^(e+m) > 2 * num_bound * den_bound: from level e
+    on, at most one bounded fraction fits a residue. Never forms a p-power
+    past the bound, so a huge top level costs nothing to check."""
     need = 2 * den_bound * num_bound
     k = 0
     power = 1
     while power <= need:
         power *= p
         k += 1
-    return max(3, k + 1 - m)
+    return k - m
+
+
+def _default_top_level(p: int, m: int, den_bound: int, num_bound: int) -> int:
+    return max(3, reconstruction_level(p, m, den_bound, num_bound) + 1)
 
 
 def require_reconstruction_bound(
     ctx: ChainRingCtx, top_level: int, den_bound: int, num_bound: int
 ):
-    """Refuse a top level at which bounded reconstruction could be ambiguous.
-
-    Bounded fractions are unique modulo p^(top_level+m) only when it exceeds
-    2 * num_bound * den_bound; the default top level always does. As
-    p^k >= 2^k, k = top_level+m past that bound's bit length always does.
+    """Refuse a top level at which bounded reconstruction could be ambiguous:
+    one below ``reconstruction_level``. The default top level never is.
     """
-    need, k = 2 * den_bound * num_bound, top_level + ctx.m
-    if k <= need.bit_length() and ctx.p**k <= need:
+    if top_level < reconstruction_level(ctx.p, ctx.m, den_bound, num_bound):
         raise ValueError(
             "p^(top_level+m) must exceed 2 * num_bound * den_bound "
             "for unambiguous reconstruction"
@@ -99,9 +102,8 @@ def detect_roots(
     of the top level is r mod p^(top_level+m), so every returned root has
     its full truncation chain inside the level sets. Members matching no
     bounded fraction are reported in ``unresolved``, never promoted or
-    silently dropped. ``InvariantError`` is raised when two bounded
-    fractions fit one residue, or when a monic monomial f under the standard
-    lift has a root >= 0.
+    silently dropped. ``InvariantError`` is raised when a monic monomial f
+    under the standard lift has a root >= 0.
     """
     ctx = f.ctx
     p, m = ctx.p, ctx.m
@@ -114,13 +116,11 @@ def detect_roots(
     roots = []
     unresolved = []
     for r in levels[-1].members:
-        verified = reconstruct(r, p, top_level + m, den_bound, num_bound)
-        if len(verified) > 1:
-            raise InvariantError("reconstruction bound violated")
-        if verified:
-            roots.append(RootEntry(alpha=verified[0], residue=r))
-        else:
+        alpha = reconstruct(r, p, top_level + m, den_bound, num_bound)
+        if alpha is None:
             unresolved.append(r)
+        else:
+            roots.append(RootEntry(alpha=alpha, residue=r))
     roots.sort(key=lambda entry: entry.alpha.frac)
     if lift.is_standard and set(f.terms.values()) == {1} and len(f.terms) == 1:
         if not all(entry.alpha < 0 for entry in roots):
@@ -201,16 +201,15 @@ def bfunction_report(
     top_level: int = None,
     den_bound: int = 50,
     num_bound: int = 100,
-    descent: DescentContext = None,
 ) -> RootReport:
     """Root report with strengths attached: the structured b-function data.
 
-    Each strength walks levels 1..min(STRENGTH_LEVELS, verified_to_level)
-    on the context the level sets were walked on (``descent``, or a new
-    one), so it shares the walk's completed steps and completes only the
-    few the walk did not take.
+    The level sets are walked on a new ``nu.DescentContext``, and each
+    strength walks levels 1..min(STRENGTH_LEVELS, verified_to_level) on the
+    same context, so it shares the walk's completed steps and completes only
+    the few the walk did not take.
     """
-    descent = descent_context(f, lift, descent)
+    descent = DescentContext(f, lift)
     report = detect_roots(f, lift, top_level, den_bound, num_bound, descent)
     e_stop = min(STRENGTH_LEVELS, report.verified_to_level)
     graded = []

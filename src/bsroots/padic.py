@@ -4,15 +4,14 @@ These are the candidate roots the detector reconstructs. A value alpha has a
 well defined residue mod p^k for every k (``truncate_below``) and a digit
 expansion.
 
-``reconstruct`` inverts truncation under size bounds: it lists every bounded
-fraction whose residue mod p^k matches. When 2 * num_bound * den_bound < p^k
-the answer has at most one element, which is what makes root identification
-from a single residue sound.
+``reconstruct`` inverts truncation under size bounds: it finds the one
+bounded fraction whose residue mod p^k matches, if there is one. It requires
+2 * num_bound * den_bound < p^k, under which at most one fraction fits, which
+is what makes root identification from a single residue sound.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -40,15 +39,10 @@ class PAdicRational:
         return self.frac.denominator
 
     def digits(self, k: int) -> list[int]:
-        """First k base-p digits of the canonical expansion."""
-        out = []
-        cur = self.frac
-        p = self.p
-        for _ in range(k):
-            d = (cur.numerator * pow(cur.denominator, -1, p)) % p
-            out.append(d)
-            cur = (cur - d) / p
-        return out
+        """First k base-p digits of the canonical expansion: the digits of
+        ``truncate_below(k)``, least significant first."""
+        low, p = self.truncate_below(k), self.p
+        return [low // p**i % p for i in range(k)]
 
     def truncate_below(self, k: int) -> int:
         """Residue in [0, p^k) congruent to the value mod p^k."""
@@ -78,22 +72,26 @@ class PAdicRational:
 
 
 def reconstruct(residue: int, p: int, k: int, den_bound: int, num_bound: int):
-    """All u/v in lowest terms with p not dividing v, 0 < v <= den_bound,
-    |u| <= num_bound and u = residue * v mod p^k; sorted by (v, u)."""
+    """The u/v with p not dividing v, 0 < v <= den_bound, |u| <= num_bound
+    and u = residue * v mod p^k, as a ``PAdicRational``; None when none fits.
+
+    Two such fractions make u*v' - u'*v a nonzero multiple of p^k of size
+    at most 2 * num_bound * den_bound, so ``ValueError`` unless p^k exceeds
+    that. The extended Euclidean algorithm on (p^k, residue) keeps
+    r_i = t_i * residue mod p^k; the first r_i <= num_bound gives the only
+    candidate u = +-r_i, v = |t_i| (Wang, Guy and Davenport 1982), in lowest
+    terms when p does not divide v, as gcd(r_i, t_i) divides p^k.
+    """
     modulus = p**k
-    residue %= modulus
-    found = []
-    for v in range(1, den_bound + 1):
-        if v % p == 0:
-            continue
-        target = (residue * v) % modulus
-        j_lo = -((num_bound + target) // modulus)
-        j_hi = (num_bound - target) // modulus
-        for j in range(j_lo, j_hi + 1):
-            u = target + j * modulus
-            if abs(u) > num_bound:
-                continue
-            if math.gcd(u, v) != 1:
-                continue
-            found.append((v, u))
-    return [PAdicRational(p, u, v) for v, u in sorted(found)]
+    if modulus <= 2 * num_bound * den_bound:
+        raise ValueError("p^k must exceed 2 * num_bound * den_bound")
+    r0, r1 = modulus, residue % modulus
+    t0, t1 = 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    v = abs(t1)
+    if v > den_bound or v % p == 0:
+        return None
+    return PAdicRational(p, r1 if t1 > 0 else -r1, v)

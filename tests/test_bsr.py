@@ -330,8 +330,6 @@ def test_context_refused_for_another_pair():
             strength(h, lift_h, Fraction(-1), 4, descent)
         with pytest.raises(ValueError, match="made for another f or lift"):
             nu_levels(h, lift_h, top, descent)
-        with pytest.raises(ValueError, match="made for another f or lift"):
-            bfunction_report(h, lift_h, top, 10, 10, descent)
 
 
 # x + 2y over Z/4 at level 7, and x + y + xy over Z/2 at level 5, where

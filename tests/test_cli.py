@@ -231,6 +231,19 @@ def test_reconstruction_bound_exits_2_before_work(monkeypatch, mode):
     }
 
 
+def test_reconstruction_cost_does_not_grow_with_the_bounds():
+    # 2 * (2^29 - 1) < 2^30 accepts level 30; a scan over every denominator
+    # up to the bound would take minutes, one Euclidean pass per residue
+    # takes a fraction of a second
+    argv = [sys.executable, "-m", "bsroots", "--p=2", "--m=0", "--vars=x",
+            "--poly=x", "--mode=roots", "--max-level=30",
+            "--den-bound=536870911", "--num-bound=1"]
+    out = subprocess.run(argv, capture_output=True, text=True,
+                         env=_child_env(), timeout=10)
+    assert out.returncode == 0, out.stderr
+    assert "root -1  (residue 1073741823)" in out.stdout
+
+
 def test_degrees_from_2_to_the_31_exit_2_before_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("engine work started")
