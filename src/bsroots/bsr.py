@@ -155,7 +155,7 @@ def strength(
     both bases as steps from the level below on ``descent`` (a new
     ``nu.DescentContext`` when None). On the context of a level walk that
     reached e_stop, the bases of a root's truncations are steps the walk
-    already completed. The level sequence is nonincreasing; the walk
+    already took. The level sequence is nonincreasing; the walk
     stops early once two consecutive levels agree or the value 0 is
     reached, both of which are final. A ``PAdicRational`` over a prime
     other than the ring's is refused.
@@ -206,7 +206,7 @@ def bfunction_report(
 
     The level sets are walked on a new ``nu.DescentContext``, and each
     strength walks levels 1..min(STRENGTH_LEVELS, verified_to_level) on the
-    same context, so it shares the walk's completed steps and completes only
+    same context, so it shares the walk's steps and completes only
     the few the walk did not take.
     """
     descent = DescentContext(f, lift)

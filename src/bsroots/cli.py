@@ -16,6 +16,9 @@ Expression grammar (no implicit multiplication):
   base   := int | var | '(' expr ')'
   int    := one or more of the ASCII digits 0-9
 
+Parentheses nest at most NESTING_LIMIT deep; the first '(' past it is a
+parse error at its offset.
+
 Exit codes: 0 success, 2 configuration or parse error (a p that is not a
 prime, a modulus p^(m+1) above 2^63, an f that is a zerodivisor, a degree of
 2^31 or more in the input, and a top level at which max(deg f, 1)*p^(top+m)
@@ -47,6 +50,10 @@ from .errors import InvariantError
 from .nu import nu_levels, require_nonzerodivisor
 from .padic import PAdicRational
 from .poly import EXPONENT_LIMIT, FrobeniusLift, Poly
+
+
+# at four parser frames a level, well inside the interpreter's recursion limit
+NESTING_LIMIT = 100
 
 
 class ExprError(ValueError):
@@ -95,6 +102,7 @@ class _ExprParser:
     def __init__(self, src: str, ctx: ChainRingCtx, names):
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0  # parentheses open at the current token
         self.ctx = ctx
         self.names = list(names)
 
@@ -153,9 +161,15 @@ class _ExprParser:
                 raise ExprError(f"unknown variable '{value}'", offset)
             return Poly.variable(self.ctx, nvars, self.names.index(value))
         if kind == "(":
+            if self.depth == NESTING_LIMIT:
+                raise ExprError(
+                    f"parentheses nested deeper than {NESTING_LIMIT}", offset
+                )
             self.take()
+            self.depth += 1
             inner = self.expr()
             self.take(")")
+            self.depth -= 1
             return inner
         raise ExprError("syntax error", offset)
 

@@ -77,16 +77,17 @@ ring", 2001): two generating sets of one ideal complete to the same tuple,
 and ideal equality is a tuple comparison.
 
 Completion works on plain term dicts, packed monomial to coefficient, and
-builds a ``Poly`` only for what it keeps. One reducer serves completion and
-``normal_form``: it consumes a term dict whose coefficients may be any ints,
-reduces each mod p^(m+1) as its monomial pops from the heap, and returns the
-remainder in descending monomial order, so the first key is the leading
-monomial. S-polynomials reach it as such dicts, with unreduced coefficients.
-An inserted remainder is unit-normalized in one pass over its terms and
-becomes a ``Poly`` once, leading monomial preset; its annihilator multiple
-is built from the terms of valuation below the leading coefficient's, and
-not at all when that is a unit. The tidy step reduces each element's tail
-dict and puts the head back in front of it.
+builds a ``Poly`` only for what it keeps. One reducer serves completion,
+``normal_form`` and membership: it consumes a term dict whose coefficients
+may be any ints, reduces each mod p^(m+1) as its monomial pops from the
+heap, and yields the remainder's terms in descending monomial order, so the
+first is the leading term; a membership query stops at that first term.
+S-polynomials reach it as such dicts, with unreduced coefficients. An
+inserted remainder is unit-normalized in one pass over its terms and becomes
+a ``Poly`` once, leading monomial preset; its annihilator multiple is built
+from the terms of valuation below the leading coefficient's, and not at all
+when that is a unit. The tidy step reduces each element's tail dict and puts
+the head back in front of it.
 """
 
 from __future__ import annotations
@@ -144,7 +145,10 @@ class GroebnerBasis:
         return f"GroebnerBasis({list(self.elements)!r})"
 
     def contains(self, g: Poly) -> bool:
-        return normal_form(g, self).is_zero()
+        """Whether g is in the ideal; stops at the first term that survives
+        reduction, as one nonzero remainder term refutes membership."""
+        rest = _reduce(dict(g.terms), self._lts, g.ctx.modulus, guard_bits(g.nvars))
+        return next(rest, None) is None
 
 
 def _reduce(work, lts, mod, guards):
@@ -152,13 +156,13 @@ def _reduce(work, lts, mod, guards):
 
     ``work`` is consumed, and its coefficients may be any ints: each is
     reduced mod p^(m+1) when its monomial pops, and a zero one is dropped.
-    Returns the remainder's terms, reduced and nonzero, in descending
-    monomial order, so its first key is its leading monomial.
+    Yields the remainder's terms (monomial, coefficient), reduced and
+    nonzero, in descending monomial order, so the first is its leading term;
+    a caller that stops early leaves the lower terms unreduced.
     """
     heap = [-mono for mono in work]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
-    out = {}
     while heap:
         mono = -pop(heap)
         c = work.pop(mono) % mod
@@ -184,8 +188,7 @@ def _reduce(work, lts, mod, guards):
             if not c:
                 break
         else:
-            out[mono] = c
-    return out
+            yield mono, c
 
 
 def normal_form(g: Poly, basis: GroebnerBasis) -> Poly:
@@ -204,22 +207,22 @@ def normal_form(g: Poly, basis: GroebnerBasis) -> Poly:
     heap once. Completion runs the same reducer on its own term dicts.
     """
     ctx = g.ctx
-    out = _reduce(dict(g.terms), basis._lts, ctx.modulus, guard_bits(g.nvars))
+    out = dict(_reduce(dict(g.terms), basis._lts, ctx.modulus, guard_bits(g.nvars)))
     return Poly._from_reduced(ctx, g.nvars, out, next(iter(out), None))
 
 
-def _s_poly(f: Poly, g: Poly) -> dict:
+def _s_poly(f: Poly, g: Poly, gamma) -> dict:
     """p^(j-jf) * x^uf * f - p^(j-jg) * x^ug * g, as a term dict.
 
-    x^uf * lm(f) = x^ug * lm(g) = lcm(lm(f), lm(g)), jf and jg are the
-    valuations of the leading coefficients and j = max(jf, jg). Both
+    x^uf * lm(f) = x^ug * lm(g) = gamma, the packed lcm(lm(f), lm(g)) that
+    the pair's queue entry already holds; jf and jg are the valuations of
+    the leading coefficients and j = max(jf, jg). Both
     arguments must be unit-normalized, lc = p^v exactly: then both scaled
     leading terms are p^j at the lcm and cancel exactly, so neither is built.
     The coefficients are left unreduced, for the reducer.
     """
     lmf, lcf = f.leading_term()
     lmg, lcg = g.leading_term()
-    gamma = lcm(lmf, lmg, f.nvars)
     top = max(lcf, lcg)  # p^j
     uf, cf = gamma - lmf, top // lcf
     ug, cg = gamma - lmg, top // lcg
@@ -297,7 +300,7 @@ def strong_groebner(J) -> GroebnerBasis:
         _, _, i, j, gamma = heapq.heappop(queue)
         if gamma is None:  # a generator, held in the slot of i
             if lts:
-                h = _reduce(dict(i.terms), lts, mod, guards)
+                h = dict(_reduce(dict(i.terms), lts, mod, guards))
                 if h:
                     add(h, next(iter(h)))
             else:  # nothing to reduce by: the generator goes in as it is
@@ -319,7 +322,7 @@ def strong_groebner(J) -> GroebnerBasis:
             ):
                 break
         else:
-            h = _reduce(_s_poly(gi, gj), lts, mod, guards)
+            h = dict(_reduce(_s_poly(gi, gj, gamma), lts, mod, guards))
             if h:
                 add(h, next(iter(h)))
 

@@ -25,7 +25,7 @@ one level down; level 0 is (f^a) itself. At a = 0, k = 1 the shift identity
 gives the end of every window in closed form, the wrap
 I_e(f^(p^(e+m))) = f^(p^m) * I_e(1) = (f^(p^m)). The only powers built are
 f^a, a <= p^m, and the shifts f^(p^m*k), 0 < k < p, each the first time a
-step by k is completed.
+step by k is taken.
 
 A level is walked by its runs, the maximal stretches of n that share one
 basis, so a run ending at n is the jump n. One step per run one level down
@@ -46,10 +46,19 @@ one run and costs no step, and otherwise its midpoint (k and i by divmod)
 is stepped. So a level costs its runs below and the steps it holds and
 completes, not p, and completes only the steps that locate a run boundary.
 
-A step is completed once per call. Each public entry point makes one
+A midpoint is certified against the upper end of its gap before its step
+is completed. If each Cartier generator of the step at mid lies in
+I_e(f^hi), held as the completed basis at hi, then I_e(f^mid) is inside
+I_e(f^hi), and the monotone chain puts I_e(f^hi) inside I_e(f^mid), as
+hi > mid. So the ideals are equal, and as the reduced strong basis of an
+ideal is unique (``groebner``), the basis at hi is the tuple the completion
+would give. A generator outside it ends its membership test at the first
+term that survives reduction, and the step is completed.
+
+A step is taken once per call. Each public entry point makes one
 ``DescentContext``, or takes the caller's, and the walk and the strengths of
 its roots (``bsr.strength``) take their steps on it. The context keeps every
-completed step, as basis one level down -> {k: basis}: a level-e basis equal
+step taken, as basis one level down -> {k: basis}: a level-e basis equal
 to one of level e-1, or a basis of a root's truncation that the walk already
 stepped, costs no second completion. On every anchor the level sets stop
 growing after a few levels; from there on each level steps the bases the
@@ -91,37 +100,43 @@ class NuLevelSet(namedtuple("NuLevelSet", "e window members")):
         return n % self.window in self.members
 
 
-def descent_basis(gens, lift: FrobeniusLift, e: int) -> GroebnerBasis:
+def descent_basis(gens, lift: FrobeniusLift, e: int, inside=None) -> GroebnerBasis:
     """Completed basis of the level-e descent of the ideal generated by ``gens``.
 
     ``gens`` are taken as given: a completed basis times a nonzerodivisor
     has no duplicates. Bases are canonical, so two descent ideals are equal
-    exactly when their bases are.
+    exactly when their bases are. ``inside``, the completed basis of an
+    ideal inside the descent, is returned with no completion when it holds
+    every descent generator, as the two ideals are then equal.
     """
-    return strong_groebner(cartier_generators(gens, lift, e))
+    gens = cartier_generators(gens, lift, e)
+    if inside is not None and all(map(inside.contains, gens.gens)):
+        return inside
+    return strong_groebner(gens)
 
 
-def descent_step(below, shift, lift: FrobeniusLift) -> GroebnerBasis:
+def descent_step(below, shift, lift: FrobeniusLift, inside=None) -> GroebnerBasis:
     """Level-e basis of f^(a + k*p^(e-1+m)) from the level below.
 
     ``below`` holds the basis elements of level e-1 at f^a and ``shift`` is
-    f^(p^m*k), or None for k = 0.
+    f^(p^m*k), or None for k = 0. ``inside`` goes to ``descent_basis``.
     """
     if shift is not None:
         below = [g * shift for g in below]
-    return descent_basis(below, lift, 1)
+    return descent_basis(below, lift, 1, inside)
 
 
 class DescentContext:
-    """The descent steps of one (f, lift), each completed once.
+    """The descent steps of one (f, lift), each taken once.
 
     Holds the level-0 bases (f^a,), a <= p^m, the wrap basis and the shifts
     f^(p^m*k), 0 < k < p, under ``shifts[k]``, each built the first time a
-    step by k is completed. ``steps`` keeps every completed step for as long
-    as the context lives, as basis elements one level down -> {shift index
-    k: basis elements}, the digit transitions of the p-automatic view: a
-    repeated step returns the basis completed the first time. Equal
-    completed bases are kept as one tuple. The step from the unit basis at
+    step by k is taken. ``steps`` keeps every step taken for as long as the
+    context lives, as basis elements one level down -> {shift index k: basis
+    elements}, the digit transitions of the p-automatic view: a repeated
+    step returns the basis found the first time. Equal bases are kept as one
+    tuple, interned with their ``GroebnerBasis``, whose index a step
+    certified against that basis reuses. The step from the unit basis at
     k = 0 is known from the start, as I_1((1)) = (1).
     """
 
@@ -135,23 +150,29 @@ class DescentContext:
         self.shifts = {}  # k -> f^(p^m*k), built on first use
         unit = self.bottom[0]  # I_1((1)) = (1): the unit basis descends to itself
         self.steps = {unit: {0: unit}}  # elements one level down -> {k: elements}
-        self._interned = {unit: unit}  # elements -> the one tuple of that value
+        self._interned = {unit: GroebnerBasis(f.ctx, f.nvars, unit)}  # tuple -> basis
+
+    def _intern(self, gb) -> tuple:
+        return self._interned.setdefault(gb.elements, gb).elements
 
     @cached_property
     def wrap(self) -> tuple:
         """Basis elements of (f^(p^m)), the last run of every level."""
-        return strong_groebner(IdealGens(self.bottom[-1])).elements
+        return self._intern(strong_groebner(IdealGens(self.bottom[-1])))
 
-    def step(self, elems, k: int) -> tuple:
+    def step(self, elems, k: int, inside: tuple = None) -> tuple:
         """Basis elements of level e at f^(a + k*p^(e-1+m)), from ``elems``,
-        the basis elements of level e-1 at f^a (``descent_step``)."""
+        the basis elements of level e-1 at f^a (``descent_step``). ``inside``,
+        interned elements of level e at a higher power of f, is returned as
+        it is when it holds every descent generator of the step."""
         held = self.steps.setdefault(elems, {})
         done = held.get(k)
         if done is None:
             if k and k not in self.shifts:
                 self.shifts[k] = self.bottom[-1][0] ** k
-            done = descent_step(elems, self.shifts.get(k), self.lift).elements
-            done = held[k] = self._interned.setdefault(done, done)
+            gb = self._interned.get(inside)
+            gb = descent_step(elems, self.shifts.get(k), self.lift, gb)
+            done = held[k] = self._intern(gb)
         return done
 
 
@@ -183,9 +204,12 @@ def descent_runs(
     and the wrap p*size. The candidates whose steps ``descent`` already holds
     (``DescentContext.steps``) are read off it, n = 0 included; then each
     gap between known numbers is bisected by the sandwich rule: equal ends
-    make the gap one run, and otherwise the midpoint is stepped. Steps go
-    through ``descent`` (a new context when None), so a step the walk or an
-    earlier call on the same context already took is not completed again.
+    make the gap one run, and otherwise the midpoint is stepped, certified
+    against the basis at the gap's upper end: when that basis holds every
+    Cartier generator of the step, it is the step's basis and no completion
+    runs (the module docstring has the proof). Steps go through
+    ``descent`` (a new context when None), so a step the walk or an earlier
+    call on the same context already took is not taken again.
     """
     p, m = f.ctx.p, f.ctx.m
     descent = descent_context(f, lift, descent)
@@ -205,7 +229,7 @@ def descent_runs(
             if hi - lo > 1 and bases[lo] != bases[hi]:
                 mid = (lo + hi) // 2
                 k, i = divmod(mid, size)
-                bases[mid] = descent.step(below[i][1], k)
+                bases[mid] = descent.step(below[i][1], k, bases[hi])
                 gaps += ((lo, mid), (mid, hi))
         runs = []
         for index in sorted(bases):

@@ -35,6 +35,7 @@ from _oracles import (
     residue_tree_reference,
     roots_reference,
 )
+from test_nu import _assert_runs_match_walk
 
 
 def _setup(p, m, terms, nvars):
@@ -296,28 +297,37 @@ def test_records_are_read_only():
 
 
 def test_report_strengths_complete_only_what_the_tree_did_not(monkeypatch):
-    """On the README example the level walk completes 29 steps, and its
-    three strengths add the 2 it did not take; on fresh contexts they
-    complete 12."""
+    """On the README example the level walk takes 29 steps, and its three
+    strengths add the 2 it did not take; on fresh contexts they take 12.
+    The walk certifies 4 of its steps equal to the basis at their gap's
+    upper end, so with the wrap it completes 26 times, and 28 with the
+    strengths; a strength has no upper end to certify against and completes
+    every step it takes."""
     (f, lift), top = REPORT_CASES["readme"]
-    completed = 0
-    complete = nu.descent_step
+    stepped = completed = 0
+    take, complete = nu.descent_step, nu.strong_groebner
 
-    def counted(*args):
+    def counted_take(*args):
+        nonlocal stepped
+        stepped += 1
+        return take(*args)
+
+    def counted_complete(*args):
         nonlocal completed
         completed += 1
         return complete(*args)
 
-    monkeypatch.setattr(nu, "descent_step", counted)
+    monkeypatch.setattr(nu, "descent_step", counted_take)
+    monkeypatch.setattr(nu, "strong_groebner", counted_complete)
     detect_roots(f, lift, top, 10, 10)
-    assert completed == 29
-    completed = 0
+    assert (stepped, completed) == (29, 26)
+    stepped = completed = 0
     rep = bfunction_report(f, lift, top, 10, 10)
-    assert completed == 31
-    completed = 0
+    assert (stepped, completed) == (31, 28)
+    stepped = completed = 0
     for entry in rep.roots:
         strength(f, lift, entry.alpha, 4)
-    assert completed == 12
+    assert (stepped, completed) == (12, 12)
 
 
 def test_context_refused_for_another_pair():
@@ -406,19 +416,37 @@ def _assert_matches_full_walk(f, lift, top, den_bound, num_bound):
 TREE_RINGS = [(2, 0, 5), (2, 1, 4), (2, 2, 3), (3, 0, 3), (3, 1, 2), (5, 0, 2), (5, 1, 2)]
 
 
-@pytest.mark.parametrize("p,m,top", TREE_RINGS, ids=[f"{p}-{m}" for p, m, _ in TREE_RINGS])
-def test_pruned_tree_matches_full_walk(p, m, top):
-    # four 1-variable cases under the standard lift, then one 2-variable case
-    # per lift: the standard lift and every lift-descent correction
+def _tree_cases(p, m):
+    """Four 1-variable cases under the standard lift, then one 2-variable
+    case per lift: the standard lift and every lift-descent correction."""
     rng = random.Random(800 + 10 * p + m)
     ctx = ChainRingCtx(p, m)
     cases = [
         (random_unit_poly(rng, ctx, 1, 3, 3), FrobeniusLift.standard(ctx, 1))
         for _ in range(4)
     ]
-    cases += [(random_unit_poly(rng, ctx, 2, 3, 3), lift) for lift in descent_lifts(ctx)]
-    for f, lift in cases:
+    return cases + [
+        (random_unit_poly(rng, ctx, 2, 3, 3), lift) for lift in descent_lifts(ctx)
+    ]
+
+
+@pytest.mark.parametrize("p,m,top", TREE_RINGS, ids=[f"{p}-{m}" for p, m, _ in TREE_RINGS])
+def test_pruned_tree_matches_full_walk(p, m, top):
+    for f, lift in _tree_cases(p, m):
         _assert_matches_full_walk(f, lift, top, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "p,m",
+    [(p, m) for p, m, _ in TREE_RINGS],
+    ids=[f"{p}-{m}" for p, m, _ in TREE_RINGS],
+)
+def test_certified_runs_match_per_n_walk(p, m):
+    """At levels 1 to 4 the run walk, which certifies midpoints against the
+    upper end of their gap, gives the basis of the per-n walk, which
+    completes every step, at every n, and the same level sets."""
+    for f, lift in _tree_cases(p, m):
+        _assert_runs_match_walk(f, lift, 4)
 
 
 def test_pruned_tree_matches_full_walk_on_acceptance_examples():
@@ -506,7 +534,7 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
         draws = random.Random(seed)
         ranks = [0] + sorted(draws.randrange(3) for _ in range(p ** (m + 1) - 1)) + [3]
 
-        def synthetic_basis(gens, lift, e):
+        def synthetic_basis(gens, lift, e, inside=None):
             assert e == 1
             (g,) = gens
             if isinstance(g, Poly):

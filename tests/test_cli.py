@@ -13,7 +13,7 @@ import pytest
 import bsroots
 from bsroots import ChainRingCtx, Poly, detect_roots, FrobeniusLift
 from bsroots.bsr import CrosscheckResult
-from bsroots.cli import ExprError, parse_poly, run
+from bsroots.cli import NESTING_LIMIT, ExprError, parse_poly, run
 from bsroots.nu import NuLevelSet
 
 from _oracles import random_poly
@@ -209,6 +209,37 @@ def test_config_error_structured_shape():
     doc = json.loads(text)
     assert doc["error"]["type"] == "ExprError"
     assert "at offset 4" in doc["error"]["message"]
+
+
+def _nested(depth):
+    return "(" * depth + "x" + ")" * depth
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("flag", ["--poly", "--lift"])
+def test_nesting_past_the_limit_exits_2(flag, fmt):
+    """NESTING_LIMIT parentheses parse, in --poly and in a --lift
+    correction; one more is a parse error at the offset of the first '('
+    past the limit, exit 2 and no traceback, where the recursive parser
+    once raised RecursionError at 250."""
+    def argv(depth):
+        if flag == "--poly":
+            exprs = [f"--poly={_nested(depth)}"]
+        else:
+            exprs = ["--poly=x", f"--lift=x:{_nested(depth)}"]
+        return ["--p=2", "--m=1", "--vars=x", *exprs, "--mode=nu", "--max-level=1",
+                f"--format={fmt}"]
+
+    code, _ = run(argv(NESTING_LIMIT))
+    assert code == 0
+    code, text = run(argv(NESTING_LIMIT + 1))
+    assert code == 2
+    limit = NESTING_LIMIT
+    message = f"parentheses nested deeper than {limit} at offset {limit}"
+    if fmt == "structured":
+        assert json.loads(text)["error"] == {"type": "ExprError", "message": message}
+    else:
+        assert text == f"error: {message}"
 
 
 @pytest.mark.parametrize("mode", ["roots", "bfunction", "crosscheck"])
@@ -668,7 +699,7 @@ import itertools
 from types import SimpleNamespace
 from bsroots import Poly, nu
 fresh = itertools.count(1)
-def fresh_basis(gens, lift, e):
+def fresh_basis(gens, lift, e, inside=None):
     x = Poly.variable(gens[0].ctx, gens[0].nvars, 0)
     return SimpleNamespace(elements=(x ** next(fresh),))
 nu.descent_basis = fresh_basis

@@ -13,7 +13,7 @@ from bsroots.groebner import (
     normal_form,
     strong_groebner,
 )
-from bsroots.poly import guard_bits, pack, unpack
+from bsroots.poly import guard_bits, lcm, pack, unpack
 
 from _oracles import (
     _normalize_unit_reference,
@@ -218,6 +218,26 @@ def test_normal_form_is_constant_on_cosets(p, m):
             assert normal_form(f, gb) == normal_form(g, gb), (A, f, g)
 
 
+@pytest.mark.parametrize("p,m", RINGS)
+def test_contains_agrees_with_the_normal_form(p, m):
+    """Membership stops at the first term that survives reduction, and holds
+    exactly when the whole normal form is zero: on members, on members plus
+    a random polynomial, and on their multiples by powers of p."""
+    ctx = ChainRingCtx(p, m)
+    rng = random.Random(8500 + 100 * p + m)
+    found = set()
+    for A, _ in same_ideal_family(ctx, 7000 + 100 * p + m):
+        gb = strong_groebner(A)
+        for _ in range(3):
+            g = _ideal_element(rng, A)
+            for h in (g, g + random_poly(rng, ctx, A.nvars, 4, 4)):
+                for t in range(m + 1):
+                    member = normal_form(h * p**t, gb).is_zero()
+                    assert gb.contains(h * p**t) == member, (A, h, t)
+                    found.add(member)
+    assert found == {False, True}
+
+
 def test_basis_refuses_leading_coefficients_off_the_powers_of_p():
     x = Poly.variable(Z9, 1, 0)
     with pytest.raises(ValueError, match="not a power of p"):
@@ -300,7 +320,10 @@ def test_s_poly_matches_reference(p, m):
             continue
         f, g = _normalize_unit_reference(f), _normalize_unit_reference(g)
         for a, b in ((f, g), (g, f), (f, f)):
-            got = {t: r for t, c in _s_poly(a, b).items() if (r := c % ctx.modulus)}
+            gamma = lcm(a.leading_monomial(), b.leading_monomial(), nv)
+            got = {
+                t: r for t, c in _s_poly(a, b, gamma).items() if (r := c % ctx.modulus)
+            }
             assert got == _s_poly_reference(a, b).terms, (a, b)
         pairs += 1
 
@@ -327,7 +350,7 @@ def test_reducer_takes_unreduced_term_dicts(p, m):
                 t = pack([rng.randint(0, 3) for _ in range(A.nvars)], A.nvars)
                 if t not in raw:
                     raw[t] = mod * rng.randint(-1, 1)
-            got = _reduce(raw, gb._lts, mod, guards)
+            got = dict(_reduce(raw, gb._lts, mod, guards))
             assert got == normal_form(g, gb).terms, (A, g)
             assert list(got) == sorted(got, reverse=True), (A, g)
 
@@ -427,9 +450,9 @@ def test_unit_leading_coefficient_forms_no_pairs(monkeypatch):
     when its tail holds coefficients of valuation 1 and 2."""
     calls = []
 
-    def counted(f, g):
+    def counted(f, g, gamma):
         calls.append((f, g))
-        return _s_poly(f, g)
+        return _s_poly(f, g, gamma)
 
     monkeypatch.setattr("bsroots.groebner._s_poly", counted)
     x, y = Poly.variable(Z27, 2, 0), Poly.variable(Z27, 2, 1)
@@ -447,9 +470,9 @@ def test_redundant_generator_forms_no_pairs(monkeypatch, ctx):
     """
     calls = []
 
-    def counted(f, g):
+    def counted(f, g, gamma):
         calls.append((f, g))
-        return _s_poly(f, g)
+        return _s_poly(f, g, gamma)
 
     monkeypatch.setattr("bsroots.groebner._s_poly", counted)
     x, y = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)

@@ -5,6 +5,8 @@ import pytest
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, is_nu, nu_set
 from bsroots import nu
+from bsroots.cartier import cartier_generators
+from bsroots.groebner import GroebnerBasis, strong_groebner
 from bsroots.nu import descent_basis, descent_runs, nu_levels
 
 from _oracles import descent_walk, direct_descent_bases, random_unit_poly
@@ -224,11 +226,13 @@ def test_level_walk_matches_direct_descent_on_anchors(name):
 
 @pytest.mark.parametrize("name", list(ANCHORS))
 def test_run_walk_matches_per_n_walk_on_anchors(name):
-    """The run walk gives the per-n walk's basis at every n, to the highest
-    level whose window is at most 2^7."""
+    """The run walk, which certifies midpoints against the upper end of
+    their gap, gives the per-n walk's basis at every n, which completes
+    every step, at levels 1 to 4 and to the highest level whose window is
+    at most 2^7."""
     f, lifts = _anchor_lifts(name)
     for lift in lifts:
-        _assert_runs_match_walk(f, lift, _deepest_level(f.ctx, 128))
+        _assert_runs_match_walk(f, lift, max(4, _deepest_level(f.ctx, 128)))
 
 
 @pytest.mark.parametrize("p,m", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
@@ -261,17 +265,24 @@ def test_run_walk_takes_one_step_per_run_and_shift(monkeypatch):
     where one step per run and shift would take 198 and one step per n
     8 194, and the same 24 to level 16 (330 by runs), as the level sets
     stop growing after level 2 and every level above asks for none. Each
-    step asked for is completed once."""
+    step asked for is taken once, and 5 of the 24 are certified equal to
+    the basis at their gap's upper end, so the walk completes 19 steps and
+    the wrap."""
     ctx, f = ANCHORS["groebner-p2"]
     lift = FrobeniusLift.standard(ctx, 2)
     p, m = ctx.p, ctx.m
-    asked = completed = 0
-    ask, complete = nu.DescentContext.step, nu.descent_step
+    asked = stepped = completed = 0
+    ask, take, complete = nu.DescentContext.step, nu.descent_step, nu.strong_groebner
 
     def counted_ask(*args):
         nonlocal asked
         asked += 1
         return ask(*args)
+
+    def counted_take(*args):
+        nonlocal stepped
+        stepped += 1
+        return take(*args)
 
     def counted_complete(*args):
         nonlocal completed
@@ -280,17 +291,82 @@ def test_run_walk_takes_one_step_per_run_and_shift(monkeypatch):
 
     for top, by_runs in ((10, 198), (16, 330)):
         starts = range(p**m + 1)  # level 0: one run per power f^a, a <= p^m
-        asks = bound = completed = 0
+        asks = bound = stepped = completed = 0
         with monkeypatch.context() as patch:
             patch.setattr(nu.DescentContext, "step", counted_ask)
-            patch.setattr(nu, "descent_step", counted_complete)
+            patch.setattr(nu, "descent_step", counted_take)
+            patch.setattr(nu, "strong_groebner", counted_complete)
             for e, runs in descent_runs(f, lift, top):
                 runs_below = p * sum(n < p ** (e - 1 + m) for n in starts)
                 assert asked <= runs_below, (top, e)
                 asks, bound, asked = asks + asked, bound + runs_below, 0
                 starts = [n for n, _ in runs]
         assert bound == by_runs, top
-        assert asks == completed == 24, top
+        assert asks == stepped == 24, top
+        assert completed == 20, top
+
+
+def test_certificate_completes_fewer_steps_on_the_p3_anchor(monkeypatch):
+    """nu of the p=3 anchor to level 3 takes 158 steps. Certifying a
+    midpoint equal to its gap's upper end leaves 106 of them to complete,
+    and the wrap makes 107 completions, where completing every step made
+    159."""
+    ctx, f = ANCHORS["groebner-p3"]
+    stepped = completed = 0
+    take, complete = nu.descent_step, nu.strong_groebner
+
+    def counted_take(*args):
+        nonlocal stepped
+        stepped += 1
+        return take(*args)
+
+    def counted_complete(*args):
+        nonlocal completed
+        completed += 1
+        return complete(*args)
+
+    monkeypatch.setattr(nu, "descent_step", counted_take)
+    monkeypatch.setattr(nu, "strong_groebner", counted_complete)
+    nu_levels(f, FrobeniusLift.standard(ctx, 2), 3)
+    assert (stepped, completed) == (158, 107)
+
+
+def _level_one_steps(name, k):
+    """A fresh context of the anchor under the standard lift, and its
+    level-1 bases at f^(a + k*p^m), a < p^m, each a step by k."""
+    ctx, f = ANCHORS[name]
+    descent = nu.DescentContext(f, FrobeniusLift.standard(ctx, f.nvars))
+    return descent, [descent.step(descent.bottom[a], k) for a in range(ctx.p**ctx.m)]
+
+
+def test_certified_step_returns_the_upper_basis_without_completing(monkeypatch):
+    """On the three-vars anchor I_1(f) = I_1(f^2): the step at f, whose
+    descent generators all lie in ``inside``, the basis at f^2, returns
+    that interned tuple itself, and no completion runs."""
+    descent, bases = _level_one_steps("three-vars", 0)
+    assert bases[1] == bases[2]
+    below = descent.bottom[1]
+    del descent.steps[below][0]
+    monkeypatch.setattr(nu, "strong_groebner", _no_completion)
+    assert descent.step(below, 0, bases[2]) is bases[2]
+    assert descent.steps[below][0] is bases[2]
+
+
+def test_uncertified_step_completes_from_scratch():
+    """At a jump the basis one power up holds not every descent generator,
+    so the step completes, to what its generators complete to alone."""
+    descent, bases = _level_one_steps("groebner-p3", 1)
+    f = descent.f
+    for a in range(len(bases) - 1):
+        if bases[a] == bases[a + 1]:
+            continue
+        below = descent.bottom[a]
+        shifted = [g * descent.shifts[1] for g in below]
+        gens = cartier_generators(shifted, descent.lift, 1)
+        upper = GroebnerBasis(f.ctx, f.nvars, bases[a + 1])
+        assert not all(map(upper.contains, gens.gens)), a
+        del descent.steps[below][1]
+        assert descent.step(below, 1, bases[a + 1]) == strong_groebner(gens).elements
 
 
 def _no_completion(*args):
