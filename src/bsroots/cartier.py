@@ -1,14 +1,16 @@
-"""Descent operators on ideals of V[x1..xn].
+"""Level-1 descent of ideals of V[x1..xn].
 
-For a lift F and level e the polynomial ring is free over its image under
-F^e with basis the monomials x^alpha, alpha in [0, p^e)^n. Projection onto
-each basis coordinate defines the descent operators, and the image of an
-ideal J under all of them is again an ideal: it is generated by the
-coordinates of the generators of J. ``cartier_generators`` returns exactly
-those coordinate polynomials, with no interreduction, so the raw output is
-reproducible; canonicalization happens later in the Groebner layer.
+For a lift F the polynomial ring is free over its image F(R) with basis the
+monomials x^alpha, alpha in [0, p)^n. Projection onto each basis coordinate
+defines the level-1 descent operators, and the image of an ideal J under all
+of them is again an ideal: it is generated by the coordinates of the
+generators of J. ``cartier_generators`` returns exactly those coordinate
+polynomials, with no interreduction, so the raw output is reproducible;
+canonicalization happens later in the Groebner layer.
 
-Degrees drop by the factor p^e, which is the engine's source of finiteness.
+Degrees drop by the factor p, which is the engine's source of finiteness.
+Level e is level 1 taken e times, by the composition identity
+I_e(J) = I_1(I_(e-1)(J)) of ``bsroots.nu``.
 """
 
 from __future__ import annotations
@@ -58,14 +60,12 @@ class IdealGens:
         return f"IdealGens({list(self.gens)!r})"
 
 
-def cartier_generators(gens, lift: FrobeniusLift, e: int) -> IdealGens:
-    """Generators of the image of the ideal (gens) under all level-e descent
+def cartier_generators(gens, lift: FrobeniusLift) -> IdealGens:
+    """Generators of the image of the ideal (gens) under all level-1 descent
     operators: the coordinates g_alpha of each polynomial of ``gens``, taken
-    as given, in the free basis over the e-fold Frobenius image.
+    as given, in the free basis over the Frobenius image.
     """
-    if e < 0:
-        raise ValueError("negative level")
     comps = []
     for g in gens:
-        comps.extend(phi_decompose(g, lift, e).values())
+        comps.extend(phi_decompose(g, lift).values())
     return IdealGens(comps, ctx=lift.ctx, nvars=lift.nvars)

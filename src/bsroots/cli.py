@@ -17,7 +17,8 @@ Expression grammar (no implicit multiplication):
   int    := one or more of the ASCII digits 0-9
 
 Parentheses nest at most NESTING_LIMIT deep; the first '(' past it is a
-parse error at its offset.
+parse error at its offset. So is an int longer than Python converts
+(sys.get_int_max_str_digits()), at its first digit.
 
 Exit codes: 0 success, 2 configuration or parse error (a p that is not a
 prime, a modulus p^(m+1) above 2^63, an f that is a zerodivisor, a degree of
@@ -79,7 +80,12 @@ def _tokenize(src: str):
             j = i
             while j < n and "0" <= src[j] <= "9":
                 j += 1
-            out.append(("int", int(src[i:j]), i))
+            try:
+                value = int(src[i:j])
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                message = f"integer literal too long ({j - i} digits)"
+                raise ExprError(message, i) from None
+            out.append(("int", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":

@@ -100,8 +100,8 @@ class NuLevelSet(namedtuple("NuLevelSet", "e window members")):
         return n % self.window in self.members
 
 
-def descent_basis(gens, lift: FrobeniusLift, e: int, inside=None) -> GroebnerBasis:
-    """Completed basis of the level-e descent of the ideal generated by ``gens``.
+def descent_basis(gens, lift: FrobeniusLift, inside=None) -> GroebnerBasis:
+    """Completed basis of the level-1 descent of the ideal generated by ``gens``.
 
     ``gens`` are taken as given: a completed basis times a nonzerodivisor
     has no duplicates. Bases are canonical, so two descent ideals are equal
@@ -109,7 +109,7 @@ def descent_basis(gens, lift: FrobeniusLift, e: int, inside=None) -> GroebnerBas
     ideal inside the descent, is returned with no completion when it holds
     every descent generator, as the two ideals are then equal.
     """
-    gens = cartier_generators(gens, lift, e)
+    gens = cartier_generators(gens, lift)
     if inside is not None and all(map(inside.contains, gens.gens)):
         return inside
     return strong_groebner(gens)
@@ -123,7 +123,7 @@ def descent_step(below, shift, lift: FrobeniusLift, inside=None) -> GroebnerBasi
     """
     if shift is not None:
         below = [g * shift for g in below]
-    return descent_basis(below, lift, 1, inside)
+    return descent_basis(below, lift, inside)
 
 
 class DescentContext:
@@ -271,14 +271,19 @@ def nu_levels(
 def is_nu(f: Poly, lift: FrobeniusLift, e: int, n: int) -> bool:
     """Whether n is a level-e invariant of f; periodic mod p^(e+m).
 
-    The direct definition: the descents of f^n and f^(n+1) themselves.
+    The definition, with none of the walk: the bases of f^n and f^(n+1),
+    each descended e times by level 1, which the composition identity
+    I_e(J) = I_1(I_(e-1)(J)) makes the level-e bases.
     """
     require_nonzerodivisor(f)
     if e < 1:
         raise ValueError("level must be >= 1")
     n %= f.ctx.p ** (e + f.ctx.m)
     f_n = f**n
-    return descent_basis([f_n], lift, e) != descent_basis([f_n * f], lift, e)
+    ends = [[f_n], [f_n * f]]
+    for _ in range(e):
+        ends = [descent_basis(gens, lift).elements for gens in ends]
+    return ends[0] != ends[1]
 
 
 def nu_set(f: Poly, lift: FrobeniusLift, e: int) -> NuLevelSet:

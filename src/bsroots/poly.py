@@ -31,9 +31,12 @@ and ``exponent_terms`` is the one decoded view of the packed ``terms``.
 order that generator lists and completed bases are kept in.
 
 ``FrobeniusLift`` models ring endomorphisms F with F(xi) = xi^p + p*hi and
-F identity on coefficients. ``phi_decompose`` inverts the induced module
-structure: it writes f uniquely as sum over alpha in [0, p^e)^n of
-F^e(g_alpha) * x^alpha, the coordinates the descent operators act on.
+F identity on coefficients. R = V[x1..xn] is free over F(R) with basis the
+monomials x^alpha, alpha in [0, p)^n, and ``phi_decompose`` inverts that
+module structure: it writes f uniquely as sum of F(g_alpha) * x^alpha, the
+coordinates the level-1 descent operators act on. The engine needs no other
+level: level e is level 1 taken e times, by the composition identity of
+``bsroots.nu``.
 """
 
 from __future__ import annotations
@@ -384,35 +387,33 @@ class FrobeniusLift:
     def image(self, i) -> Poly:
         """F(xi) as a polynomial."""
         n = self.nvars
-        return self._power(pack(tuple(int(k == i) for k in range(n)), n), 1)
+        return self._power(pack(tuple(int(k == i) for k in range(n)), n))
 
-    def _power(self, beta, e) -> Poly:
-        """F^e(x^beta) for a packed beta, memoized on the lift.
+    def _power(self, beta) -> Poly:
+        """F(x^beta) for a packed beta, memoized on the lift.
 
-        x^beta splits into x^head * xi^k at its last variable xi, xi^k into
-        two halves, and F^e(xi) = F^(e-1)(F(xi)); so the stack grows with
-        log(degree), never with the degree.
+        x^beta splits into x^head * xi^k at its last variable xi, and xi^k
+        into two halves; so the stack grows with log(degree), never with the
+        degree.
         """
-        img = self._powers.get((beta, e))
+        img = self._powers.get(beta)
         if img is not None:
             return img
         n, p = self.nvars, self.ctx.p
         exps = unpack(beta, n)
         i = max((j for j in range(n) if exps[j]), default=0)
         head = exps[:i] + (0,) * (n - i)
-        if e == 0 or not exps[i]:
+        if not exps[i]:
             img = Poly._from_terms(self.ctx, n, {beta: 1})
         elif any(head) or exps[i] > 1:
             a = head if any(head) else head[:i] + (exps[i] // 2,) + head[i + 1 :]
             a = _pack(a, n)
-            img = self._power(a, e) * self._power(beta - a, e)
-        elif e > 1:
-            img = frobenius_apply(self._power(beta, 1), self, e - 1)
+            img = self._power(a) * self._power(beta - a)
         else:
             h = self.corrections[i]
             img = Poly.monomial(self.ctx, n, tuple(p * x for x in exps))
             img = img if h is None else img + h * p
-        self._powers[(beta, e)] = img
+        self._powers[beta] = img
         return img
 
     def __eq__(self, other):
@@ -425,22 +426,6 @@ class FrobeniusLift:
 
     def __hash__(self):
         return hash((self.ctx, self.nvars, self.corrections))
-
-
-def frobenius_apply(f: Poly, lift: FrobeniusLift, e: int) -> Poly:
-    """F^e(f) as the sum of c * F^e(x^beta) over the terms c*x^beta of f.
-
-    F^e is additive and fixes coefficients, so one loop serves every lift.
-    """
-    if e < 0:
-        raise ValueError("negative iteration count")
-    if f.ctx != lift.ctx or f.nvars != lift.nvars:
-        raise ValueError("mixed polynomial rings")
-    acc = {}
-    for beta, c in f.terms.items():
-        for mono, d in lift._power(beta, e).terms.items():
-            acc[mono] = acc.get(mono, 0) + c * d
-    return Poly._from_terms(f.ctx, f.nvars, acc)
 
 
 def _digit_classes(terms, nvars, q):
@@ -474,31 +459,29 @@ def _split_base_q(f: Poly, q: int):
     return {a: Poly._from_reduced(f.ctx, f.nvars, t) for a, (_, t) in comps}
 
 
-def phi_decompose(f: Poly, lift: FrobeniusLift, e: int) -> dict:
-    """Coordinates of f in the free basis {F^e(g) * x^alpha, alpha in [0,p^e)^n}.
+def phi_decompose(f: Poly, lift: FrobeniusLift) -> dict:
+    """Coordinates of f in the free basis {F(g) * x^alpha, alpha in [0,p)^n}.
 
     Returns {alpha: g_alpha}, alpha ascending, with zero components omitted.
     The digit split is exact for the standard lift. Otherwise each round
     splits the remainder's term dict, adds each term c*x^beta of class alpha
-    into g_alpha and subtracts c * F^e(x^beta) * x^alpha, read from the
-    lift's memo, from a copy of the remainder; its valuation rises, so m+1
-    rounds leave nothing. A shifted image of degree 2^31 or more raises
+    into g_alpha and subtracts c * F(x^beta) * x^alpha, read from the lift's
+    memo, from a copy of the remainder; its valuation rises, so m+1 rounds
+    leave nothing. A shifted image of degree 2^31 or more raises
     ``DegreeLimitError`` before its terms are formed."""
-    if e < 0:
-        raise ValueError("negative level")
     if f.ctx != lift.ctx or f.nvars != lift.nvars:
         raise ValueError("mixed polynomial rings")
-    ctx, n, q = f.ctx, f.nvars, f.ctx.p**e
+    ctx, n, p = f.ctx, f.nvars, f.ctx.p
     if lift.is_standard:
-        return _split_base_q(f, q)
+        return _split_base_q(f, p)
     acc, pending, mod = {}, f.terms, ctx.modulus
     for _ in range(ctx.m + 1):
         rest = dict(pending)
-        for alpha, (shift, beta_terms) in _digit_classes(pending, n, q).items():
+        for alpha, (shift, beta_terms) in _digit_classes(pending, n, p).items():
             coords = acc.setdefault(alpha, {})
             for beta, c in beta_terms.items():
                 coords[beta] = coords.get(beta, 0) + c
-                img = lift._power(beta, e)
+                img = lift._power(beta)
                 _check_degree(mono_degree(img.leading_monomial() + shift, n))
                 for mono, d in img.terms.items():
                     key = mono + shift

@@ -8,22 +8,25 @@ decides row spans over V, and the brute-force membership search reduces to
 it; exhaustive span enumeration checks it in turn. The reference Frobenius
 substitution applies a lift one step at a time, as the engine once did,
 and reads nothing the lift has memoized. The Frobenius pullback of an
-ideal, F^e(J) extended to the whole ring, is the engine's ``frobenius_apply``
-on each generator; no mode needs it, and the tests check that level-e
-descent takes it back to J. Every reference reads a polynomial
+ideal, F^e(J) extended to the whole ring, is that substitution on each
+generator; no mode needs it, and the tests check that e descents take it
+back to J. Every reference reads a polynomial
 through ``exponent_terms``, on exponent tuples, never the engine's packed
 monomials. The reference product is the schoolbook double loop with
 generator exponent sums and a reduction at every step. The tuple normal
 form and digit split are the engine's own algorithms as they ran on tuples,
 so their results must match exactly. The reference decomposition is the
 engine's earlier correction rounds on whole polynomials, over that digit
-split and the engine's ``frobenius_apply``, so the coordinates must match
-exactly too. The reference Groebner completion at
+split and the reference substitution, so at level 1 the coordinates must
+match the engine's exactly too. The engine descends one level at a time;
+level e lives here only. The reference decomposition at level e writes f
+in the free basis over F^e(R) directly, and the tests check the engine's
+level 1 taken e times against it. The reference Groebner completion at
 the end is the engine's earlier, non-incremental code that
 never retires an element; the engine's minimal bases must generate the same
 ideals and give the same membership verdicts. The reference descent bases
 follow the definition, with none of the engine's walk: each power f^n,
-its coordinates at level e, and their completion. The per-n walk is the
+its reference coordinates at level e, and their completion. The per-n walk is the
 engine's earlier level walk, one descent step for every n of every window,
 against which the run walk must give the same basis at every n. The
 reference residue tree is the engine's earlier full walk over the direct
@@ -35,6 +38,7 @@ member and that the engine's level sets, roots and unresolved residues
 are the same.
 """
 
+import functools
 import heapq
 import itertools
 import math
@@ -43,11 +47,10 @@ from fractions import Fraction
 from itertools import product
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly
-from bsroots.cartier import IdealGens, cartier_generators
+from bsroots.cartier import IdealGens
 from bsroots.errors import InvariantError
 from bsroots.groebner import strong_groebner
 from bsroots.nu import descent_step
-from bsroots.poly import frobenius_apply
 
 
 # Degrevlex with x1 > x2 > ... > xn, spelled here from its definition so
@@ -91,13 +94,14 @@ def reconstruct_double_loop(residue, modulus, den_bound, num_bound, p):
 
 def direct_descent_bases(f, lift, e):
     """Reduced strong bases of I_e(f^n) for n = 0..p^(e+m), straight from
-    the definition: the power f^n, its level-e coordinates, completion."""
+    the definition: the power f^n, its reference coordinates at level e,
+    completion."""
     window = f.ctx.p ** (e + f.ctx.m)
     bases = []
     power = Poly.one(f.ctx, f.nvars)
     for n in range(window + 1):
-        gens = cartier_generators([power], lift, e)
-        bases.append(strong_groebner(gens))
+        coords = phi_decompose_reference(power, lift, e).values()
+        bases.append(strong_groebner(IdealGens(coords, ctx=f.ctx, nvars=f.nvars)))
         power = power * f
     return bases
 
@@ -276,35 +280,66 @@ def int_val(p, n, cap):
     return v
 
 
-def frobenius_apply_reference(f, lift, e):
-    """F^e(f) by e single substitution steps xi -> xi^p + p*hi.
+@functools.lru_cache(maxsize=16)
+def frobenius_reference(lift, e):
+    """The map f -> F^e(f), by e single substitution steps xi -> xi^p + p*hi.
 
-    The engine's earlier path: each step rebuilds F(xi) from the corrections
-    and a fresh table of its powers, so it never reads the lift's memo.
+    Rebuilds F(xi) from the corrections and keeps its own tables, for every
+    call of the map, so it never reads the lift's memo: the powers of each
+    F(xi), and the image of each monomial as the product of those powers. A
+    power is the square of the power at half the exponent, times F(xi) for
+    an odd one, so exponents near 2^30 cost 30 squarings. Equal lifts share
+    the map, as F depends on the corrections only.
     """
-    ctx, n = f.ctx, f.nvars
+    ctx, n = lift.ctx, lift.nvars
     images = []
     for i, h in enumerate(lift.corrections):
         xi_p = Poly.monomial(ctx, n, tuple(ctx.p if k == i else 0 for k in range(n)))
         images.append(xi_p if h is None else xi_p + h * ctx.p)
-    for _ in range(e):
-        powers = [[Poly.one(ctx, n)] for _ in range(n)]
-        out = Poly.zero(ctx, n)
-        for mono, c in f.exponent_terms().items():
-            t = Poly.const(ctx, n, c)
+    powers, monomials = {}, {}
+
+    def power(i, k):
+        if (i, k) not in powers:
+            if k == 0:
+                powers[i, k] = Poly.one(ctx, n)
+            else:
+                half = power(i, k // 2)
+                powers[i, k] = half * half * images[i] if k & 1 else half * half
+        return powers[i, k]
+
+    def monomial_image(mono):
+        if mono not in monomials:
+            t = Poly.one(ctx, n)
             for i, k in enumerate(mono):
-                while len(powers[i]) <= k:
-                    powers[i].append(powers[i][-1] * images[i])
-                t = t * powers[i][k]
-            out = out + t
-        f = out
-    return f
+                t = t * power(i, k)
+            monomials[mono] = t.exponent_terms()
+        return monomials[mono]
+
+    def apply(f):
+        for _ in range(e):
+            acc = {}
+            for mono, c in f.exponent_terms().items():
+                for key, d in monomial_image(mono).items():
+                    acc[key] = acc.get(key, 0) + c * d
+            f = Poly(ctx, n, acc)
+        return f
+
+    return apply
+
+
+def frobenius_apply_reference(f, lift, e):
+    """F^e(f) by ``frobenius_reference``."""
+    if f.ctx != lift.ctx or f.nvars != lift.nvars:
+        raise ValueError("mixed polynomial rings")
+    return frobenius_reference(lift, e)(f)
 
 
 def frobenius_pullback_ideal(J: IdealGens, lift: FrobeniusLift, e: int) -> IdealGens:
     """Generators of the extension of F^e(J) to the whole ring."""
     return IdealGens(
-        [frobenius_apply(g, lift, e) for g in J.gens], ctx=J.ctx, nvars=J.nvars
+        [frobenius_apply_reference(g, lift, e) for g in J.gens],
+        ctx=J.ctx,
+        nvars=J.nvars,
     )
 
 
@@ -632,14 +667,17 @@ def split_base_q_reference(f, q):
 
 
 def phi_decompose_reference(f, lift, e):
-    """Coordinates {alpha: g_alpha} of f at level e by the engine's earlier
-    rounds on whole polynomials.
+    """Coordinates {alpha: g_alpha} of f in the free basis over F^e(R),
+    alpha in [0, p^e)^n, by the engine's earlier rounds on whole
+    polynomials.
 
     Each round splits the pending remainder into its digit classes, adds
     each class g into the coordinate at alpha, and subtracts the sum of the
-    rebuilt F^e(g) * x^alpha; after m+1 rounds nothing may be left.
+    rebuilt F^e(g) * x^alpha (``frobenius_reference``); after m+1 rounds
+    nothing may be left.
     """
     ctx, n = f.ctx, f.nvars
+    frobenius = frobenius_reference(lift, e)
     acc = {}
     pending = f
     for _ in range(ctx.m + 1):
@@ -648,7 +686,7 @@ def phi_decompose_reference(f, lift, e):
             g = Poly(ctx, n, terms)
             acc[alpha] = acc.get(alpha, Poly.zero(ctx, n)) + g
             shift = Poly.monomial(ctx, n, alpha)
-            rebuilt = rebuilt + frobenius_apply(g, lift, e) * shift
+            rebuilt = rebuilt + frobenius(g) * shift
         pending = pending - rebuilt
     if not pending.is_zero():
         raise InvariantError("decomposition failed to converge")

@@ -7,7 +7,10 @@ repeat calls within one pytest session free.
 
 Configuration space: two variables, degree <= 3, p in {2, 3}, m <= 1,
 levels e <= 2; the descent-composition and descent-shift families also take
-m = 2 and e = 3.
+m = 2 and e = 3. The engine descends one level at a time, so a level-e
+descent here is its level 1 taken e times (``iterated_generators``), and
+the descent-composition family checks that against the direct level-e
+reference of ``_oracles.py``.
 """
 
 import math
@@ -16,9 +19,14 @@ import random
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu_set
 from bsroots.cartier import IdealGens, cartier_generators
 from bsroots.groebner import strong_groebner
-from bsroots.poly import frobenius_apply
 
-from _oracles import frobenius_pullback_ideal, random_poly, random_unit_poly
+from _oracles import (
+    frobenius_apply_reference,
+    frobenius_pullback_ideal,
+    phi_decompose_reference,
+    random_poly,
+    random_unit_poly,
+)
 
 DEFAULT_SEED = 20260815
 
@@ -33,10 +41,19 @@ def _ctx_and_lift(rng):
     return ctx, FrobeniusLift.standard(ctx, 2)
 
 
+def iterated_generators(gens, lift, e):
+    """The engine's level-1 Cartier generators taken e times, starting from
+    ``gens``: by the composition identity I_e(J) = I_1(I_(e-1)(J)) they
+    generate the level-e descent of (gens)."""
+    for _ in range(e):
+        gens = cartier_generators(gens, lift).gens
+    return IdealGens(gens, ctx=lift.ctx, nvars=lift.nvars)
+
+
 def _jump(f, lift, e, n):
     """Raw level-e jump test at exponent n, no window reduction anywhere."""
-    a = cartier_generators([f**n], lift, e)
-    b = cartier_generators([f ** (n + 1)], lift, e)
+    a = iterated_generators([f**n], lift, e)
+    b = iterated_generators([f ** (n + 1)], lift, e)
     return strong_groebner(a) != strong_groebner(b)
 
 
@@ -73,7 +90,7 @@ def nu_frobenius_shift(rng, budget=24):
         ctx, lift = _ctx_and_lift(rng)
         f = random_unit_poly(rng, ctx, 2, 3, 3)
         base = nu_set(f, lift, 1)
-        shifted = nu_set(frobenius_apply(f, lift, 1), lift, 2)
+        shifted = nu_set(frobenius_apply_reference(f, lift, 1), lift, 2)
         expected = tuple(
             n for n in range(shifted.window) if n % base.window in base.members
         )
@@ -90,7 +107,7 @@ def cartier_degree_bound(rng, budget=50):
         f = random_poly(rng, ctx, 2, 3, 4)
         if f.is_zero():
             continue
-        C = cartier_generators([f], lift, e)
+        C = iterated_generators([f], lift, e)
         for g in C.gens:
             if g.degree() > f.degree() / ctx.p**e:
                 failures.append(f"case {i}: component degree too big for {f!r}")
@@ -108,7 +125,7 @@ def descent_pullback_roundtrip(rng, budget=50):
         if not gens:
             continue
         I = IdealGens(gens)
-        back = cartier_generators(frobenius_pullback_ideal(I, lift, e).gens, lift, e)
+        back = iterated_generators(frobenius_pullback_ideal(I, lift, e).gens, lift, e)
         if strong_groebner(I) != strong_groebner(back):
             failures.append(f"case {i}: roundtrip failed for {I!r}")
     return budget, failures
@@ -125,7 +142,7 @@ def frobenius_power_compat(rng, budget=30):
             a = 1
         f = Poly(ctx, 2, {(a, b): 1})
         # a failure, not an assert: helper-module asserts vanish under -O
-        if frobenius_apply(f, lift, 1) != f**ctx.p:
+        if lift._power(f.leading_monomial()) != f**ctx.p:
             failures.append(f"case {i}: F(f) != f^p for {f!r}")
             continue
         low = nu_set(f, lift, 1)
@@ -174,8 +191,16 @@ _COMPOSITION_RINGS = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]
 
 
 def _descent(J, lift, e):
-    """The reduced strong basis of the level-e descent image of J."""
-    return strong_groebner(cartier_generators(J.gens, lift, e))
+    """The reduced strong basis of the level-e descent image of J, by the
+    engine's level 1 taken e times."""
+    return strong_groebner(iterated_generators(J.gens, lift, e))
+
+
+def _direct_descent(J, lift, e):
+    """The reduced strong basis of the level-e descent image of J, from the
+    reference coordinates in the free basis over F^e(R)."""
+    coords = [g for h in J.gens for g in phi_decompose_reference(h, lift, e).values()]
+    return strong_groebner(IdealGens(coords, ctx=J.ctx, nvars=J.nvars))
 
 
 def _vanishing_unit_poly(rng, ctx):
@@ -196,9 +221,10 @@ def descent_composition(rng, budget=80):
     F^(e-1)(R) is free over F^e(R) on the F^(e-1)(x^beta), beta < p; so R is
     free over F^e(R) on their products. The ideal of the coordinates does not
     depend on the basis, so for every lift the direct level-e descent of
-    J = (f^k) equals the level-1 descent of the reduced basis of its level
-    e-1 descent. The lift x: y+x*y, y: x runs phi_decompose's corrective
-    rounds, the standard lift its one split.
+    J = (f^k), from the reference coordinates over F^e(R), equals the
+    engine's level-1 descent of the reduced basis of its level e-1 descent.
+    The lift x: y+x*y, y: x runs the corrective rounds, the standard lift
+    its one split.
     """
     failures = []
     for i in range(budget):
@@ -213,7 +239,7 @@ def descent_composition(rng, budget=80):
         f = _vanishing_unit_poly(rng, ctx)
         k = rng.randrange(1, 3 * p ** (m + 2))
         J = IdealGens([f**k])
-        direct = _descent(J, lift, e)
+        direct = _direct_descent(J, lift, e)
         iterated = _descent(IdealGens(_descent(J, lift, e - 1).elements), lift, 1)
         if direct != iterated:
             failures.append(f"case {i}: I_{e} != I_1 I_{e - 1} of {f!r}^{k}, {name}")

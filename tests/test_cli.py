@@ -242,6 +242,39 @@ def test_nesting_past_the_limit_exits_2(flag, fmt):
         assert text == f"error: {message}"
 
 
+# 0 where the interpreter has no limit on int() of a digit string, or it is off
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="int() takes digit strings of any length")
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("where", ["poly", "lift", "exponent"])
+def test_overlong_integer_literal_is_a_parse_error(where, fmt):
+    """A literal of sys.get_int_max_str_digits() digits parses; one digit
+    more is a parse error at its first digit, exit 2, in --poly, in a --lift
+    correction and as an exponent, where int() once raised a ValueError
+    that named no offset."""
+    def argv(digits):
+        exprs = {
+            "poly": [f"--poly=x+{digits}"],
+            "lift": ["--poly=x", f"--lift=x:x+{digits}"],
+            "exponent": [f"--poly=x^{digits}"],
+        }[where]
+        return ["--p=2", "--m=1", "--vars=x", *exprs, "--mode=nu", "--max-level=1",
+                f"--format={fmt}"]
+
+    if where != "exponent":  # as an exponent it is a degree of 2^31 or more
+        code, _ = run(argv("1" * INT_DIGITS))
+        assert code == 0
+    code, text = run(argv("1" * (INT_DIGITS + 1)))
+    assert code == 2
+    message = f"integer literal too long ({INT_DIGITS + 1} digits) at offset 2"
+    if fmt == "structured":
+        assert json.loads(text)["error"] == {"type": "ExprError", "message": message}
+    else:
+        assert text == f"error: {message}"
+
+
 @pytest.mark.parametrize("mode", ["roots", "bfunction", "crosscheck"])
 def test_reconstruction_bound_exits_2_before_work(monkeypatch, mode):
     # 3^(1+1) = 9 cannot separate fractions with |num| <= 100, den <= 50
@@ -699,7 +732,7 @@ import itertools
 from types import SimpleNamespace
 from bsroots import Poly, nu
 fresh = itertools.count(1)
-def fresh_basis(gens, lift, e, inside=None):
+def fresh_basis(gens, lift, inside=None):
     x = Poly.variable(gens[0].ctx, gens[0].nvars, 0)
     return SimpleNamespace(elements=(x ** next(fresh),))
 nu.descent_basis = fresh_basis

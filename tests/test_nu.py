@@ -7,9 +7,15 @@ from bsroots import ChainRingCtx, FrobeniusLift, Poly, is_nu, nu_set
 from bsroots import nu
 from bsroots.cartier import cartier_generators
 from bsroots.groebner import GroebnerBasis, strong_groebner
-from bsroots.nu import descent_basis, descent_runs, nu_levels
+from bsroots.nu import descent_runs, nu_levels
 
-from _oracles import descent_walk, direct_descent_bases, random_unit_poly
+from _oracles import (
+    descent_walk,
+    direct_descent_bases,
+    frobenius_apply_reference,
+    random_unit_poly,
+)
+from _properties import iterated_generators
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)
@@ -73,11 +79,9 @@ def test_nu_levels_are_nested():
 
 def test_frobenius_shift_identity():
     """Level e of f equals level e+1 of F(f), periodically extended."""
-    from bsroots.poly import frobenius_apply
-
     f = F23Y()
     base = nu_set(f, STD9, 1)
-    shifted = nu_set(frobenius_apply(f, STD9, 1), STD9, 2)
+    shifted = nu_set(frobenius_apply_reference(f, STD9, 1), STD9, 2)
     expected = tuple(
         n for n in range(shifted.window) if n % base.window in base.members
     )
@@ -105,14 +109,15 @@ def test_unit_polynomial_has_empty_level_sets():
 
 
 def _containment_violations(f, lift, e):
-    """Steps n in the window where descent of (f^(n+1)) escapes that of (f^n)."""
+    """Steps n in the window where the level-e descent of (f^(n+1)), level 1
+    taken e times, escapes that of (f^n)."""
     window = f.ctx.p ** (e + f.ctx.m)
     bad = []
     power = Poly.one(f.ctx, f.nvars)
-    gb = descent_basis([power], lift, e)
+    gb = strong_groebner(iterated_generators([power], lift, e))
     for n in range(window):
         power = power * f
-        next_gb = descent_basis([power], lift, e)
+        next_gb = strong_groebner(iterated_generators([power], lift, e))
         if not all(gb.contains(h) for h in next_gb.elements):
             bad.append(n)
         gb = next_gb
@@ -245,6 +250,32 @@ def test_level_walk_matches_direct_descent_on_random_polys(p, m):
             _assert_walk_is_direct(random_unit_poly(rng, ctx, 2, 3, 3), lift, top)
 
 
+@pytest.mark.parametrize("e", [2, 3])
+def test_composed_level_one_is_the_direct_level_e(e):
+    """The composition identity I_e(J) = I_1(I_(e-1)(J)), which lets the
+    engine descend one level at a time, against the oracle's direct level-e
+    descent over F^e(R): at every n of the window, is_nu, which descends the
+    bases of f^n and f^(n+1) e times, finds the oracle's jumps, and the
+    engine's level-1 Cartier generators taken e times complete to the
+    oracle's basis, under the standard lift and x: y+x*y, y: x alike."""
+    rng = random.Random(800 + e)
+    cases = [_anchor_lifts("nonstandard-lift")[0]]
+    for p, m in ((2, 1), (3, 0)):
+        cases += [random_unit_poly(rng, ChainRingCtx(p, m), 2, 3, 3) for _ in range(2)]
+    jumps = 0
+    for f in cases:
+        for lift in _lifts(f.ctx, 2):
+            direct = direct_descent_bases(f, lift, e)
+            for n, gb in enumerate(direct):
+                iterated = strong_groebner(iterated_generators([f**n], lift, e))
+                assert iterated == gb, (f, lift.corrections, n)
+                if n + 1 < len(direct):
+                    jump = gb != direct[n + 1]
+                    assert is_nu(f, lift, e, n) == jump, (f, lift.corrections, n)
+                    jumps += jump
+    assert jumps > 2 * len(cases)
+
+
 @pytest.mark.parametrize(
     "p,m", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (5, 0), (5, 1)]
 )
@@ -362,7 +393,7 @@ def test_uncertified_step_completes_from_scratch():
             continue
         below = descent.bottom[a]
         shifted = [g * descent.shifts[1] for g in below]
-        gens = cartier_generators(shifted, descent.lift, 1)
+        gens = cartier_generators(shifted, descent.lift)
         upper = GroebnerBasis(f.ctx, f.nvars, bases[a + 1])
         assert not all(map(upper.contains, gens.gens)), a
         del descent.steps[below][1]

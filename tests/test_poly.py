@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu_set
+from bsroots.cartier import IdealGens
 from bsroots.errors import DegreeLimitError, InvariantError
+from bsroots.groebner import strong_groebner
 from bsroots.poly import (
     NEG_INF,
     _split_base_q,
-    frobenius_apply,
     pack,
     phi_decompose,
     unpack,
@@ -24,6 +25,7 @@ from _oracles import (
     poly_mul_reference,
     random_poly,
 )
+from _properties import iterated_generators
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)
@@ -110,7 +112,7 @@ def test_mul_matches_schoolbook_reference(p, m):
 
 
 def test_frozen_decompose_standard():
-    got = phi_decompose(F23Y(), FrobeniusLift.standard(Z9, 2), 1)
+    got = phi_decompose(F23Y(), FrobeniusLift.standard(Z9, 2))
     assert {k: v.exponent_terms() for k, v in got.items()} == {
         (2, 0): {(0, 0): 1},
         (0, 1): {(0, 0): 3},
@@ -118,9 +120,15 @@ def test_frozen_decompose_standard():
 
 
 def test_frozen_decompose_x5_level2():
+    """x^5 = F^2(x) * x at level 2; level 1 taken twice reaches the same
+    coordinate, x^5 = F(x^2) * x and x^2 = F(x) * 1."""
     x = Poly.variable(Z4, 1, 0)
-    got = phi_decompose(x**5, FrobeniusLift.standard(Z4, 1), 2)
+    std = FrobeniusLift.standard(Z4, 1)
+    got = phi_decompose_reference(x**5, std, 2)
     assert {k: v.exponent_terms() for k, v in got.items()} == {(1,): {(1,): 1}}
+    ((alpha, g),) = phi_decompose(x**5, std).items()
+    assert alpha == (1,) and g == x**2
+    assert phi_decompose(g, std) == {(0,): x}
 
 
 def _lift_f2():
@@ -131,23 +139,34 @@ def _lift_f2():
 
 def test_frozen_lift_images():
     f2 = _lift_f2()
-    assert frobenius_apply(Poly.variable(Z4, 2, 0), f2, 1).exponent_terms() == {
-        (2, 0): 1,
-        (1, 1): 2,
-        (0, 2): 2,
-    }
-    assert frobenius_apply(Poly.variable(Z4, 2, 1), f2, 1).exponent_terms() == {
-        (0, 2): 1
-    }
+    assert f2.image(0).exponent_terms() == {(2, 0): 1, (1, 1): 2, (0, 2): 2}
+    assert f2.image(1).exponent_terms() == {(0, 2): 1}
 
 
 def test_frozen_decompose_under_nonstandard_lift():
     x = Poly.variable(Z4, 2, 0)
-    got = phi_decompose(x * x, _lift_f2(), 1)
+    got = phi_decompose(x * x, _lift_f2())
     assert {k: v.exponent_terms() for k, v in got.items()} == {
         (0, 0): {(1, 0): 1, (0, 1): 2},
         (1, 1): {(0, 0): 2},
     }
+
+
+def _resubstituted(f, lift, e):
+    """f rebuilt from its level-1 coordinates, each of them rebuilt from its
+    own level-1 coordinates e-1 times down, by the reference substitution:
+    so f in the free basis over F^e(R) of the products x^alpha *
+    F(x^beta) * ... * F^(e-1)(x^gamma), digits in [0, p)."""
+    if e == 0:
+        return f
+    p = f.ctx.p
+    rebuilt = Poly.zero(f.ctx, f.nvars)
+    for alpha, g in phi_decompose(f, lift).items():
+        assert not g.is_zero()
+        assert all(0 <= t < p for t in alpha)
+        g = frobenius_apply_reference(_resubstituted(g, lift, e - 1), lift, 1)
+        rebuilt = rebuilt + g * Poly.monomial(f.ctx, f.nvars, alpha)
+    return rebuilt
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])
@@ -158,20 +177,16 @@ def test_decompose_resubstitution_identity(e):
         for lift in descent_lifts(ctx):
             for _ in range(4):
                 f = random_poly(rng, ctx, 2, 2 * p**e + 2, 5)
-                comps = phi_decompose(f, lift, e)
-                rebuilt = Poly.zero(ctx, 2)
-                for alpha, g in comps.items():
-                    assert not g.is_zero()
-                    assert all(0 <= t < p**e for t in alpha)
-                    shift = Poly.monomial(ctx, 2, alpha)
-                    rebuilt = rebuilt + frobenius_apply(g, lift, e) * shift
-                assert rebuilt == f, (p, m, lift.corrections, f)
+                assert _resubstituted(f, lift, e) == f, (p, m, lift.corrections, f)
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_decompose_matches_poly_rounds_reference(e):
+    """At level 1 the engine's coordinates are the reference's. Level 1
+    taken e times generates the ideal of the reference's coordinates over
+    F^e(R), which are other polynomials, as the free bases differ."""
     # the lifts of the descent workload, and a correction of degree p + 1,
-    # whose images F^e(x^beta) outgrow p^e * beta
+    # whose images F(x^beta) outgrow p * beta
     rng = random.Random(70 + e)
     for p, m in RINGS:
         ctx = ChainRingCtx(p, m)
@@ -180,8 +195,12 @@ def test_decompose_matches_poly_rounds_reference(e):
         for lift in descent_lifts(ctx) + [steep]:
             for _ in range(4):
                 f = random_poly(rng, ctx, 2, 2 * p**e + 2, 5)
-                got = list(phi_decompose(f, lift, e).items())
-                assert got == list(phi_decompose_reference(f, lift, e).items()), f
+                got = list(phi_decompose(f, lift).items())
+                assert got == list(phi_decompose_reference(f, lift, 1).items()), f
+                direct = phi_decompose_reference(f, lift, e).values()
+                direct = IdealGens(direct, ctx=ctx, nvars=2)
+                iterated = iterated_generators([f], lift, e)
+                assert strong_groebner(iterated) == strong_groebner(direct), f
 
 
 def test_nonstandard_decomposition_refuses_degree_2_to_the_31():
@@ -190,15 +209,18 @@ def test_nonstandard_decomposition_refuses_degree_2_to_the_31():
     x = Poly.variable(Z4, 1, 0)
     lift = FrobeniusLift(Z4, 1, [x**3])
     for b in (2**30 - 3, 2**30 - 1):
-        assert frobenius_apply(x**b, lift, 1) == x ** (2 * b) + x ** (2 * b + 1) * 2
+        want = x ** (2 * b) + x ** (2 * b + 1) * 2
+        assert lift._power(pack((b,), 1)) == want
+        assert frobenius_apply_reference(x**b, lift, 1) == want
     b = 2**30 - 3  # the shifted image reaches 2^31 - 4
     want = {(0,): x**b, (1,): x**b * 2}
-    assert phi_decompose(x ** (2 * b), lift, 1) == want
+    assert phi_decompose(x ** (2 * b), lift) == want
     assert phi_decompose_reference(x ** (2 * b), lift, 1) == want
     b = 2**30 - 1  # x^(2^31 - 1) has the shifted image x^(2b+1) * x
-    for decompose in (phi_decompose, phi_decompose_reference):
-        with pytest.raises(DegreeLimitError, match=r"2\^31"):
-            decompose(x ** (2 * b + 1), lift, 1)
+    with pytest.raises(DegreeLimitError, match=r"2\^31"):
+        phi_decompose(x ** (2 * b + 1), lift)
+    with pytest.raises(DegreeLimitError, match=r"2\^31"):
+        phi_decompose_reference(x ** (2 * b + 1), lift, 1)
 
 
 def test_decompose_stops_after_m_plus_1_rounds():
@@ -206,36 +228,59 @@ def test_decompose_stops_after_m_plus_1_rounds():
     # of p: every round leaves a remainder, x^2 -> 3x^3 -> x^4
     x = Poly.variable(Z4, 1, 0)
     lift = FrobeniusLift(Z4, 1, [x])
-    lift._powers[(pack((1,), 1), 1)] = x**2 + x**3
-    for decompose in (phi_decompose, phi_decompose_reference):
-        with pytest.raises(InvariantError, match="failed to converge"):
-            decompose(x**2, lift, 1)
+    lift._powers[pack((1,), 1)] = x**2 + x**3
+    with pytest.raises(InvariantError, match="failed to converge"):
+        phi_decompose(x**2, lift)
 
 
-def test_decompose_level_zero():
-    f = F23Y()
-    assert phi_decompose(f, FrobeniusLift.standard(Z9, 2), 0) == {(0, 0): f}
-    assert phi_decompose(Poly.zero(Z9, 2), FrobeniusLift.standard(Z9, 2), 1) == {}
+def test_decompose_zero_polynomial():
+    assert phi_decompose(Poly.zero(Z9, 2), FrobeniusLift.standard(Z9, 2)) == {}
+
+
+def _monomial_image(lift, mono):
+    """F(x^mono) read from the lift's memo, for an exponent tuple."""
+    return lift._power(pack(mono, lift.nvars))
 
 
 def test_frobenius_is_ring_hom():
+    """The lift's images multiply: F(x^(a+b)) = F(x^a) * F(x^b), and the
+    image of a polynomial by the reference is additive and multiplicative."""
     rng = random.Random(61)
     f2 = _lift_f2()
+
+    def image(g):
+        return frobenius_apply_reference(g, f2, 1)
+
     for _ in range(8):
+        u, v = ((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(2))
+        uv = (u[0] + v[0], u[1] + v[1])
+        fresh = _lift_f2()
+        assert _monomial_image(fresh, uv) == _monomial_image(f2, u) * _monomial_image(f2, v)
         a = random_poly(rng, Z4, 2, 2, 3)
         b = random_poly(rng, Z4, 2, 2, 3)
-        assert frobenius_apply(a + b, f2, 1) == frobenius_apply(a, f2, 1) + frobenius_apply(b, f2, 1)
-        assert frobenius_apply(a * b, f2, 1) == frobenius_apply(a, f2, 1) * frobenius_apply(b, f2, 1)
+        assert image(a + b) == image(a) + image(b)
+        assert image(a * b) == image(a) * image(b)
 
 
 def test_standard_frobenius_scales_exponents():
+    """The standard lift's images are the monomials x^(p*beta); taken twice,
+    x^(p^2*beta), as the reference's F^2 gives them."""
     f = F23Y()
-    g = frobenius_apply(f, FrobeniusLift.standard(Z9, 2), 2)
+    lift = FrobeniusLift.standard(Z9, 2)
+    for beta, c in f.exponent_terms().items():
+        image = _monomial_image(lift, beta)
+        assert image.exponent_terms() == {tuple(3 * t for t in beta): 1}
+        twice = lift._power(image.leading_monomial())
+        assert twice.exponent_terms() == {tuple(9 * t for t in beta): 1}
+    g = frobenius_apply_reference(f, lift, 2)
     assert g.exponent_terms() == {(18, 0): 1, (0, 9): 3}
 
 
 @pytest.mark.parametrize("p,m", RINGS)
 def test_frobenius_apply_matches_reference(p, m):
+    """The lift's memoized images F(x^beta) are the reference's, on a fresh
+    lift and on one whose memo other monomials filled first; the memo is
+    left out of equality and hashing."""
     ctx = ChainRingCtx(p, m)
     rng = random.Random(90 + 10 * p + m)
     for _ in range(40):
@@ -245,20 +290,29 @@ def test_frobenius_apply_matches_reference(p, m):
             for _ in range(nvars)
         ]
         fresh, warm = (FrobeniusLift(ctx, nvars, corrections) for _ in range(2))
-        for _ in range(3):  # other polynomials at other levels fill the memo
-            frobenius_apply(random_poly(rng, ctx, nvars, 3, 4), warm, rng.randint(0, 3))
+        for _ in range(3):  # the images of other polynomials fill the memo
+            for beta in random_poly(rng, ctx, nvars, 3, 4).terms:
+                warm._power(beta)
         assert warm == fresh and hash(warm) == hash(fresh)
-        f, e = random_poly(rng, ctx, nvars, 3, 4), rng.randint(0, 3)
-        want = frobenius_apply_reference(f, FrobeniusLift(ctx, nvars, corrections), e)
-        assert frobenius_apply(f, fresh, e).terms == want.terms
-        assert frobenius_apply(f, warm, e).terms == want.terms
+        f = random_poly(rng, ctx, nvars, 3, 4)
+        for beta in f.terms:
+            mono = Poly._from_terms(ctx, nvars, {beta: 1})
+            want = frobenius_apply_reference(mono, FrobeniusLift(ctx, nvars, corrections), 1)
+            assert fresh._power(beta).terms == want.terms
+            assert warm._power(beta).terms == want.terms
         assert len({warm, fresh, FrobeniusLift(ctx, nvars, corrections)}) == 1
 
 
 def test_frobenius_apply_of_high_degree_keeps_the_stack_shallow():
+    """F(x^1500) and F(x^3000), the image of the image: the memo splits
+    exponents in halves, so its recursion is a dozen frames deep, where one
+    frame per unit of degree would pass the interpreter's recursion limit."""
     x = Poly.variable(Z4, 1, 0)
     for lift in (FrobeniusLift.standard(Z4, 1), FrobeniusLift(Z4, 1, [x])):
-        assert frobenius_apply(x**1500, lift, 2).exponent_terms() == {(6000,): 1}
+        image = lift._power(pack((1500,), 1))
+        assert image.exponent_terms() == {(3000,): 1}
+        twice = lift._power(image.leading_monomial())
+        assert twice.exponent_terms() == {(6000,): 1}
 
 
 def test_mixed_rings_are_refused():
@@ -268,11 +322,8 @@ def test_mixed_rings_are_refused():
     lifts = (FrobeniusLift.standard(Z4, 1), FrobeniusLift(Z4, 1, [x4]))
     for f in (x9**2, xy):
         for lift in lifts:
-            for e in (0, 1, 2):
-                with pytest.raises(ValueError, match="mixed polynomial rings"):
-                    frobenius_apply(f, lift, e)
-                with pytest.raises(ValueError, match="mixed polynomial rings"):
-                    phi_decompose(f, lift, e)
+            with pytest.raises(ValueError, match="mixed polynomial rings"):
+                phi_decompose(f, lift)
     with pytest.raises(ValueError, match="mixed polynomial rings"):
         nu_set(x9**2, lifts[0], 1)
 
@@ -352,7 +403,8 @@ def _check_cached_leading_terms(rng, ctx, nvars):
             built += [
                 h * Poly.monomial(ctx, nvars, shift, rng.randrange(1, mod)),
                 h.with_ctx(other),
-                frobenius_apply(h, lift, 1),
+                *(lift._power(beta) for beta in h.terms),
+                *phi_decompose(h, lift).values(),
             ]
         for h in built:
             if h.is_zero():
@@ -420,7 +472,8 @@ def test_arithmetic_results_are_reduced():
             f * Poly.monomial(
                 Z9, 2, (rng.randint(0, 2), rng.randint(0, 2)), rng.randint(-20, 20)
             ),
-            frobenius_apply(f, lift, 1),
+            *(lift._power(beta) for beta in f.terms),
+            *phi_decompose(f * g, lift).values(),
             *_split_base_q(f * g, 3).values(),
         ]
         for h in built:
