@@ -25,7 +25,7 @@ from collections import namedtuple
 from .chainring import ChainRingCtx
 from .errors import InvariantError
 from .groebner import GroebnerBasis, min_p_power_in
-from .nu import DescentContext, descent_context, nu_levels, require_nonzerodivisor
+from .nu import DescentContext, descent_context, nu_levels
 from .padic import PAdicRational, reconstruct
 from .poly import FrobeniusLift, Poly
 
@@ -158,9 +158,8 @@ def strength(
     already took. The level sequence is nonincreasing; the walk
     stops early once two consecutive levels agree or the value 0 is
     reached, both of which are final. A ``PAdicRational`` over a prime
-    other than the ring's is refused.
+    other than the ring's is refused, and the context refuses a zerodivisor f.
     """
-    require_nonzerodivisor(f)
     if not isinstance(alpha, PAdicRational):
         alpha = PAdicRational(f.ctx.p, alpha)
     elif alpha.p != f.ctx.p:

@@ -16,9 +16,12 @@ Expression grammar (no implicit multiplication):
   base   := int | var | '(' expr ')'
   int    := one or more of the ASCII digits 0-9
 
+--alpha takes ['+'|'-'] int ('/' int)?, surrounding space stripped, and
+nothing else: no decimals or exponents, and no zero denominator.
+
 Parentheses nest at most NESTING_LIMIT deep; the first '(' past it is a
 parse error at its offset. So is an int longer than Python converts
-(sys.get_int_max_str_digits()), at its first digit.
+(sys.get_int_max_str_digits()), at its first digit, in --alpha too.
 
 Exit codes: 0 success, 2 configuration or parse error (a p that is not a
 prime, a modulus p^(m+1) above 2^63, an f that is a zerodivisor, a degree of
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -65,6 +69,11 @@ class ExprError(ValueError):
 
 class ConfigError(ValueError):
     pass
+
+
+# sign, numerator and denominator of --alpha, [+|-]int[/int] amid space;
+# the match always succeeds and ends where the value leaves the grammar
+_FRACTION = re.compile(r"\s*(?:([+-]?)([0-9]+)(?:/([0-9]+))?\s*)?")
 
 
 def _tokenize(src: str):
@@ -185,10 +194,27 @@ def parse_poly(src: str, ctx: ChainRingCtx, names) -> Poly:
 
 
 def parse_fraction(src: str) -> Fraction:
-    try:
-        return Fraction(src.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad fraction {src!r}: {exc}") from None
+    """The --alpha value, [+|-]int[/int] with surrounding space stripped.
+
+    Refusals name an offset into ``src`` and never quote the value: the end
+    of its longest prefix in the grammar, or the first digit of an int
+    longer than Python converts, as the tokenizer does. A zero denominator
+    is named as such.
+    """
+    match = _FRACTION.match(src)
+    if match[2] is None or match.end() < len(src):
+        raise ConfigError(f"--alpha is not [+|-]int[/int] at offset {match.end()}")
+    parts = []
+    for group in (2, 3):
+        try:
+            parts.append(int(match[group] or 1))
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            message = f"--alpha integer too long ({len(match[group])} digits)"
+            raise ConfigError(f"{message} at offset {match.start(group)}") from None
+    num, den = parts
+    if den == 0:
+        raise ConfigError("--alpha has denominator zero")
+    return Fraction(-num if match[1] == "-" else num, den)
 
 
 def _parse_var_names(raw: str):
@@ -247,7 +273,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--max-level", type=int, default=None)
     ap.add_argument("--den-bound", type=int, default=50)
     ap.add_argument("--num-bound", type=int, default=100)
-    ap.add_argument("--alpha", default=None, help="rational a/b (strength mode)")
+    ap.add_argument(
+        "--alpha", default=None, help="rational [+|-]int[/int] (strength mode)"
+    )
     ap.add_argument("--format", choices=["text", "structured"], default="text")
     return ap
 

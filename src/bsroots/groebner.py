@@ -77,11 +77,11 @@ ring", 2001): two generating sets of one ideal complete to the same tuple,
 and ideal equality is a tuple comparison.
 
 Completion works on plain term dicts, packed monomial to coefficient, and
-builds a ``Poly`` only for what it keeps. One reducer serves completion,
-``normal_form`` and membership: it consumes a term dict whose coefficients
-may be any ints, reduces each mod p^(m+1) as its monomial pops from the
-heap, and yields the remainder's terms in descending monomial order, so the
-first is the leading term; a membership query stops at that first term.
+builds a ``Poly`` only for what it keeps. One reducer, ``_reduce``, serves
+completion, the tidy step and membership: it consumes a term dict whose
+coefficients may be any ints, reduces each mod p^(m+1) as its monomial pops
+from the heap, and yields the remainder's terms in descending monomial
+order, so the first is the leading term; a membership query stops there.
 S-polynomials reach it as such dicts, with unreduced coefficients. An
 inserted remainder is unit-normalized in one pass over its terms and becomes
 a ``Poly`` once, leading monomial preset; its annihilator multiple is built
@@ -156,9 +156,13 @@ def _reduce(work, lts, mod, guards):
 
     ``work`` is consumed, and its coefficients may be any ints: each is
     reduced mod p^(m+1) when its monomial pops, and a zero one is dropped.
-    Yields the remainder's terms (monomial, coefficient), reduced and
-    nonzero, in descending monomial order, so the first is its leading term;
-    a caller that stops early leaves the lower terms unreduced.
+    A term c * x^b is divided by each element whose lm divides x^b, in index
+    order, and left as c mod lc; over a completed basis the least such lc
+    generates the leading coefficients of the ideal at x^b, so the remainder
+    is one on each coset of the ideal, and zero on it. Yields its terms
+    (monomial, coefficient), reduced and nonzero, in descending monomial
+    order, so the first is its leading term; a caller that stops early
+    leaves the lower terms unreduced.
     """
     heap = [-mono for mono in work]
     heapq.heapify(heap)
@@ -189,26 +193,6 @@ def _reduce(work, lts, mod, guards):
                 break
         else:
             yield mono, c
-
-
-def normal_form(g: Poly, basis: GroebnerBasis) -> Poly:
-    """Canonical remainder of g; zero exactly on (certified) members.
-
-    Each term c * x^b, largest first, is divided by the basis elements whose
-    leading monomial divides x^b, in basis order: with lc = p^v, c becomes
-    c mod p^v and the quotient times the element's shifted tail joins the
-    rest. The term goes to the output if a coefficient is left, which is
-    c mod p^w for w the least such v. Over a completed basis p^w generates
-    the leading coefficients of the ideal at x^b, so the remainder is the
-    same for every g in one coset of the ideal. The rest is one mutable term
-    dict with a heap of its negated packed monomials, largest monomial
-    first. Its coefficients are left unreduced until their monomial pops,
-    and a term that cancels stays until then, so each monomial enters the
-    heap once. Completion runs the same reducer on its own term dicts.
-    """
-    ctx = g.ctx
-    out = dict(_reduce(dict(g.terms), basis._lts, ctx.modulus, guard_bits(g.nvars)))
-    return Poly._from_reduced(ctx, g.nvars, out, next(iter(out), None))
 
 
 def _s_poly(f: Poly, g: Poly, gamma) -> dict:

@@ -115,19 +115,9 @@ def descent_basis(gens, lift: FrobeniusLift, inside=None) -> GroebnerBasis:
     return strong_groebner(gens)
 
 
-def descent_step(below, shift, lift: FrobeniusLift, inside=None) -> GroebnerBasis:
-    """Level-e basis of f^(a + k*p^(e-1+m)) from the level below.
-
-    ``below`` holds the basis elements of level e-1 at f^a and ``shift`` is
-    f^(p^m*k), or None for k = 0. ``inside`` goes to ``descent_basis``.
-    """
-    if shift is not None:
-        below = [g * shift for g in below]
-    return descent_basis(below, lift, inside)
-
-
 class DescentContext:
-    """The descent steps of one (f, lift), each taken once.
+    """The descent steps of one (f, lift), each taken once; a zerodivisor f
+    is refused before any work, so no caller of a context checks f again.
 
     Holds the level-0 bases (f^a,), a <= p^m, the wrap basis and the shifts
     f^(p^m*k), 0 < k < p, under ``shifts[k]``, each built the first time a
@@ -162,16 +152,17 @@ class DescentContext:
 
     def step(self, elems, k: int, inside: tuple = None) -> tuple:
         """Basis elements of level e at f^(a + k*p^(e-1+m)), from ``elems``,
-        the basis elements of level e-1 at f^a (``descent_step``). ``inside``,
-        interned elements of level e at a higher power of f, is returned as
-        it is when it holds every descent generator of the step."""
+        the basis elements of level e-1 at f^a: the ``descent_basis`` of
+        ``elems`` times the shift f^(p^m*k), or of ``elems`` at k = 0.
+        ``inside``, interned elements of level e at a higher power of f, is
+        returned as it is when it holds every descent generator of the step."""
         held = self.steps.setdefault(elems, {})
         done = held.get(k)
         if done is None:
             if k and k not in self.shifts:
                 self.shifts[k] = self.bottom[-1][0] ** k
-            gb = self._interned.get(inside)
-            gb = descent_step(elems, self.shifts.get(k), self.lift, gb)
+            gens = [g * self.shifts[k] for g in elems] if k else elems
+            gb = descent_basis(gens, self.lift, self._interned.get(inside))
             done = held[k] = self._intern(gb)
         return done
 
@@ -179,11 +170,8 @@ class DescentContext:
 def descent_context(
     f: Poly, lift: FrobeniusLift, descent: DescentContext = None
 ) -> DescentContext:
-    """``descent`` when given, else a new context for (f, lift).
-
-    A context made for another f or lift is refused with ValueError: its
-    steps are the descents of another pair.
-    """
+    """``descent`` when given, else a new context for (f, lift); a context
+    made for another f or lift, whose steps are another pair's, is refused."""
     if descent is None:
         return DescentContext(f, lift)
     if descent.f != f or descent.lift != lift:
@@ -191,10 +179,8 @@ def descent_context(
     return descent
 
 
-def descent_runs(
-    f: Poly, lift: FrobeniusLift, top: int, descent: DescentContext = None
-):
-    """Yield (e, runs) for e = 1..top: level e as its runs.
+def descent_runs(descent: DescentContext, top: int):
+    """Yield (e, runs) for e = 1..top: level e of ``descent`` as its runs.
 
     A run is (first n, basis elements of I_e(f^n)), a maximal stretch of n
     that share one basis. The runs of a level cover n = 0..p^(e+m) in
@@ -207,12 +193,11 @@ def descent_runs(
     make the gap one run, and otherwise the midpoint is stepped, certified
     against the basis at the gap's upper end: when that basis holds every
     Cartier generator of the step, it is the step's basis and no completion
-    runs (the module docstring has the proof). Steps go through
-    ``descent`` (a new context when None), so a step the walk or an earlier
-    call on the same context already took is not taken again.
+    runs (the module docstring has the proof). Every step goes through
+    ``descent``, so a step the walk or an earlier walk on the same context
+    already took is not taken again.
     """
-    p, m = f.ctx.p, f.ctx.m
-    descent = descent_context(f, lift, descent)
+    p, m = descent.f.ctx.p, descent.f.ctx.m
     runs = list(enumerate(descent.bottom))
     for e in range(1, top + 1):
         step = p ** (e - 1 + m)
@@ -246,17 +231,18 @@ def nu_levels(
     """The level sets of f at e = 1..top, read off the runs of each level.
 
     A run ending at n, before the next basis starts at n+1, is the jump n.
-    ``descent`` is passed on to ``descent_runs``. A level set with more than
-    (m+1)*C(deg f*p^m + nvars, nvars) members, or one whose members do not
-    all truncate into the level set below, raises ``InvariantError``.
+    The runs are walked on ``descent``, or on a new context. A level set
+    with more than (m+1)*C(deg f*p^m + nvars, nvars) members, or one whose
+    members do not all truncate into the level set below, raises
+    ``InvariantError``.
     """
-    require_nonzerodivisor(f)
     if top < 1:
         raise ValueError("level must be >= 1")
+    descent = descent_context(f, lift, descent)
     p, m = f.ctx.p, f.ctx.m
     card_bound = (m + 1) * math.comb(int(f.degree()) * p**m + f.nvars, f.nvars)
     levels = []
-    for e, runs in descent_runs(f, lift, top, descent):
+    for e, runs in descent_runs(descent, top):
         members = tuple(n - 1 for n, _ in runs[1:])
         if len(members) > card_bound:
             raise InvariantError("level set exceeded cardinality bound")

@@ -46,11 +46,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from bsroots import ChainRingCtx, FrobeniusLift, Poly
+from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu
 from bsroots.cartier import IdealGens
 from bsroots.errors import InvariantError
 from bsroots.groebner import strong_groebner
-from bsroots.nu import descent_step
 
 
 # Degrevlex with x1 > x2 > ... > xn, spelled here from its definition so
@@ -109,10 +108,12 @@ def direct_descent_bases(f, lift, e):
 def descent_walk(f, lift, top):
     """Yield (e, n, basis elements of I_e(f^n)) for e = 1..top, n = 0..p^(e+m).
 
-    One ``nu.descent_step`` for every n, in ascending n: the level-e basis at
-    n = a + k*p^(e-1+m), a < p^(e-1+m), comes from the level-(e-1) basis at
-    a and the shift f^(p^m*k), and the wrap n = p^(e+m) from the basis at 0
-    and the shift f^(p^(m+1)). The walk builds every power it uses.
+    One ``nu.descent_basis`` for every n, in ascending n: the level-e basis
+    at n = a + k*p^(e-1+m), a < p^(e-1+m), is the descent of the level-(e-1)
+    basis at a times the shift f^(p^m*k) (unshifted at k = 0), and the wrap
+    n = p^(e+m) that of the basis at 0 times f^(p^(m+1)). The walk builds
+    every power it uses. ``descent_basis`` is read off the module at each
+    call, so a test that replaces it replaces it here too.
     """
     p, m = f.ctx.p, f.ctx.m
     powers = [Poly.one(f.ctx, f.nvars)]
@@ -120,14 +121,19 @@ def descent_walk(f, lift, top):
         powers.append(powers[-1] * f)
     shifts = [None] + [powers[-1] ** k for k in range(1, p + 1)]
     below = [(g,) for g in powers[:-1]]
+
+    def descend(elems, k):
+        gens = [g * shifts[k] for g in elems] if k else elems
+        return nu.descent_basis(gens, lift).elements
+
     for e in range(1, top + 1):
         step = p ** (e - 1 + m)
         level = []
         for k in range(p):
             for a in range(step):
-                level.append(descent_step(below[a], shifts[k], lift).elements)
+                level.append(descend(below[a], k))
                 yield e, a + k * step, level[-1]
-        yield e, p * step, descent_step(below[0], shifts[p], lift).elements
+        yield e, p * step, descend(below[0], p)
         below = level
 
 

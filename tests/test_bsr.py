@@ -305,7 +305,7 @@ def test_report_strengths_complete_only_what_the_tree_did_not(monkeypatch):
     every step it takes."""
     (f, lift), top = REPORT_CASES["readme"]
     stepped = completed = 0
-    take, complete = nu.descent_step, nu.strong_groebner
+    take, complete = nu.descent_basis, nu.strong_groebner
 
     def counted_take(*args):
         nonlocal stepped
@@ -317,7 +317,7 @@ def test_report_strengths_complete_only_what_the_tree_did_not(monkeypatch):
         completed += 1
         return complete(*args)
 
-    monkeypatch.setattr(nu, "descent_step", counted_take)
+    monkeypatch.setattr(nu, "descent_basis", counted_take)
     monkeypatch.setattr(nu, "strong_groebner", counted_complete)
     detect_roots(f, lift, top, 10, 10)
     assert (stepped, completed) == (29, 26)
@@ -358,14 +358,14 @@ def test_crosscheck_gives_its_mod_p_run_a_context_of_its_own(case, monkeypatch):
     report over V and completes no new step."""
     (f, lift), top = CROSSCHECK_CASES[case]
     completed = 0
-    complete = nu.descent_step
+    complete = nu.descent_basis
 
     def counted(*args):
         nonlocal completed
         completed += 1
         return complete(*args)
 
-    monkeypatch.setattr(nu, "descent_step", counted)
+    monkeypatch.setattr(nu, "descent_basis", counted)
     cc = crosscheck_mod_p(f, lift, top, 3, 3)
     in_cc, completed = completed, 0
     assert cc.ok and cc.report == bfunction_report(f, lift, top, 3, 3)
@@ -558,7 +558,7 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
                 last_jumps += 1
             else:
                 last_flat += 1
-        by_level = nu.descent_runs(f, lift, top)
+        by_level = nu.descent_runs(nu.DescentContext(f, lift), top)
         walked = [tuple(n - 1 for n, _ in runs[1:]) for _, runs in by_level]
         assert walked == level_sets[1:], seed
         if all(

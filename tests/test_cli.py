@@ -7,13 +7,14 @@ import random
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import bsroots
 from bsroots import ChainRingCtx, Poly, detect_roots, FrobeniusLift
 from bsroots.bsr import CrosscheckResult
-from bsroots.cli import NESTING_LIMIT, ExprError, parse_poly, run
+from bsroots.cli import NESTING_LIMIT, ExprError, parse_fraction, parse_poly, run
 from bsroots.nu import NuLevelSet
 
 from _oracles import random_poly
@@ -273,6 +274,49 @@ def test_overlong_integer_literal_is_a_parse_error(where, fmt):
         assert json.loads(text)["error"] == {"type": "ExprError", "message": message}
     else:
         assert text == f"error: {message}"
+
+
+ALPHA_SYNTAX = "--alpha is not [+|-]int[/int] at offset"
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_bad_alpha_is_a_configuration_error(fmt):
+    """--alpha takes [+|-]int[/int] only, exit 2 and no traceback otherwise.
+    Exponent notation is refused before any power is built, a zero
+    denominator is named as such, and an int one digit past
+    sys.get_int_max_str_digits() is refused as the tokenizer refuses one:
+    its digit count and the offset of its first digit, the value never
+    quoted. Fraction() once quoted every digit with Python's hint to call
+    sys.set_int_max_str_digits(), and said only "Fraction(1, 0)"."""
+    cases = [
+        ("1e999999999", f"{ALPHA_SYNTAX} 1"),
+        ("0.5", f"{ALPHA_SYNTAX} 1"),
+        (" 1/", f"{ALPHA_SYNTAX} 2"),
+        ("1 / 3", f"{ALPHA_SYNTAX} 2"),
+        ("", f"{ALPHA_SYNTAX} 0"),
+        ("1/0", "--alpha has denominator zero"),
+    ]
+    if INT_DIGITS:
+        digits = "1" * (INT_DIGITS + 1)
+        too_long = f"--alpha integer too long ({INT_DIGITS + 1} digits) at offset"
+        cases += [(digits, f"{too_long} 0"), (f" -3/{digits}", f"{too_long} 4")]
+    for alpha, message in cases:
+        code, text = run(["--p=3", "--m=1", "--vars=x", "--poly=x", "--mode=strength",
+                          f"--alpha={alpha}", f"--format={fmt}"])
+        assert code == 2, alpha
+        if fmt == "structured":
+            error = json.loads(text)["error"]
+            assert error == {"type": "ConfigError", "message": message}, alpha
+        else:
+            assert text == f"error: {message}", alpha
+
+
+def test_alpha_in_its_grammar_is_the_fraction_it_was():
+    values = ["-1/2", " +3/6 ", "007/21", "-0", "2", "-1"]
+    if INT_DIGITS:
+        values.append("-" + "7" * INT_DIGITS + "/" + "3" * INT_DIGITS)
+    for value in values:
+        assert parse_fraction(value) == Fraction(value.strip()), value
 
 
 @pytest.mark.parametrize("mode", ["roots", "bfunction", "crosscheck"])
@@ -752,8 +796,8 @@ def test_cardinality_bound_exits_3_under_optimize():
     # mode too
     stub = """
 from bsroots import nu
-def full_windows(f, lift, top, descent=None):
-    p, m = f.ctx.p, f.ctx.m
+def full_windows(descent, top):
+    p, m = descent.f.ctx.p, descent.f.ctx.m
     for e in range(1, top + 1):
         yield e, [(n, None) for n in range(p ** (e + m) + 1)]
 nu.descent_runs = full_windows

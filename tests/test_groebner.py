@@ -10,7 +10,6 @@ from bsroots.groebner import (
     _reduce,
     _s_poly,
     min_p_power_in,
-    normal_form,
     strong_groebner,
 )
 from bsroots.poly import guard_bits, lcm, pack, unpack
@@ -29,6 +28,13 @@ from _oracles import (
 Z4 = ChainRingCtx(2, 1)
 Z9 = ChainRingCtx(3, 1)
 Z27 = ChainRingCtx(3, 2)
+
+
+def normal_form(g, basis):
+    """The canonical remainder of g by ``basis`` as a ``Poly``, read off the
+    engine's one reducer, ``_reduce``."""
+    out = dict(_reduce(dict(g.terms), basis._lts, g.ctx.modulus, guard_bits(g.nvars)))
+    return Poly._from_reduced(g.ctx, g.nvars, out, next(iter(out), None))
 
 
 def _assert_minimal(gb):

@@ -1,10 +1,12 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, is_nu, nu_set
 from bsroots import nu
+from bsroots.bsr import bfunction_report, detect_roots, strength
 from bsroots.cartier import cartier_generators
 from bsroots.groebner import GroebnerBasis, strong_groebner
 from bsroots.nu import descent_runs, nu_levels
@@ -89,11 +91,23 @@ def test_frobenius_shift_identity():
 
 
 def test_zerodivisor_rejected():
+    """The one check, made by every new ``DescentContext``, refuses a
+    zerodivisor f in the level walk and in the root layer alike; the zero
+    polynomial is refused before its degree is read."""
     bad = Poly(Z9, 2, {(1, 0): 3})
     with pytest.raises(ValueError, match="nonzerodivisor"):
         nu_set(bad, STD9, 1)
     with pytest.raises(ValueError, match="nonzerodivisor"):
         is_nu(Poly.zero(Z9, 2), STD9, 1, 0)
+    for g in (bad, Poly.zero(Z9, 2)):
+        for run in (
+            lambda: nu_set(g, STD9, 1),
+            lambda: strength(g, STD9, Fraction(-1)),
+            lambda: detect_roots(g, STD9, 4, 10, 10),
+            lambda: bfunction_report(g, STD9, 4, 10, 10),
+        ):
+            with pytest.raises(ValueError, match="nonzerodivisor"):
+                run()
 
 
 def test_level_must_be_positive():
@@ -149,7 +163,7 @@ def _walk_bases(f, lift, top):
 def _run_bases(f, lift, top):
     """Basis element tuples of the run walk, each run spread over its n."""
     levels = []
-    for e, runs in descent_runs(f, lift, top):
+    for e, runs in descent_runs(nu.DescentContext(f, lift), top):
         assert runs[0][0] == 0
         assert all(a[1] != b[1] for a, b in zip(runs, runs[1:]))
         ends = [n for n, _ in runs[1:]] + [f.ctx.p ** (e + f.ctx.m) + 1]
@@ -303,7 +317,7 @@ def test_run_walk_takes_one_step_per_run_and_shift(monkeypatch):
     lift = FrobeniusLift.standard(ctx, 2)
     p, m = ctx.p, ctx.m
     asked = stepped = completed = 0
-    ask, take, complete = nu.DescentContext.step, nu.descent_step, nu.strong_groebner
+    ask, take, complete = nu.DescentContext.step, nu.descent_basis, nu.strong_groebner
 
     def counted_ask(*args):
         nonlocal asked
@@ -325,9 +339,9 @@ def test_run_walk_takes_one_step_per_run_and_shift(monkeypatch):
         asks = bound = stepped = completed = 0
         with monkeypatch.context() as patch:
             patch.setattr(nu.DescentContext, "step", counted_ask)
-            patch.setattr(nu, "descent_step", counted_take)
+            patch.setattr(nu, "descent_basis", counted_take)
             patch.setattr(nu, "strong_groebner", counted_complete)
-            for e, runs in descent_runs(f, lift, top):
+            for e, runs in descent_runs(nu.DescentContext(f, lift), top):
                 runs_below = p * sum(n < p ** (e - 1 + m) for n in starts)
                 assert asked <= runs_below, (top, e)
                 asks, bound, asked = asks + asked, bound + runs_below, 0
@@ -344,7 +358,7 @@ def test_certificate_completes_fewer_steps_on_the_p3_anchor(monkeypatch):
     159."""
     ctx, f = ANCHORS["groebner-p3"]
     stepped = completed = 0
-    take, complete = nu.descent_step, nu.strong_groebner
+    take, complete = nu.descent_basis, nu.strong_groebner
 
     def counted_take(*args):
         nonlocal stepped
@@ -356,7 +370,7 @@ def test_certificate_completes_fewer_steps_on_the_p3_anchor(monkeypatch):
         completed += 1
         return complete(*args)
 
-    monkeypatch.setattr(nu, "descent_step", counted_take)
+    monkeypatch.setattr(nu, "descent_basis", counted_take)
     monkeypatch.setattr(nu, "strong_groebner", counted_complete)
     nu_levels(f, FrobeniusLift.standard(ctx, 2), 3)
     assert (stepped, completed) == (158, 107)
@@ -416,7 +430,7 @@ def test_shared_context_gives_the_level_sets_of_a_fresh_one(monkeypatch, name):
         fresh = nu_levels(f, lift, top)
         assert nu_levels(f, lift, top, shared) == fresh, lift.corrections
         with monkeypatch.context() as patch:
-            patch.setattr(nu, "descent_step", _no_completion)
+            patch.setattr(nu, "descent_basis", _no_completion)
             assert nu_levels(f, lift, top, shared) == fresh, lift.corrections
 
 

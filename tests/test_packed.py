@@ -15,7 +15,7 @@ import pytest
 from bsroots import ChainRingCtx, FrobeniusLift, Poly
 from bsroots.cartier import IdealGens
 from bsroots.errors import DegreeLimitError
-from bsroots.groebner import GroebnerBasis, _s_poly, normal_form, strong_groebner
+from bsroots.groebner import GroebnerBasis, _reduce, _s_poly, strong_groebner
 from bsroots.poly import (
     EXPONENT_LIMIT,
     _split_base_q,
@@ -42,6 +42,13 @@ from _oracles import (
 
 TOP = EXPONENT_LIMIT - 1  # the largest exponent and total degree allowed
 RINGS = [(2, 1), (2, 2), (3, 1), (3, 2)]  # Z/4, Z/8, Z/9, Z/27
+
+
+def normal_form(g, basis):
+    """The canonical remainder of g by ``basis`` as a ``Poly``, read off the
+    engine's one reducer, ``_reduce``."""
+    out = dict(_reduce(dict(g.terms), basis._lts, g.ctx.modulus, guard_bits(g.nvars)))
+    return Poly._from_reduced(g.ctx, g.nvars, out, next(iter(out), None))
 
 # exponents next to 0, next to the middle of a field and next to its guard bit
 POOL = [0, 1, 2, 3, 2**30 - 1, 2**30, 2**30 + 1, TOP - 2, TOP - 1, TOP]
