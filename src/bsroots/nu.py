@@ -60,7 +60,11 @@ A step is taken once per call. Each public entry point makes one
 its roots (``bsr.strength``) take their steps on it. The context keeps every
 step taken, as basis one level down -> {k: basis}: a level-e basis equal
 to one of level e-1, or a basis of a root's truncation that the walk already
-stepped, costs no second completion. On every anchor the level sets stop
+stepped, costs no second completion. It also keeps the level-1 coordinates
+of each (basis element g, k) it formed, those of g * f^(p^m*k), for as long
+as it lives: distinct bases share elements, so a step whose elements
+earlier steps used forms no product and no coordinates, and only its
+certificate or completion runs. On every anchor the level sets stop
 growing after a few levels; from there on each level steps the bases the
 level below already stepped, and a level whose bases all repeat costs no
 completion, while its window grows by a factor p.
@@ -82,7 +86,7 @@ from functools import cached_property
 from .cartier import IdealGens, cartier_generators
 from .errors import InvariantError
 from .groebner import GroebnerBasis, strong_groebner
-from .poly import FrobeniusLift, Poly
+from .poly import FrobeniusLift, Poly, phi_decompose
 
 
 def require_nonzerodivisor(f: Poly):
@@ -100,16 +104,16 @@ class NuLevelSet(namedtuple("NuLevelSet", "e window members")):
         return n % self.window in self.members
 
 
-def descent_basis(gens, lift: FrobeniusLift, inside=None) -> GroebnerBasis:
-    """Completed basis of the level-1 descent of the ideal generated by ``gens``.
+def descent_basis(coords, inside=None) -> GroebnerBasis:
+    """Completed basis of the ideal generated by ``coords``, the level-1
+    coordinates of the generators of an ideal: its level-1 descent.
 
-    ``gens`` are taken as given: a completed basis times a nonzerodivisor
-    has no duplicates. Bases are canonical, so two descent ideals are equal
-    exactly when their bases are. ``inside``, the completed basis of an
-    ideal inside the descent, is returned with no completion when it holds
-    every descent generator, as the two ideals are then equal.
+    Bases are canonical, so two descent ideals are equal exactly when their
+    bases are. ``inside``, the completed basis of an ideal inside the
+    descent, is returned with no completion when it holds every coordinate,
+    as the two ideals are then equal.
     """
-    gens = cartier_generators(gens, lift)
+    gens = IdealGens(coords)
     if inside is not None and all(map(inside.contains, gens.gens)):
         return inside
     return strong_groebner(gens)
@@ -128,6 +132,11 @@ class DescentContext:
     tuple, interned with their ``GroebnerBasis``, whose index a step
     certified against that basis reuses. The step from the unit basis at
     k = 0 is known from the start, as I_1((1)) = (1).
+
+    ``coordinates`` keeps the level-1 coordinates of each (basis element g,
+    shift index k) a step used, those of g * f^(p^m*k) or of g at k = 0, for
+    as long as the context lives, which is one job: a step whose elements
+    earlier steps used forms none of them again.
     """
 
     def __init__(self, f: Poly, lift: FrobeniusLift):
@@ -141,6 +150,7 @@ class DescentContext:
         unit = self.bottom[0]  # I_1((1)) = (1): the unit basis descends to itself
         self.steps = {unit: {0: unit}}  # elements one level down -> {k: elements}
         self._interned = {unit: GroebnerBasis(f.ctx, f.nvars, unit)}  # tuple -> basis
+        self._coordinates = {}  # (element, k) -> its coordinates, alpha ascending
 
     def _intern(self, gb) -> tuple:
         return self._interned.setdefault(gb.elements, gb).elements
@@ -150,19 +160,30 @@ class DescentContext:
         """Basis elements of (f^(p^m)), the last run of every level."""
         return self._intern(strong_groebner(IdealGens(self.bottom[-1])))
 
+    def coordinates(self, g: Poly, k: int) -> tuple:
+        """The level-1 coordinates of g * f^(p^m*k), or of g at k = 0, alpha
+        ascending; formed the first time (g, k) is asked for."""
+        coords = self._coordinates.get((g, k))
+        if coords is None:
+            if k and k not in self.shifts:
+                self.shifts[k] = self.bottom[-1][0] ** k
+            shifted = g * self.shifts[k] if k else g
+            coords = tuple(phi_decompose(shifted, self.lift).values())
+            self._coordinates[g, k] = coords
+        return coords
+
     def step(self, elems, k: int, inside: tuple = None) -> tuple:
         """Basis elements of level e at f^(a + k*p^(e-1+m)), from ``elems``,
-        the basis elements of level e-1 at f^a: the ``descent_basis`` of
-        ``elems`` times the shift f^(p^m*k), or of ``elems`` at k = 0.
-        ``inside``, interned elements of level e at a higher power of f, is
-        returned as it is when it holds every descent generator of the step."""
+        the basis elements of level e-1 at f^a: the ``descent_basis`` of the
+        ``coordinates`` of each element under the shift f^(p^m*k), element
+        by element. ``inside``, interned elements of level e at a higher
+        power of f, is returned as it is when it holds every coordinate of
+        the step."""
         held = self.steps.setdefault(elems, {})
         done = held.get(k)
         if done is None:
-            if k and k not in self.shifts:
-                self.shifts[k] = self.bottom[-1][0] ** k
-            gens = [g * self.shifts[k] for g in elems] if k else elems
-            gb = descent_basis(gens, self.lift, self._interned.get(inside))
+            coords = [c for g in elems for c in self.coordinates(g, k)]
+            gb = descent_basis(coords, self._interned.get(inside))
             done = held[k] = self._intern(gb)
         return done
 
@@ -268,7 +289,10 @@ def is_nu(f: Poly, lift: FrobeniusLift, e: int, n: int) -> bool:
     f_n = f**n
     ends = [[f_n], [f_n * f]]
     for _ in range(e):
-        ends = [descent_basis(gens, lift).elements for gens in ends]
+        ends = [
+            descent_basis(cartier_generators(gens, lift).gens).elements
+            for gens in ends
+        ]
     return ends[0] != ends[1]
 
 

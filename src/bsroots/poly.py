@@ -464,28 +464,37 @@ def phi_decompose(f: Poly, lift: FrobeniusLift) -> dict:
 
     Returns {alpha: g_alpha}, alpha ascending, with zero components omitted.
     The digit split is exact for the standard lift. Otherwise each round
-    splits the remainder's term dict, adds each term c*x^beta of class alpha
-    into g_alpha and subtracts c * F(x^beta) * x^alpha, read from the lift's
-    memo, from a copy of the remainder; its valuation rises, so m+1 rounds
-    leave nothing. A shifted image of degree 2^31 or more raises
-    ``DegreeLimitError`` before its terms are formed."""
+    splits the remainder's term dict and adds each term c*x^(p*beta + alpha)
+    of class alpha into g_alpha. The next remainder starts empty: the term
+    itself is the x^(p*beta) * x^alpha part of c * F(x^beta) * x^alpha, so
+    only c * (F(x^beta) - x^(p*beta)) * x^alpha, read from the lift's memo,
+    is subtracted. That difference is p times a polynomial, so a term whose
+    c is a multiple of p^m subtracts nothing and is skipped after its degree
+    check; the remainder's valuation rises, so m+1 rounds leave nothing, and
+    the last round only splits. A shifted image of degree 2^31 or more
+    raises ``DegreeLimitError`` before its terms are formed."""
     if f.ctx != lift.ctx or f.nvars != lift.nvars:
         raise ValueError("mixed polynomial rings")
     ctx, n, p = f.ctx, f.nvars, f.ctx.p
     if lift.is_standard:
         return _split_base_q(f, p)
     acc, pending, mod = {}, f.terms, ctx.modulus
+    vanishing = mod // p  # p^m: p * c is 0 mod p^(m+1) once it divides c
     for _ in range(ctx.m + 1):
-        rest = dict(pending)
+        rest = {}
         for alpha, (shift, beta_terms) in _digit_classes(pending, n, p).items():
             coords = acc.setdefault(alpha, {})
             for beta, c in beta_terms.items():
                 coords[beta] = coords.get(beta, 0) + c
                 img = lift._power(beta)
                 _check_degree(mono_degree(img.leading_monomial() + shift, n))
+                if c % vanishing == 0:
+                    continue
                 for mono, d in img.terms.items():
                     key = mono + shift
                     rest[key] = rest.get(key, 0) - c * d
+                own = p * beta + shift  # the term split, x^(p*beta + alpha)
+                rest[own] = rest.get(own, 0) + c
         pending = {mono: r for mono, c in rest.items() if (r := c % mod)}
     if pending:
         raise InvariantError("decomposition failed to converge")

@@ -111,20 +111,19 @@ def descent_walk(f, lift, top):
     One ``nu.descent_basis`` for every n, in ascending n: the level-e basis
     at n = a + k*p^(e-1+m), a < p^(e-1+m), is the descent of the level-(e-1)
     basis at a times the shift f^(p^m*k) (unshifted at k = 0), and the wrap
-    n = p^(e+m) that of the basis at 0 times f^(p^(m+1)). The walk builds
-    every power it uses. ``descent_basis`` is read off the module at each
-    call, so a test that replaces it replaces it here too.
+    n = p^(e+m) that of the basis at 0 times f^(p^(m+1)). The walk reads
+    the powers f^a, a < p^m, and the coordinates of each element times its
+    shift off a ``DescentContext`` of its own, whose steps it never takes.
+    ``descent_basis`` is read off the module and ``coordinates`` off the
+    class at each call, so a test that replaces them replaces them here too.
     """
     p, m = f.ctx.p, f.ctx.m
-    powers = [Poly.one(f.ctx, f.nvars)]
-    for _ in range(p**m):
-        powers.append(powers[-1] * f)
-    shifts = [None] + [powers[-1] ** k for k in range(1, p + 1)]
-    below = [(g,) for g in powers[:-1]]
+    descent = nu.DescentContext(f, lift)
+    below = descent.bottom[:-1]
 
     def descend(elems, k):
-        gens = [g * shifts[k] for g in elems] if k else elems
-        return nu.descent_basis(gens, lift).elements
+        coords = [c for g in elems for c in descent.coordinates(g, k)]
+        return nu.descent_basis(coords).elements
 
     for e in range(1, top + 1):
         step = p ** (e - 1 + m)

@@ -528,14 +528,21 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
     by_rank = [(f**0,)] + [(_SyntheticBasis((r, 0), unit),) for r in (1, 2, 3)]
     wrap = by_rank[3]
     monkeypatch.setattr(nu.DescentContext, "wrap", wrap)
+
+    # the coordinates of an element times a shift are that product itself,
+    # so no stand-in reaches phi_decompose
+    def synthetic_coordinates(descent, g, k):
+        return (g * f ** (k * p**m),) if k else (g,)
+
+    monkeypatch.setattr(nu.DescentContext, "coordinates", synthetic_coordinates)
     nested = unnested = last_jumps = last_flat = 0
     for case in range(5):
         seed = f"{900 + 10 * p + m}:{case}"
         draws = random.Random(seed)
         ranks = [0] + sorted(draws.randrange(3) for _ in range(p ** (m + 1) - 1)) + [3]
 
-        def synthetic_basis(gens, lift, inside=None):
-            (g,) = gens
+        def synthetic_basis(coords, inside=None):
+            (g,) = coords
             if isinstance(g, Poly):
                 return SimpleNamespace(elements=by_rank[ranks[g.degree() // d]])
             rank, k = g.key

@@ -776,8 +776,8 @@ import itertools
 from types import SimpleNamespace
 from bsroots import Poly, nu
 fresh = itertools.count(1)
-def fresh_basis(gens, lift, inside=None):
-    x = Poly.variable(gens[0].ctx, gens[0].nvars, 0)
+def fresh_basis(coords, inside=None):
+    x = Poly.variable(coords[0].ctx, coords[0].nvars, 0)
     return SimpleNamespace(elements=(x ** next(fresh),))
 nu.descent_basis = fresh_basis
 """

@@ -7,11 +7,12 @@ import pytest
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, is_nu, nu_set
 from bsroots import nu
 from bsroots.bsr import bfunction_report, detect_roots, strength
-from bsroots.cartier import cartier_generators
+from bsroots.cartier import IdealGens, cartier_generators
 from bsroots.groebner import GroebnerBasis, strong_groebner
 from bsroots.nu import descent_runs, nu_levels
 
 from _oracles import (
+    descent_lifts,
     descent_walk,
     direct_descent_bases,
     frobenius_apply_reference,
@@ -412,6 +413,51 @@ def test_uncertified_step_completes_from_scratch():
         assert not all(map(upper.contains, gens.gens)), a
         del descent.steps[below][1]
         assert descent.step(below, 1, bases[a + 1]) == strong_groebner(gens).elements
+
+
+@pytest.mark.parametrize("name", list(ANCHORS))
+def test_step_generators_are_the_cartier_generators_of_the_shifted_elements(name):
+    """The generators a step forms from the memoized coordinates of each
+    element are, generator for generator, ``cartier_generators`` of the
+    elements times f^(p^m*k), the shift built here by a power of f: over
+    the descent lifts of the two-variable anchors and the lifts of the
+    three-vars anchor, on a seeded sample of the steps a walk to level 2
+    took, checked after the walk, so that most coordinates were read back
+    from the memo."""
+    f, lifts = _anchor_lifts(name)
+    if f.nvars == 2:
+        lifts = descent_lifts(f.ctx)
+    rng = random.Random(f"coordinates:{name}")
+    q = f.ctx.p**f.ctx.m
+    for lift in lifts:
+        descent = nu.DescentContext(f, lift)
+        nu_levels(f, lift, 2, descent)
+        taken = [(elems, k) for elems, held in descent.steps.items() for k in held]
+        for elems, k in rng.sample(taken, min(12, len(taken))):
+            coords = [c for g in elems for c in descent.coordinates(g, k)]
+            shifted = [g * f ** (q * k) for g in elems]
+            want = cartier_generators(shifted, lift).gens
+            assert IdealGens(coords).gens == want, (lift.corrections, k)
+
+
+def test_repeated_coordinates_are_read_back_not_formed(monkeypatch):
+    """A (g, k) asked for again returns the tuple formed the first time,
+    and a step taken again completes from the held coordinates, with
+    ``phi_decompose`` unable to run."""
+    f, (std, bent) = _anchor_lifts("groebner-p2")
+    descent = nu.DescentContext(f, bent)
+    below = descent.bottom[1]
+    formed = [descent.coordinates(g, k) for g in below for k in (0, 1)]
+    basis = descent.step(below, 1)
+
+    def no_decomposition(*args):
+        pytest.fail("coordinates were formed again")
+
+    monkeypatch.setattr(nu, "phi_decompose", no_decomposition)
+    again = [descent.coordinates(g, k) for g in below for k in (0, 1)]
+    assert all(a is b for a, b in zip(again, formed))
+    del descent.steps[below][1]
+    assert descent.step(below, 1) == basis
 
 
 def _no_completion(*args):

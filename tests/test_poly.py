@@ -223,6 +223,41 @@ def test_nonstandard_decomposition_refuses_degree_2_to_the_31():
         phi_decompose_reference(x ** (2 * b + 1), lift, 1)
 
 
+@pytest.mark.parametrize("p,m", RINGS + [(2, 0), (3, 0), (5, 1)])
+def test_rounds_match_reference_on_p_power_corrections_and_coefficients(p, m):
+    """Each round subtracts c * (F(x^beta) - x^(p*beta)) * x^alpha from an
+    empty remainder and skips terms whose c is a multiple of p^m. The
+    coordinates are the reference's when a correction holds x_i^p, so that
+    x^(p*beta) has coefficient 1 + p*t in F(x^beta), and when all or some
+    coefficients are multiples of p^m (at m = 0 every term is skipped)."""
+    rng = random.Random(80 + 10 * p + m)
+    ctx = ChainRingCtx(p, m)
+    x, y = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)
+    lifts = [
+        FrobeniusLift(ctx, 2, [x**p, None]),
+        FrobeniusLift(ctx, 2, [x**p + y, y**p * 2 + x * y]),
+        FrobeniusLift(ctx, 2, [x * y**p, x**p + y**p]),
+    ]
+    top = p**m
+    for lift in lifts + descent_lifts(ctx):
+        for _ in range(4):
+            f = random_poly(rng, ctx, 2, 2 * p + 2, 6)
+            high = Poly(ctx, 2, {e: top * c for e, c in f.exponent_terms().items()})
+            for g in (f, high, f + high * x):
+                want = phi_decompose_reference(g, lift, 1)
+                assert list(phi_decompose(g, lift).items()) == list(want.items()), g
+
+
+def test_skipped_term_still_refuses_degree_2_to_the_31():
+    # 2 * x^(2b+1) over Z/4 subtracts nothing, as 2 is a multiple of p^m,
+    # but its shifted image x^(2b+1) * x is checked before the skip
+    x = Poly.variable(Z4, 1, 0)
+    lift = FrobeniusLift(Z4, 1, [x**3])
+    b = 2**30 - 1
+    with pytest.raises(DegreeLimitError, match=r"2\^31"):
+        phi_decompose(x ** (2 * b + 1) * 2, lift)
+
+
 def test_decompose_stops_after_m_plus_1_rounds():
     # a memo planted with F(x) = x^2 + x^3, whose correction is no multiple
     # of p: every round leaves a remainder, x^2 -> 3x^3 -> x^4
