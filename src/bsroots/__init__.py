@@ -8,8 +8,9 @@ is exact over the chain ring Z/p^(m+1).
 The package exports the engine's entry points. The level-function layer
 (``LevelFunction``, ``chi``, ``refine``, ``stalk``, ``support_module``,
 ``bfunction_contains``) is imported from ``bsroots.cfun``, and the layers
-underneath (Groebner bases, Cartier descent, p-adic rationals, ...) from
-their modules.
+underneath from their modules: generating sets and Groebner bases from
+``bsroots.groebner``, the level-1 descent from ``bsroots.nu``, p-adic
+rationals from ``bsroots.padic``, and so on.
 """
 
 from .bsr import bfunction_report, detect_roots, strength

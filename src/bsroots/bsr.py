@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from .chainring import ChainRingCtx
 from .errors import InvariantError
-from .groebner import GroebnerBasis, min_p_power_in
+from .groebner import min_p_power_in
 from .nu import DescentContext, descent_context, nu_levels
 from .padic import PAdicRational, reconstruct
 from .poly import FrobeniusLift, Poly
@@ -153,12 +153,14 @@ def strength(
     is also the maximum over the coordinates of f^a. The walk runs from
     level 1 to ``e_stop`` along a_e = a_(e-1) + k_e * p^(e-1+m), taking
     both bases as steps from the level below on ``descent`` (a new
-    ``nu.DescentContext`` when None). On the context of a level walk that
-    reached e_stop, the bases of a root's truncations are steps the walk
-    already took. The level sequence is nonincreasing; the walk
-    stops early once two consecutive levels agree or the value 0 is
-    reached, both of which are final. A ``PAdicRational`` over a prime
-    other than the ring's is refused, and the context refuses a zerodivisor f.
+    ``nu.DescentContext`` when None), and membership is tested on the
+    context's completed basis at a+1 (``DescentContext.basis``). On the
+    context of a level walk that reached e_stop, the bases of a root's
+    truncations are steps the walk already took. The level sequence is
+    nonincreasing; the walk stops early once two consecutive levels agree or
+    the value 0 is reached, both of which are final. A ``PAdicRational``
+    over a prime other than the ring's is refused, and the context refuses a
+    zerodivisor f.
     """
     if not isinstance(alpha, PAdicRational):
         alpha = PAdicRational(f.ctx.p, alpha)
@@ -178,7 +180,7 @@ def strength(
         a = a_e
         at_a = descent.step(at_a, k)
         at_a1 = descent.step(at_a1, k)
-        gb = GroebnerBasis(f.ctx, f.nvars, at_a1)
+        gb = descent.basis(at_a1)
         value = max(min_p_power_in(gb, g) for g in at_a)
         if computed and value > computed[-1][1]:
             raise InvariantError("strength increased with the level")

@@ -95,8 +95,50 @@ from __future__ import annotations
 import heapq
 import itertools
 
+from .chainring import ChainRingCtx
 from .errors import InvariantError
 from .poly import Poly, guard_bits, head_key, lcm, mono_degree
+
+
+class IdealGens:
+    """Generating set of an ideal, sorted by leading term (``head_key``).
+
+    Zeros and duplicates are dropped. Generators that tie on the leading
+    term keep their input order, so the tuple is as deterministic as the
+    input; the canonical object of an ideal is its completed basis. Equal
+    generators tie on the leading term, so duplicates are found by comparing
+    terms within each run of ties, and no generator is hashed.
+    """
+
+    __slots__ = ("ctx", "nvars", "gens")
+
+    def __init__(self, gens, ctx: ChainRingCtx = None, nvars: int = None):
+        gens = [g for g in gens if not g.is_zero()]
+        if gens:
+            ctx = gens[0].ctx if ctx is None else ctx
+            nvars = gens[0].nvars if nvars is None else nvars
+        if ctx is None or nvars is None:
+            raise ValueError("empty generator list needs explicit ctx and nvars")
+        for g in gens:
+            if (g.ctx is not ctx and g.ctx != ctx) or g.nvars != nvars:
+                raise ValueError("mixed polynomial rings")
+        self.ctx = ctx
+        self.nvars = nvars
+        keys = [head_key(g) for g in gens]
+        kept = []
+        ties = last = None
+        for i in sorted(range(len(gens)), key=keys.__getitem__):
+            g = gens[i]
+            if keys[i] != last:
+                last, ties = keys[i], []
+            elif any(g.terms == t.terms for t in ties):
+                continue
+            ties.append(g)
+            kept.append(g)
+        self.gens = tuple(kept)
+
+    def __repr__(self):
+        return f"IdealGens({list(self.gens)!r})"
 
 
 class GroebnerBasis:
@@ -229,7 +271,7 @@ def _annihilator(terms, lc, mod):
 
 
 def strong_groebner(J) -> GroebnerBasis:
-    """The reduced strong basis of the ideal the generators ``J`` span."""
+    """The reduced strong basis of the ideal the ``IdealGens`` ``J`` span."""
     ctx, nvars = J.ctx, J.nvars
     p, mod = ctx.p, ctx.modulus
     guards = guard_bits(nvars)

@@ -61,13 +61,15 @@ its roots (``bsr.strength``) take their steps on it. The context keeps every
 step taken, as basis one level down -> {k: basis}: a level-e basis equal
 to one of level e-1, or a basis of a root's truncation that the walk already
 stepped, costs no second completion. It also keeps the level-1 coordinates
-of each (basis element g, k) it formed, those of g * f^(p^m*k), for as long
-as it lives: distinct bases share elements, so a step whose elements
-earlier steps used forms no product and no coordinates, and only its
-certificate or completion runs. On every anchor the level sets stop
-growing after a few levels; from there on each level steps the bases the
-level below already stepped, and a level whose bases all repeat costs no
-completion, while its window grows by a factor p.
+of each (element g of a completed basis, k) it formed, those of
+g * f^(p^m*k), for as long as it lives: distinct bases share elements, so a
+step whose elements earlier steps used forms no product and no coordinates,
+and only its certificate or completion runs. A level-0 basis (f^a) is
+stepped at most once per k, so the coordinates of f^a are formed for its
+step and not kept. On every anchor the level sets stop growing after a few
+levels; from there on each level steps the bases the level below already
+stepped, and a level whose bases all repeat costs no completion, while its
+window grows by a factor p.
 
 The level sets are nested by truncation, for every lift: at
 n = a + k*p^(e-1+m), a < p^(e-1+m), the level-e bases at n and n+1 are the
@@ -83,9 +85,8 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from .cartier import IdealGens, cartier_generators
 from .errors import InvariantError
-from .groebner import GroebnerBasis, strong_groebner
+from .groebner import GroebnerBasis, IdealGens, strong_groebner
 from .poly import FrobeniusLift, Poly, phi_decompose
 
 
@@ -107,6 +108,12 @@ class NuLevelSet(namedtuple("NuLevelSet", "e window members")):
 def descent_basis(coords, inside=None) -> GroebnerBasis:
     """Completed basis of the ideal generated by ``coords``, the level-1
     coordinates of the generators of an ideal: its level-1 descent.
+
+    R is free over F(R) on the x^alpha, alpha in [0, p)^n, and the level-1
+    descent operators are the projections onto these coordinates
+    (``phi_decompose``). The image of an ideal J under all of them is
+    generated by the coordinates of any generating set of J; under the
+    standard lift a coordinate of g has degree at most deg g / p.
 
     Bases are canonical, so two descent ideals are equal exactly when their
     bases are. ``inside``, the completed basis of an ideal inside the
@@ -134,9 +141,11 @@ class DescentContext:
     k = 0 is known from the start, as I_1((1)) = (1).
 
     ``coordinates`` keeps the level-1 coordinates of each (basis element g,
-    shift index k) a step used, those of g * f^(p^m*k) or of g at k = 0, for
+    shift index k) it formed, those of g * f^(p^m*k) or of g at k = 0, for
     as long as the context lives, which is one job: a step whose elements
-    earlier steps used forms none of them again.
+    earlier steps used forms none of them again. A step from a tuple that is
+    not an interned basis, a level-0 basis (f^a,), is taken at most once per
+    k, so it reads the coordinates that are held but keeps none it forms.
     """
 
     def __init__(self, f: Poly, lift: FrobeniusLift):
@@ -160,16 +169,22 @@ class DescentContext:
         """Basis elements of (f^(p^m)), the last run of every level."""
         return self._intern(strong_groebner(IdealGens(self.bottom[-1])))
 
+    def basis(self, elems: tuple) -> GroebnerBasis:
+        """The interned ``GroebnerBasis`` of the basis elements ``elems``."""
+        return self._interned[elems]
+
+    def _formed(self, g: Poly, k: int) -> tuple:
+        if k and k not in self.shifts:
+            self.shifts[k] = self.bottom[-1][0] ** k
+        shifted = g * self.shifts[k] if k else g
+        return tuple(phi_decompose(shifted, self.lift).values())
+
     def coordinates(self, g: Poly, k: int) -> tuple:
         """The level-1 coordinates of g * f^(p^m*k), or of g at k = 0, alpha
-        ascending; formed the first time (g, k) is asked for."""
+        ascending; formed the first time (g, k) is asked for, and kept."""
         coords = self._coordinates.get((g, k))
         if coords is None:
-            if k and k not in self.shifts:
-                self.shifts[k] = self.bottom[-1][0] ** k
-            shifted = g * self.shifts[k] if k else g
-            coords = tuple(phi_decompose(shifted, self.lift).values())
-            self._coordinates[g, k] = coords
+            coords = self._coordinates[g, k] = self._formed(g, k)
         return coords
 
     def step(self, elems, k: int, inside: tuple = None) -> tuple:
@@ -182,7 +197,11 @@ class DescentContext:
         held = self.steps.setdefault(elems, {})
         done = held.get(k)
         if done is None:
-            coords = [c for g in elems for c in self.coordinates(g, k)]
+            if elems in self._interned:
+                coords = [c for g in elems for c in self.coordinates(g, k)]
+            else:  # (f^a,), stepped once per k: its coordinates are not kept
+                kept = self._coordinates.get
+                coords = [c for g in elems for c in kept((g, k)) or self._formed(g, k)]
             gb = descent_basis(coords, self._interned.get(inside))
             done = held[k] = self._intern(gb)
         return done
@@ -290,7 +309,9 @@ def is_nu(f: Poly, lift: FrobeniusLift, e: int, n: int) -> bool:
     ends = [[f_n], [f_n * f]]
     for _ in range(e):
         ends = [
-            descent_basis(cartier_generators(gens, lift).gens).elements
+            descent_basis(
+                [c for g in gens for c in phi_decompose(g, lift).values()]
+            ).elements
             for gens in ends
         ]
     return ends[0] != ends[1]

@@ -47,9 +47,8 @@ from fractions import Fraction
 from itertools import product
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu
-from bsroots.cartier import IdealGens
 from bsroots.errors import InvariantError
-from bsroots.groebner import strong_groebner
+from bsroots.groebner import IdealGens, strong_groebner
 
 
 # Degrevlex with x1 > x2 > ... > xn, spelled here from its definition so
@@ -114,8 +113,9 @@ def descent_walk(f, lift, top):
     n = p^(e+m) that of the basis at 0 times f^(p^(m+1)). The walk reads
     the powers f^a, a < p^m, and the coordinates of each element times its
     shift off a ``DescentContext`` of its own, whose steps it never takes.
-    ``descent_basis`` is read off the module and ``coordinates`` off the
-    class at each call, so a test that replaces them replaces them here too.
+    ``descent_basis`` is read off the module and ``coordinates``, which
+    forms through ``DescentContext._formed``, off the class at each call,
+    so a test that replaces them replaces them here too.
     """
     p, m = f.ctx.p, f.ctx.m
     descent = nu.DescentContext(f, lift)

@@ -17,8 +17,8 @@ import math
 import random
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu_set
-from bsroots.cartier import IdealGens, cartier_generators
-from bsroots.groebner import strong_groebner
+from bsroots.groebner import IdealGens, strong_groebner
+from bsroots.poly import phi_decompose
 
 from _oracles import (
     frobenius_apply_reference,
@@ -41,12 +41,18 @@ def _ctx_and_lift(rng):
     return ctx, FrobeniusLift.standard(ctx, 2)
 
 
+def level_one_generators(gens, lift):
+    """The engine's level-1 coordinates of each of ``gens``, in order."""
+    coords = [c for g in gens for c in phi_decompose(g, lift).values()]
+    return IdealGens(coords, ctx=lift.ctx, nvars=lift.nvars)
+
+
 def iterated_generators(gens, lift, e):
-    """The engine's level-1 Cartier generators taken e times, starting from
+    """The engine's level-1 coordinates taken e times, starting from
     ``gens``: by the composition identity I_e(J) = I_1(I_(e-1)(J)) they
     generate the level-e descent of (gens)."""
     for _ in range(e):
-        gens = cartier_generators(gens, lift).gens
+        gens = level_one_generators(gens, lift).gens
     return IdealGens(gens, ctx=lift.ctx, nvars=lift.nvars)
 
 

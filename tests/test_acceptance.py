@@ -18,8 +18,7 @@ from bsroots import (
     strength,
 )
 from bsroots.bsr import crosscheck_mod_p
-from bsroots.cartier import IdealGens
-from bsroots.groebner import strong_groebner
+from bsroots.groebner import IdealGens, strong_groebner
 
 from _oracles import (
     Matrix,

@@ -25,6 +25,7 @@ from bsroots import (
 from bsroots import bsr, nu
 from bsroots.bsr import _default_top_level, crosscheck_mod_p
 from bsroots.errors import InvariantError
+from bsroots.groebner import GroebnerBasis
 from bsroots.padic import PAdicRational
 
 from _oracles import (
@@ -330,6 +331,38 @@ def test_report_strengths_complete_only_what_the_tree_did_not(monkeypatch):
     assert (stepped, completed) == (12, 12)
 
 
+def test_strength_builds_a_basis_only_for_what_it_completes(monkeypatch):
+    """``strength`` tests membership on the context's completed bases. On
+    the README example's walked context its strengths complete 2 steps and
+    construct a ``GroebnerBasis`` for those 2 only; taken again, with every
+    step held, they construct none."""
+    (f, lift), top = REPORT_CASES["readme"]
+    descent = nu.DescentContext(f, lift)
+    roots = detect_roots(f, lift, top, 10, 10, descent).roots
+    built = completed = 0
+    init, complete = GroebnerBasis.__init__, nu.strong_groebner
+
+    def counted_init(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    def counted_complete(*args):
+        nonlocal completed
+        completed += 1
+        return complete(*args)
+
+    monkeypatch.setattr(GroebnerBasis, "__init__", counted_init)
+    monkeypatch.setattr(nu, "strong_groebner", counted_complete)
+    for entry in roots:
+        strength(f, lift, entry.alpha, 4, descent)
+    assert (built, completed) == (2, 2)
+    built = 0
+    for entry in roots:
+        strength(f, lift, entry.alpha, 4, descent)
+    assert built == 0
+
+
 def test_context_refused_for_another_pair():
     (f, lift), top = REPORT_CASES["x+2y"]
     descent = nu.DescentContext(f, lift)
@@ -534,7 +567,7 @@ def test_pruned_tree_matches_full_walk_on_synthetic_jumps(monkeypatch, p, m):
     def synthetic_coordinates(descent, g, k):
         return (g * f ** (k * p**m),) if k else (g,)
 
-    monkeypatch.setattr(nu.DescentContext, "coordinates", synthetic_coordinates)
+    monkeypatch.setattr(nu.DescentContext, "_formed", synthetic_coordinates)
     nested = unnested = last_jumps = last_flat = 0
     for case in range(5):
         seed = f"{900 + 10 * p + m}:{case}"

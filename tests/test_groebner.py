@@ -3,9 +3,9 @@ import random
 import pytest
 
 from bsroots import ChainRingCtx, Poly
-from bsroots.cartier import IdealGens
 from bsroots.groebner import (
     GroebnerBasis,
+    IdealGens,
     _annihilator,
     _reduce,
     _s_poly,

@@ -7,8 +7,7 @@ import pytest
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, is_nu, nu_set
 from bsroots import nu
 from bsroots.bsr import bfunction_report, detect_roots, strength
-from bsroots.cartier import IdealGens, cartier_generators
-from bsroots.groebner import GroebnerBasis, strong_groebner
+from bsroots.groebner import GroebnerBasis, IdealGens, strong_groebner
 from bsroots.nu import descent_runs, nu_levels
 
 from _oracles import (
@@ -18,7 +17,7 @@ from _oracles import (
     frobenius_apply_reference,
     random_unit_poly,
 )
-from _properties import iterated_generators
+from _properties import iterated_generators, level_one_generators
 
 Z9 = ChainRingCtx(3, 1)
 Z4 = ChainRingCtx(2, 1)
@@ -408,7 +407,7 @@ def test_uncertified_step_completes_from_scratch():
             continue
         below = descent.bottom[a]
         shifted = [g * descent.shifts[1] for g in below]
-        gens = cartier_generators(shifted, descent.lift)
+        gens = level_one_generators(shifted, descent.lift)
         upper = GroebnerBasis(f.ctx, f.nvars, bases[a + 1])
         assert not all(map(upper.contains, gens.gens)), a
         del descent.steps[below][1]
@@ -418,12 +417,12 @@ def test_uncertified_step_completes_from_scratch():
 @pytest.mark.parametrize("name", list(ANCHORS))
 def test_step_generators_are_the_cartier_generators_of_the_shifted_elements(name):
     """The generators a step forms from the memoized coordinates of each
-    element are, generator for generator, ``cartier_generators`` of the
-    elements times f^(p^m*k), the shift built here by a power of f: over
-    the descent lifts of the two-variable anchors and the lifts of the
-    three-vars anchor, on a seeded sample of the steps a walk to level 2
-    took, checked after the walk, so that most coordinates were read back
-    from the memo."""
+    element are, generator for generator, the ``phi_decompose`` coordinates
+    (``level_one_generators``) of the elements times f^(p^m*k), the shift
+    built here by a power of f: over the descent lifts of the two-variable
+    anchors and the lifts of the three-vars anchor, on a seeded sample of
+    the steps a walk to level 2 took, checked after the walk, so that most
+    coordinates were read back from the memo."""
     f, lifts = _anchor_lifts(name)
     if f.nvars == 2:
         lifts = descent_lifts(f.ctx)
@@ -436,7 +435,7 @@ def test_step_generators_are_the_cartier_generators_of_the_shifted_elements(name
         for elems, k in rng.sample(taken, min(12, len(taken))):
             coords = [c for g in elems for c in descent.coordinates(g, k)]
             shifted = [g * f ** (q * k) for g in elems]
-            want = cartier_generators(shifted, lift).gens
+            want = level_one_generators(shifted, lift).gens
             assert IdealGens(coords).gens == want, (lift.corrections, k)
 
 
@@ -458,6 +457,21 @@ def test_repeated_coordinates_are_read_back_not_formed(monkeypatch):
     assert all(a is b for a, b in zip(again, formed))
     del descent.steps[below][1]
     assert descent.step(below, 1) == basis
+
+
+@pytest.mark.parametrize("name", list(ANCHORS))
+def test_level_zero_coordinates_are_not_held(name):
+    """A level-0 basis (f^a,) is stepped at most once per k, so a walk keeps
+    the coordinates of f^a only as an element of a completed basis: every
+    (g, k) the context holds has g in an interned basis, over the lifts of
+    each anchor, on walks that stepped level-0 bases."""
+    f, lifts = _anchor_lifts(name)
+    for lift in lifts:
+        descent = nu.DescentContext(f, lift)
+        nu_levels(f, lift, 3, descent)
+        assert any(descent.steps.get(power) for power in descent.bottom[1:])
+        in_bases = {g for elems in descent._interned for g in elems}
+        assert {g for g, _ in descent._coordinates} <= in_bases
 
 
 def _no_completion(*args):

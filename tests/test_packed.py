@@ -13,9 +13,8 @@ import random
 import pytest
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly
-from bsroots.cartier import IdealGens
 from bsroots.errors import DegreeLimitError
-from bsroots.groebner import GroebnerBasis, _reduce, _s_poly, strong_groebner
+from bsroots.groebner import GroebnerBasis, IdealGens, _reduce, _s_poly, strong_groebner
 from bsroots.poly import (
     EXPONENT_LIMIT,
     _split_base_q,

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsroots import ChainRingCtx, FrobeniusLift, Poly, nu_set
-from bsroots.cartier import IdealGens
 from bsroots.errors import DegreeLimitError, InvariantError
-from bsroots.groebner import strong_groebner
+from bsroots.groebner import IdealGens, strong_groebner
 from bsroots.poly import (
     NEG_INF,
     _split_base_q,
