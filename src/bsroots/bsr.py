@@ -25,7 +25,7 @@ from collections import namedtuple
 from .chainring import ChainRingCtx
 from .errors import InvariantError
 from .groebner import min_p_power_in
-from .nu import DescentContext, descent_context, nu_levels
+from .nu import DescentContext, descent_context, descent_path, nu_levels
 from .padic import PAdicRational, reconstruct
 from .poly import FrobeniusLift, Poly
 
@@ -150,10 +150,10 @@ def strength(
     least t with p^t * I_e(f^a) inside I_e(f^(a+1)): the maximum over the
     basis elements g of I_e(f^a) of the least t with p^t * g inside. The
     ideal (I_e(f^(a+1)) : p^t) does not depend on a generating set, so this
-    is also the maximum over the coordinates of f^a. The walk runs from
-    level 1 to ``e_stop`` along a_e = a_(e-1) + k_e * p^(e-1+m), taking
-    both bases as steps from the level below on ``descent`` (a new
-    ``nu.DescentContext`` when None), and membership is tested on the
+    is also the maximum over the coordinates of f^a. The walk iterates
+    ``nu.descent_path`` of the truncation at level ``e_stop`` on
+    ``descent`` (a new ``nu.DescentContext`` when None), whose pair at
+    level e is the bases at a and a+1, and membership is tested on the
     context's completed basis at a+1 (``DescentContext.basis``). On the
     context of a level walk that reached e_stop, the bases of a root's
     truncations are steps the walk already took. The level sequence is
@@ -168,18 +168,11 @@ def strength(
         raise ValueError(f"alpha is {alpha.p}-adic but the ring has p={f.ctx.p}")
     if e_stop < 1:
         raise ValueError("need e_stop >= 1")
-    p, m = f.ctx.p, f.ctx.m
     descent = descent_context(f, lift, descent)
-    a = alpha.truncate_below(m)
-    at_a, at_a1 = descent.bottom[a], descent.bottom[a + 1]
+    path = descent_path(descent, alpha.truncate_below(e_stop + f.ctx.m), e_stop)
     computed = []
     stabilized = False
-    for e in range(1, e_stop + 1):
-        a_e = alpha.truncate_below(e + m)
-        k = (a_e - a) // p ** (e - 1 + m)
-        a = a_e
-        at_a = descent.step(at_a, k)
-        at_a1 = descent.step(at_a1, k)
+    for e, at_a, at_a1 in path:
         gb = descent.basis(at_a1)
         value = max(min_p_power_in(gb, g) for g in at_a)
         if computed and value > computed[-1][1]:
@@ -234,13 +227,13 @@ def crosscheck_mod_p(
     Checks: the negative roots agree exactly with the mod-p roots, every
     positive root is an integer translate of a negative one, and the two
     root sets agree modulo Z. Failures come back as structured mismatch
-    strings, not exceptions. At m = 0 under the standard lift, f mod p is f
-    under the same lift, at the same level and bounds, so the mod-p report is
-    the report over V. Otherwise the mod-p report walks a
+    strings, not exceptions. At m = 0, f mod p is f, and every lift is the
+    standard one, as F(x) = x^p + p*h = x^p over Z/p: at the same level and
+    bounds the mod-p report is the report over V. Otherwise it walks a
     ``nu.DescentContext`` of its own, to level verified_to_level + m.
     """
     report = bfunction_report(f, lift, top_level, den_bound, num_bound)
-    if f.ctx.m == 0 and lift.is_standard:
+    if f.ctx.m == 0:
         report0 = report
     else:
         ctx0 = ChainRingCtx(f.ctx.p, 0)

@@ -399,10 +399,9 @@ def run(argv=None):
 
 
 def _render_error(args, exc):
-    fmt = getattr(args, "format", "text")
     # a MemoryError usually carries no message; its type name then stands in
     message = str(exc) or type(exc).__name__
-    if fmt == "structured":
+    if args.format == "structured":
         return json.dumps(
             {"error": {"type": type(exc).__name__, "message": message}}, indent=2
         )

@@ -24,8 +24,9 @@ f^n is the completed level-1 descent of f^(p^m*k) times the basis of f^a
 one level down; level 0 is (f^a) itself. At a = 0, k = 1 the shift identity
 gives the end of every window in closed form, the wrap
 I_e(f^(p^(e+m))) = f^(p^m) * I_e(1) = (f^(p^m)). The only powers built are
-f^a, a <= p^m, and the shifts f^(p^m*k), 0 < k < p, each the first time a
-step by k is taken.
+f^a, a <= p^m, and the shifts f^(p^m*k), 0 < k < p, each on first use:
+the walk uses every f^a, a query at one n (``descent_path``) f^a, f^(a+1)
+and, for its shifts, f^(p^m).
 
 A level is walked by its runs, the maximal stretches of n that share one
 basis, so a run ending at n is the jump n. One step per run one level down
@@ -56,15 +57,16 @@ would give. A generator outside it ends its membership test at the first
 term that survives reduction, and the step is completed.
 
 A step is taken once per call. Each public entry point makes one
-``DescentContext``, or takes the caller's, and the walk and the strengths of
-its roots (``bsr.strength``) take their steps on it. The context keeps every
-step taken, as basis one level down -> {k: basis}: a level-e basis equal
-to one of level e-1, or a basis of a root's truncation that the walk already
-stepped, costs no second completion. It also keeps the level-1 coordinates
-of each (element g of a completed basis, k) it formed, those of
-g * f^(p^m*k), for as long as it lives: distinct bases share elements, so a
-step whose elements earlier steps used forms no product and no coordinates,
-and only its certificate or completion runs. A level-0 basis (f^a) is
+``DescentContext``, or takes the caller's, and the walk, ``is_nu`` and the
+strengths of roots (``bsr.strength``) take their steps on it, the last two
+along ``descent_path``. The context keeps every step taken, as basis one
+level down -> {k: basis}: a level-e basis equal to one of level e-1, or a
+basis of a root's truncation that the walk already stepped, costs no second
+completion. It also keeps the level-1 coordinates of each (element g of a
+completed basis, k) it formed, those of g * f^(p^m*k), for as long as it
+lives: distinct bases share elements, so a step whose elements earlier
+steps used forms no product and no coordinates, and only its certificate or
+completion runs. A level-0 basis (f^a) is
 stepped at most once per k, so the coordinates of f^a are formed for its
 step and not kept. On every anchor the level sets stop growing after a few
 levels; from there on each level steps the bases the level below already
@@ -130,15 +132,15 @@ class DescentContext:
     """The descent steps of one (f, lift), each taken once; a zerodivisor f
     is refused before any work, so no caller of a context checks f again.
 
-    Holds the level-0 bases (f^a,), a <= p^m, the wrap basis and the shifts
-    f^(p^m*k), 0 < k < p, under ``shifts[k]``, each built the first time a
-    step by k is taken. ``steps`` keeps every step taken for as long as the
-    context lives, as basis elements one level down -> {shift index k: basis
-    elements}, the digit transitions of the p-automatic view: a repeated
-    step returns the basis found the first time. Equal bases are kept as one
-    tuple, interned with their ``GroebnerBasis``, whose index a step
-    certified against that basis reuses. The step from the unit basis at
-    k = 0 is known from the start, as I_1((1)) = (1).
+    Builds each level-0 basis (f^a,), a <= p^m (``level_zero``), the wrap
+    basis and each shift f^(p^m*k), 0 < k < p, under ``shifts[k]``, the
+    first time it is asked for. ``steps`` keeps every step taken for as long
+    as the context lives, as basis elements one level down -> {shift index
+    k: basis elements}, the digit transitions of the p-automatic view: a
+    repeated step returns the basis found the first time. Equal bases are
+    kept as one tuple, interned with their ``GroebnerBasis``, whose index a
+    step certified against that basis reuses. The step from the unit basis
+    at k = 0 is known from the start, as I_1((1)) = (1).
 
     ``coordinates`` keeps the level-1 coordinates of each (basis element g,
     shift index k) it formed, those of g * f^(p^m*k) or of g at k = 0, for
@@ -151,15 +153,20 @@ class DescentContext:
     def __init__(self, f: Poly, lift: FrobeniusLift):
         require_nonzerodivisor(f)
         self.f, self.lift = f, lift
-        powers = [Poly.one(f.ctx, f.nvars)]
-        for _ in range(f.ctx.p**f.ctx.m):
-            powers.append(powers[-1] * f)
-        self.bottom = [(g,) for g in powers]
+        unit = (Poly.one(f.ctx, f.nvars),)  # I_1((1)) = (1): it descends to itself
+        self._powers = {0: unit}  # a -> (f^a,), built on first use
         self.shifts = {}  # k -> f^(p^m*k), built on first use
-        unit = self.bottom[0]  # I_1((1)) = (1): the unit basis descends to itself
         self.steps = {unit: {0: unit}}  # elements one level down -> {k: elements}
         self._interned = {unit: GroebnerBasis(f.ctx, f.nvars, unit)}  # tuple -> basis
         self._coordinates = {}  # (element, k) -> its coordinates, alpha ascending
+
+    def level_zero(self, a: int) -> tuple:
+        """The level-0 basis (f^a,), built the first time it is asked for:
+        f^(a-1) * f when that is held, else f ** a."""
+        if a not in self._powers:
+            below = self._powers.get(a - 1)
+            self._powers[a] = (below[0] * self.f if below else self.f**a,)
+        return self._powers[a]
 
     def _intern(self, gb) -> tuple:
         return self._interned.setdefault(gb.elements, gb).elements
@@ -167,7 +174,8 @@ class DescentContext:
     @cached_property
     def wrap(self) -> tuple:
         """Basis elements of (f^(p^m)), the last run of every level."""
-        return self._intern(strong_groebner(IdealGens(self.bottom[-1])))
+        top = IdealGens(self.level_zero(self.f.ctx.p**self.f.ctx.m))
+        return self._intern(strong_groebner(top))
 
     def basis(self, elems: tuple) -> GroebnerBasis:
         """The interned ``GroebnerBasis`` of the basis elements ``elems``."""
@@ -175,7 +183,7 @@ class DescentContext:
 
     def _formed(self, g: Poly, k: int) -> tuple:
         if k and k not in self.shifts:
-            self.shifts[k] = self.bottom[-1][0] ** k
+            self.shifts[k] = self.level_zero(self.f.ctx.p**self.f.ctx.m)[0] ** k
         shifted = g * self.shifts[k] if k else g
         return tuple(phi_decompose(shifted, self.lift).values())
 
@@ -238,7 +246,7 @@ def descent_runs(descent: DescentContext, top: int):
     already took is not taken again.
     """
     p, m = descent.f.ctx.p, descent.f.ctx.m
-    runs = list(enumerate(descent.bottom))
+    runs = [(a, descent.level_zero(a)) for a in range(p**m)]
     for e in range(1, top + 1):
         step = p ** (e - 1 + m)
         below = [run for run in runs if run[0] < step]
@@ -263,6 +271,20 @@ def descent_runs(descent: DescentContext, top: int):
             if not runs or bases[index] != runs[-1][1]:
                 runs.append((below[i][0] + k * step, bases[index]))
         yield e, runs
+
+
+def descent_path(descent: DescentContext, n: int, top: int):
+    """Yield (e, basis elements of I_e(f^n), of I_e(f^(n+1))) for e = 1..top,
+    n taken mod p^(e+m): the level-0 bases at a = n mod p^m and a+1, stepped
+    on ``descent`` by each base-p digit of n above p^m. The shift identity
+    holds for every a, so the carry at n+1 = p^(e+m) is no special case."""
+    p = descent.f.ctx.p
+    rest, a = divmod(n, p**descent.f.ctx.m)
+    lower, upper = descent.level_zero(a), descent.level_zero(a + 1)
+    for e in range(1, top + 1):
+        rest, k = divmod(rest, p)
+        lower, upper = descent.step(lower, k), descent.step(upper, k)
+        yield e, lower, upper
 
 
 def nu_levels(
@@ -295,26 +317,12 @@ def nu_levels(
 
 
 def is_nu(f: Poly, lift: FrobeniusLift, e: int, n: int) -> bool:
-    """Whether n is a level-e invariant of f; periodic mod p^(e+m).
-
-    The definition, with none of the walk: the bases of f^n and f^(n+1),
-    each descended e times by level 1, which the composition identity
-    I_e(J) = I_1(I_(e-1)(J)) makes the level-e bases.
-    """
-    require_nonzerodivisor(f)
+    """Whether n is a level-e invariant of f; periodic mod p^(e+m): whether
+    the last pair of ``descent_path`` on a new context differs."""
     if e < 1:
         raise ValueError("level must be >= 1")
-    n %= f.ctx.p ** (e + f.ctx.m)
-    f_n = f**n
-    ends = [[f_n], [f_n * f]]
-    for _ in range(e):
-        ends = [
-            descent_basis(
-                [c for g in gens for c in phi_decompose(g, lift).values()]
-            ).elements
-            for gens in ends
-        ]
-    return ends[0] != ends[1]
+    *_, (_, lower, upper) = descent_path(DescentContext(f, lift), n, e)
+    return lower != upper
 
 
 def nu_set(f: Poly, lift: FrobeniusLift, e: int) -> NuLevelSet:

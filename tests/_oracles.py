@@ -119,7 +119,7 @@ def descent_walk(f, lift, top):
     """
     p, m = f.ctx.p, f.ctx.m
     descent = nu.DescentContext(f, lift)
-    below = descent.bottom[:-1]
+    below = [descent.level_zero(a) for a in range(p**m)]
 
     def descend(elems, k):
         coords = [c for g in elems for c in descent.coordinates(g, k)]

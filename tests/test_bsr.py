@@ -376,10 +376,16 @@ def test_context_refused_for_another_pair():
 
 
 # x + 2y over Z/4 at level 7, and x + y + xy over Z/2 at level 5, where
-# f mod p is f itself under the same lift
+# f mod p is f itself under the same lift; over Z/2 the lift x: y,
+# F(x) = x^2 + 2y, is the standard lift
+_XY_M0, _STD_M0 = _setup(2, 0, {(1, 0): 1, (0, 1): 1, (1, 1): 1}, 2)
 CROSSCHECK_CASES = {
     "m=1": REPORT_CASES["x+2y"],
-    "m=0": (_setup(2, 0, {(1, 0): 1, (0, 1): 1, (1, 1): 1}, 2), 5),
+    "m=0": ((_XY_M0, _STD_M0), 5),
+    "m=0 under x: y": (
+        (_XY_M0, FrobeniusLift(_XY_M0.ctx, 2, [Poly.variable(_XY_M0.ctx, 2, 1), None])),
+        5,
+    ),
 }
 
 
@@ -387,8 +393,8 @@ CROSSCHECK_CASES = {
 def test_crosscheck_gives_its_mod_p_run_a_context_of_its_own(case, monkeypatch):
     """At m = 1 the cross-check completes what its two reports complete each
     on a fresh context: the mod-p run takes no step of the run over V. At
-    m = 0, where f mod p is f under the same lift, the mod-p report is the
-    report over V and completes no new step."""
+    m = 0, where f mod p is f and every lift is the standard one, the mod-p
+    report is the report over V and completes no new step."""
     (f, lift), top = CROSSCHECK_CASES[case]
     completed = 0
     complete = nu.descent_basis
@@ -407,7 +413,7 @@ def test_crosscheck_gives_its_mod_p_run_a_context_of_its_own(case, monkeypatch):
     f0, lift0 = f.with_ctx(ctx0), FrobeniusLift.standard(ctx0, f.nvars)
     level0 = cc.report.verified_to_level + f.ctx.m
     assert cc.report_mod_p == bfunction_report(f0, lift0, level0, 3, 3)
-    if case == "m=0":
+    if case.startswith("m=0"):
         assert in_v > 0 and completed > 0 and in_cc == in_v
     else:
         assert in_v > 0 and completed > 0 and in_cc == in_v + completed
@@ -415,8 +421,8 @@ def test_crosscheck_gives_its_mod_p_run_a_context_of_its_own(case, monkeypatch):
 
 @pytest.mark.parametrize("case", list(CROSSCHECK_CASES))
 def test_crosscheck_walks_the_levels_once_at_m0(case, monkeypatch):
-    """The cross-check walks the level sets once at m = 0 under the standard
-    lift, where the mod-p report is the report over V, and twice at m = 1."""
+    """The cross-check walks the level sets once at m = 0 under any lift,
+    where the mod-p report is the report over V, and twice at m = 1."""
     (f, lift), top = CROSSCHECK_CASES[case]
     walks = 0
     walk = bsr.nu_levels
@@ -429,7 +435,7 @@ def test_crosscheck_walks_the_levels_once_at_m0(case, monkeypatch):
     monkeypatch.setattr(bsr, "nu_levels", counted)
     cc = crosscheck_mod_p(f, lift, top, 3, 3)
     assert cc.ok
-    assert walks == (1 if case == "m=0" else 2)
+    assert walks == (1 if case.startswith("m=0") else 2)
 
 
 def _assert_matches_full_walk(f, lift, top, den_bound, num_bound):

@@ -582,8 +582,8 @@ def test_zerodivisor_exits_2_before_work(monkeypatch, poly, mode, fmt):
 @pytest.mark.parametrize("mode", ["nu", "roots", "bfunction", "crosscheck", "strength"])
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_out_of_memory_exits_3_with_the_usual_error(monkeypatch, mode, fmt):
-    # a stub in place of the context every mode builds first; a wide level
-    # (p=101, m=2) runs out of memory there, building f^a for a <= p^m
+    # a stub in place of the context every mode builds first stands in for a
+    # run that exhausts memory
     def out_of_memory(self, f, lift):
         raise MemoryError
 

@@ -268,10 +268,11 @@ def test_level_walk_matches_direct_descent_on_random_polys(p, m):
 def test_composed_level_one_is_the_direct_level_e(e):
     """The composition identity I_e(J) = I_1(I_(e-1)(J)), which lets the
     engine descend one level at a time, against the oracle's direct level-e
-    descent over F^e(R): at every n of the window, is_nu, which descends the
-    bases of f^n and f^(n+1) e times, finds the oracle's jumps, and the
-    engine's level-1 Cartier generators taken e times complete to the
-    oracle's basis, under the standard lift and x: y+x*y, y: x alike."""
+    descent over F^e(R): at every n of the window, the engine's level-1
+    Cartier generators of f^n taken e times complete to the oracle's basis,
+    and is_nu, which steps the bases of f^a and f^(a+1), a = n mod p^m, by
+    the digits of n, finds the oracle's jumps, under the standard lift and
+    x: y+x*y, y: x alike."""
     rng = random.Random(800 + e)
     cases = [_anchor_lifts("nonstandard-lift")[0]]
     for p, m in ((2, 1), (3, 0)):
@@ -381,7 +382,8 @@ def _level_one_steps(name, k):
     level-1 bases at f^(a + k*p^m), a < p^m, each a step by k."""
     ctx, f = ANCHORS[name]
     descent = nu.DescentContext(f, FrobeniusLift.standard(ctx, f.nvars))
-    return descent, [descent.step(descent.bottom[a], k) for a in range(ctx.p**ctx.m)]
+    q = ctx.p**ctx.m
+    return descent, [descent.step(descent.level_zero(a), k) for a in range(q)]
 
 
 def test_certified_step_returns_the_upper_basis_without_completing(monkeypatch):
@@ -390,7 +392,7 @@ def test_certified_step_returns_the_upper_basis_without_completing(monkeypatch):
     that interned tuple itself, and no completion runs."""
     descent, bases = _level_one_steps("three-vars", 0)
     assert bases[1] == bases[2]
-    below = descent.bottom[1]
+    below = descent.level_zero(1)
     del descent.steps[below][0]
     monkeypatch.setattr(nu, "strong_groebner", _no_completion)
     assert descent.step(below, 0, bases[2]) is bases[2]
@@ -405,7 +407,7 @@ def test_uncertified_step_completes_from_scratch():
     for a in range(len(bases) - 1):
         if bases[a] == bases[a + 1]:
             continue
-        below = descent.bottom[a]
+        below = descent.level_zero(a)
         shifted = [g * descent.shifts[1] for g in below]
         gens = level_one_generators(shifted, descent.lift)
         upper = GroebnerBasis(f.ctx, f.nvars, bases[a + 1])
@@ -445,7 +447,7 @@ def test_repeated_coordinates_are_read_back_not_formed(monkeypatch):
     ``phi_decompose`` unable to run."""
     f, (std, bent) = _anchor_lifts("groebner-p2")
     descent = nu.DescentContext(f, bent)
-    below = descent.bottom[1]
+    below = descent.level_zero(1)
     formed = [descent.coordinates(g, k) for g in below for k in (0, 1)]
     basis = descent.step(below, 1)
 
@@ -466,10 +468,12 @@ def test_level_zero_coordinates_are_not_held(name):
     (g, k) the context holds has g in an interned basis, over the lifts of
     each anchor, on walks that stepped level-0 bases."""
     f, lifts = _anchor_lifts(name)
+    q = f.ctx.p**f.ctx.m
     for lift in lifts:
         descent = nu.DescentContext(f, lift)
         nu_levels(f, lift, 3, descent)
-        assert any(descent.steps.get(power) for power in descent.bottom[1:])
+        powers = [descent.level_zero(a) for a in range(1, q + 1)]
+        assert any(descent.steps.get(power) for power in powers)
         in_bases = {g for elems in descent._interned for g in elems}
         assert {g for g, _ in descent._coordinates} <= in_bases
 
@@ -558,3 +562,79 @@ def test_frozen_windows_of_the_anchors_at_depth():
         1655, 1700, 1727, 1754, 1781, 1808, 1835, 1862, 1889, 1898, 1916, 1943,
         1970, 1997, 2024, 2051, 2078, 2105, 2132, 2141, 2159, 2186,
     )
+
+
+@pytest.mark.parametrize("name", [*ANCHORS, "readme"])
+def test_is_nu_agrees_with_the_level_sets(name):
+    """At levels 1-4, is_nu, on a fresh context each time, agrees with
+    membership in the walk's level sets, over the lifts of the four anchors
+    and for the README example: at every n of a window up to 3^5 and a
+    seeded sample of 64 of the 3^6 window, always with n = p^(e+m) - 1,
+    whose n+1 is the wrap; and at n + window for that n and four more."""
+    f, lifts = (F23Y(), [STD9]) if name == "readme" else _anchor_lifts(name)
+    rng = random.Random(f"is_nu:{name}")
+    for lift in lifts:
+        for level in nu_levels(f, lift, 4):
+            last = level.window - 1
+            if level.window <= 3**5:
+                ns = list(range(level.window))
+            else:
+                ns = rng.sample(range(last), 64) + [last]
+            for n in ns:
+                member = n in level.members
+                assert is_nu(f, lift, level.e, n) == member, (lift.corrections, n)
+            for n in [last, *rng.sample(ns, 4)]:
+                member = n in level.members
+                shifted = n + level.window
+                assert is_nu(f, lift, level.e, shifted) == member, (lift.corrections, n)
+
+
+def test_is_nu_answers_at_the_p2_anchor_level_27():
+    """At level 27, a window of 2^29, is_nu takes 27 steps from each of two
+    powers of f and agrees with the walk's level set at its first and last
+    members, their neighbours, and both ends of the window."""
+    ctx, f = ANCHORS["groebner-p2"]
+    lift = FrobeniusLift.standard(ctx, 2)
+    level = nu_levels(f, lift, 27)[-1]
+    ends = (*level.members[:2], *level.members[-2:])
+    ns = {0, level.window - 1} | {n + d for n in ends for d in (-1, 0, 1)}
+    for n in sorted(ns):
+        assert is_nu(f, lift, 27, n) == (n in level.members), n
+
+
+def test_is_nu_forms_no_power_of_f_past_p_to_the_m_plus_1(monkeypatch):
+    """On the p=2 anchor at level 3, at every n of the window 2^5, is_nu
+    multiplies nothing of degree above deg f * p^(m+1) = 24; forming f^n
+    and f^(n+1) would reach degree 96."""
+    ctx, f = ANCHORS["groebner-p2"]
+    lift = FrobeniusLift.standard(ctx, 2)
+    multiply, largest = Poly.__mul__, 0
+
+    def recorded(a, b):
+        nonlocal largest
+        product = multiply(a, b)
+        largest = max(largest, product.degree())
+        return product
+
+    monkeypatch.setattr(Poly, "__mul__", recorded)
+    for n in range(2**5):
+        is_nu(f, lift, 3, n)
+    assert 0 < largest <= 24
+
+
+def test_a_point_query_builds_only_the_powers_it_steps_from():
+    """x^2+y^3 at p=31, m=2 has 962 level-0 bases (f^a,), a <= p^m. The
+    path at n = 5 to level 1, and the strength of 5 to level 1, each on a
+    fresh context, step only from f^5 and f^6 by the digit 0, so the
+    context holds those two and the unit, and builds no shift."""
+    ctx = ChainRingCtx(31, 2)
+    x, y = Poly.variable(ctx, 2, 0), Poly.variable(ctx, 2, 1)
+    f, lift = x**2 + y**3, FrobeniusLift.standard(ctx, 2)
+    descent = nu.DescentContext(f, lift)
+    (_, lower, upper), = nu.descent_path(descent, 5, 1)
+    assert lower == descent.steps[descent.level_zero(5)][0]
+    assert upper == descent.steps[descent.level_zero(6)][0]
+    assert sorted(descent._powers) == [0, 5, 6] and descent.shifts == {}
+    descent = nu.DescentContext(f, lift)
+    strength(f, lift, 5, 1, descent)
+    assert sorted(descent._powers) == [0, 5, 6] and descent.shifts == {}
