@@ -325,11 +325,11 @@ def _require_top_level(ctx, top, f, mode):
     """Refuse a top level at which max(deg f, 1)*p^(top+m) reaches 2^31.
 
     The top level describes f^(p^(top+m)); the walks build smaller powers,
-    f^a for a <= p^m and f^(p^m*k) for k < p, and the crosscheck's mod-p run
-    goes to level top+m over m=0. A constant f counts as degree 1, so every
-    count a run prints (at most the chain steps, below twice the window
-    p^(top+m)) stays below 2^32. As p^k >= 2^k, p^k is formed only below
-    k = 31."""
+    each once in their context's table: f^a for a <= p^m and f^(p^m*k) for
+    k < p, and the crosscheck's mod-p run goes to level top+m over m=0. A
+    constant f counts as degree 1, so every count a run prints (at most the
+    chain steps, below twice the window p^(top+m)) stays below 2^32. As
+    p^k >= 2^k, p^k is formed only below k = 31."""
     deg, k = max(f.degree(), 1), top + ctx.m
     if k >= 31 or deg * ctx.p**k >= EXPONENT_LIMIT:
         raise ConfigError(
@@ -370,7 +370,7 @@ def run(argv=None):
         if args.mode in ("roots", "bfunction", "crosscheck"):
             require_reconstruction_bound(ctx, top, args.den_bound, args.num_bound)
         _require_top_level(ctx, top, f, args.mode)
-    except (ConfigError, ExprError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and ExprError included
         return 2, _render_error(args, exc)
 
     config = {

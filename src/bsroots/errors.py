@@ -12,6 +12,6 @@ class InvariantError(AssertionError):
 class DegreeLimitError(ValueError):
     """A monomial would reach total degree 2^31, past the packed encoding.
 
-    A ``ValueError``, so the CLI refuses such input as a configuration error
-    with exit code 2.
+    A ``ValueError``: the CLI refuses it with exit code 2 while it parses
+    --poly and --lift, and exits 3 when an engine product raises it.
     """

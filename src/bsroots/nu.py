@@ -24,9 +24,10 @@ f^n is the completed level-1 descent of f^(p^m*k) times the basis of f^a
 one level down; level 0 is (f^a) itself. At a = 0, k = 1 the shift identity
 gives the end of every window in closed form, the wrap
 I_e(f^(p^(e+m))) = f^(p^m) * I_e(1) = (f^(p^m)). The only powers built are
-f^a, a <= p^m, and the shifts f^(p^m*k), 0 < k < p, each on first use:
-the walk uses every f^a, a query at one n (``descent_path``) f^a, f^(a+1)
-and, for its shifts, f^(p^m).
+f^a, a <= p^m, and the shifts f^(p^m*k), 0 < k < p, once each, on first
+use (``DescentContext.power``), the shift at k = 1 being the wrap's: the
+walk uses every f^a, a query at one n (``descent_path``) f^a, f^(a+1)
+and the shifts of the digits it steps by.
 
 A level is walked by its runs, the maximal stretches of n that share one
 basis, so a run ending at n is the jump n. One step per run one level down
@@ -132,41 +133,42 @@ class DescentContext:
     """The descent steps of one (f, lift), each taken once; a zerodivisor f
     is refused before any work, so no caller of a context checks f again.
 
-    Builds each level-0 basis (f^a,), a <= p^m (``level_zero``), the wrap
-    basis and each shift f^(p^m*k), 0 < k < p, under ``shifts[k]``, the
-    first time it is asked for. ``steps`` keeps every step taken for as long
-    as the context lives, as basis elements one level down -> {shift index
-    k: basis elements}, the digit transitions of the p-automatic view: a
-    repeated step returns the basis found the first time. Equal bases are
-    kept as one tuple, interned with their ``GroebnerBasis``, whose index a
-    step certified against that basis reuses. The step from the unit basis
-    at k = 0 is known from the start, as I_1((1)) = (1).
+    Builds each power f^n it is asked for once, in one table (``power``):
+    the level-0 bases (f^a,), a <= p^m, the wrap f^(p^m) and the shifts
+    f^(p^m*k), 0 < k < p, the shift at k = 1 being the wrap's. ``steps``
+    keeps every step taken for as long as the context lives, as basis
+    elements one level down -> {shift index k: basis elements}, the digit
+    transitions of the p-automatic view: a repeated step returns the basis
+    found the first time. Equal bases are kept as one tuple, interned with
+    their ``GroebnerBasis``, whose index a step certified against that basis
+    reuses. The step from the unit basis at k = 0 is known from the start,
+    as I_1((1)) = (1).
 
     ``coordinates`` keeps the level-1 coordinates of each (basis element g,
     shift index k) it formed, those of g * f^(p^m*k) or of g at k = 0, for
     as long as the context lives, which is one job: a step whose elements
     earlier steps used forms none of them again. A step from a tuple that is
     not an interned basis, a level-0 basis (f^a,), is taken at most once per
-    k, so it reads the coordinates that are held but keeps none it forms.
+    k, so it forms its coordinates and neither reads nor keeps any.
     """
 
     def __init__(self, f: Poly, lift: FrobeniusLift):
         require_nonzerodivisor(f)
         self.f, self.lift = f, lift
-        unit = (Poly.one(f.ctx, f.nvars),)  # I_1((1)) = (1): it descends to itself
-        self._powers = {0: unit}  # a -> (f^a,), built on first use
-        self.shifts = {}  # k -> f^(p^m*k), built on first use
+        one = Poly.one(f.ctx, f.nvars)
+        unit = (one,)  # I_1((1)) = (1): it descends to itself
+        self._powers = {0: one}  # n -> f^n, built on first use
         self.steps = {unit: {0: unit}}  # elements one level down -> {k: elements}
         self._interned = {unit: GroebnerBasis(f.ctx, f.nvars, unit)}  # tuple -> basis
         self._coordinates = {}  # (element, k) -> its coordinates, alpha ascending
 
-    def level_zero(self, a: int) -> tuple:
-        """The level-0 basis (f^a,), built the first time it is asked for:
-        f^(a-1) * f when that is held, else f ** a."""
-        if a not in self._powers:
-            below = self._powers.get(a - 1)
-            self._powers[a] = (below[0] * self.f if below else self.f**a,)
-        return self._powers[a]
+    def power(self, n: int) -> Poly:
+        """f^n, built the first time it is asked for: f^(n-1) * f when that
+        is held, else f ** n."""
+        if n not in self._powers:
+            below = self._powers.get(n - 1)
+            self._powers[n] = self.f**n if below is None else below * self.f
+        return self._powers[n]
 
     def _intern(self, gb) -> tuple:
         return self._interned.setdefault(gb.elements, gb).elements
@@ -174,7 +176,7 @@ class DescentContext:
     @cached_property
     def wrap(self) -> tuple:
         """Basis elements of (f^(p^m)), the last run of every level."""
-        top = IdealGens(self.level_zero(self.f.ctx.p**self.f.ctx.m))
+        top = IdealGens((self.power(self.f.ctx.p**self.f.ctx.m),))
         return self._intern(strong_groebner(top))
 
     def basis(self, elems: tuple) -> GroebnerBasis:
@@ -182,9 +184,7 @@ class DescentContext:
         return self._interned[elems]
 
     def _formed(self, g: Poly, k: int) -> tuple:
-        if k and k not in self.shifts:
-            self.shifts[k] = self.level_zero(self.f.ctx.p**self.f.ctx.m)[0] ** k
-        shifted = g * self.shifts[k] if k else g
+        shifted = g * self.power(self.f.ctx.p**self.f.ctx.m * k) if k else g
         return tuple(phi_decompose(shifted, self.lift).values())
 
     def coordinates(self, g: Poly, k: int) -> tuple:
@@ -205,11 +205,9 @@ class DescentContext:
         held = self.steps.setdefault(elems, {})
         done = held.get(k)
         if done is None:
-            if elems in self._interned:
-                coords = [c for g in elems for c in self.coordinates(g, k)]
-            else:  # (f^a,), stepped once per k: its coordinates are not kept
-                kept = self._coordinates.get
-                coords = [c for g in elems for c in kept((g, k)) or self._formed(g, k)]
+            # (f^a,), not interned, is stepped once per k: formed, not kept
+            formed = self.coordinates if elems in self._interned else self._formed
+            coords = [c for g in elems for c in formed(g, k)]
             gb = descent_basis(coords, self._interned.get(inside))
             done = held[k] = self._intern(gb)
         return done
@@ -246,7 +244,7 @@ def descent_runs(descent: DescentContext, top: int):
     already took is not taken again.
     """
     p, m = descent.f.ctx.p, descent.f.ctx.m
-    runs = [(a, descent.level_zero(a)) for a in range(p**m)]
+    runs = [(a, (descent.power(a),)) for a in range(p**m)]
     for e in range(1, top + 1):
         step = p ** (e - 1 + m)
         below = [run for run in runs if run[0] < step]
@@ -280,7 +278,7 @@ def descent_path(descent: DescentContext, n: int, top: int):
     holds for every a, so the carry at n+1 = p^(e+m) is no special case."""
     p = descent.f.ctx.p
     rest, a = divmod(n, p**descent.f.ctx.m)
-    lower, upper = descent.level_zero(a), descent.level_zero(a + 1)
+    lower, upper = (descent.power(a),), (descent.power(a + 1),)
     for e in range(1, top + 1):
         rest, k = divmod(rest, p)
         lower, upper = descent.step(lower, k), descent.step(upper, k)

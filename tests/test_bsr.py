@@ -6,6 +6,7 @@ the descent chains before the pipeline existed. Monomial cases are checked
 against the independent floor-arithmetic oracle.
 """
 
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -24,6 +25,7 @@ from bsroots import (
 )
 from bsroots import bsr, nu
 from bsroots.bsr import _default_top_level, crosscheck_mod_p
+from bsroots.cli import run as cli_run
 from bsroots.errors import InvariantError
 from bsroots.groebner import GroebnerBasis
 from bsroots.padic import PAdicRational
@@ -152,6 +154,21 @@ def test_default_top_level():
     assert _default_top_level(2, 0, 50, 100) == 15
 
 
+def test_detect_roots_defaults_to_the_cli_top_level():
+    """Without ``top_level`` detect_roots walks to the CLI's default level of
+    --mode=roots at the same bounds, and finds the roots that run prints:
+    on the README example, level 9 at the default bounds 50 and 100."""
+    f, lift = _setup(3, 1, {(2, 0): 1, (0, 1): 3}, 2)
+    rep = detect_roots(f, lift)
+    code, text = cli_run(["--p=3", "--m=1", "--vars=x,y", "--poly=x^2 + 3*y",
+                          "--mode=roots", "--format=structured"])
+    doc = json.loads(text)
+    assert code == 0 and rep.verified_to_level == doc["verified_to_level"] == 9
+    got = [(str(e.alpha.frac), e.residue) for e in rep.roots]
+    assert got == [(r["fraction"], r["residue"]) for r in doc["roots"]]
+    assert list(rep.unresolved) == doc["unresolved"]
+
+
 def test_reconstruction_guard_and_bounds():
     f, lift = _setup(2, 1, {(1, 0): 1, (0, 1): 2}, 2)
     with pytest.raises(ValueError, match="must exceed"):
@@ -219,6 +236,44 @@ def test_crosscheck_all_three_examples():
         assert not bsr.CrosscheckResult(cc.report, cc.report_mod_p, ("engineered",)).ok
         negatives = {e.alpha.frac for e in cc.report.roots if e.alpha.frac < 0}
         assert negatives == {e.alpha.frac for e in cc.report_mod_p.roots}
+
+
+@pytest.mark.parametrize(
+    "ours, mod_p, want",
+    [
+        ({"-1/2", "1/2"}, {"-1/2"}, ()),
+        ({"-1/2"}, {"-1/2", "-3/2"}, ("negative",)),
+        ({"-1/2", "1/4"}, {"-1/2", "-3/4"}, ("negative", "positive")),
+        ({"-1/2", "1/4"}, {"-1/2"}, ("positive", "modulo Z")),
+    ],
+)
+def test_crosscheck_names_each_mismatch(monkeypatch, ours, mod_p, want):
+    """Crafted root sets over V and mod p, the two reports crosscheck_mod_p
+    asks ``bfunction_report`` for at m = 1, give exactly the mismatches
+    their roots break, in order, each with its message."""
+    f, lift = _setup(3, 1, {(2, 0): 1, (0, 1): 3}, 2)
+
+    def report(fracs):
+        roots = tuple(
+            bsr.RootEntry(PAdicRational(3, Fraction(a)), 0)
+            for a in sorted(map(Fraction, fracs))
+        )
+        return bsr.RootReport(3, 1, 4, 10, 10, roots, (), ())
+
+    reports = [report(ours), report(mod_p)]
+    monkeypatch.setattr(bsr, "bfunction_report", lambda *args: reports.pop(0))
+    messages = {
+        "negative": "negative roots {} != mod-p roots {}".format(
+            sorted(Fraction(a) for a in ours if a.startswith("-")),
+            sorted(map(Fraction, mod_p)),
+        ),
+        "positive": "positive root 1/4 is not an integer translate",
+        "modulo Z": "root sets differ modulo Z",
+    }
+    cc = crosscheck_mod_p(f, lift, 4, 10, 10)
+    assert not reports
+    assert cc.mismatches == tuple(messages[name] for name in want)
+    assert cc.ok == (want == ())
 
 
 def test_strength_of_x_squared_against_classical_b():

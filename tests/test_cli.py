@@ -192,6 +192,16 @@ CONFIG_ERRORS = [
     ["--p=2", "--m=1", "--vars=x", "--poly=x", "--mode=nu", "--lift", "y:x"],
     ["--p=2", "--m=1", "--vars=x", "--poly=x", "--mode=nu", "--lift", "x"],
 ]
+# argvs whose message is pinned, each also a case of CONFIG_ERRORS
+CONFIG_MESSAGES = [
+    (["--p=2", "--m=1", "--vars=1x", "--poly=1", "--mode=nu"],
+     "bad variable name '1x'"),
+    (["--p=2", "--m=1", "--vars=x-y", "--poly=1", "--mode=nu"],
+     "bad variable name 'x-y'"),
+    (["--p=2", "--m=1", "--vars=x", "--poly=x", "--mode=nu", "--lift=x:x",
+      "--lift=x:1"], "duplicate lift entry for 'x'"),
+]
+CONFIG_ERRORS += [argv for argv, _ in CONFIG_MESSAGES]
 
 
 @pytest.mark.parametrize("argv", CONFIG_ERRORS)
@@ -199,6 +209,21 @@ def test_config_errors_exit_2(argv):
     code, text = run(argv)
     assert code == 2
     assert "error" in text
+
+
+@pytest.mark.parametrize("argv, message", CONFIG_MESSAGES)
+def test_config_error_messages(argv, message):
+    assert run(argv) == (2, f"error: {message}")
+
+
+def test_roots_text_without_survivors():
+    """f = 1 has no jump at any level, so no residue survives."""
+    code, text = run(["--p=3", "--m=1", "--vars=x", "--poly=1", "--mode=roots",
+                      "--max-level=4", "--den-bound=5", "--num-bound=5"])
+    assert code == 0
+    assert text.splitlines() == [
+        "p=3 m=1 f=1", "verified to level 4", "no surviving residues",
+    ]
 
 
 def test_config_error_structured_shape():
@@ -371,6 +396,19 @@ def test_degrees_from_2_to_the_31_exit_2_before_work(monkeypatch):
         error = json.loads(text)["error"]
         assert error["type"] == "DegreeLimitError", argv
         assert "2^31" in error["message"], argv
+
+
+def test_degree_limit_in_an_engine_product_exits_3():
+    """A lift correction x^(2^30) parses, but the run's products reach
+    degree 2^31: the engine raises ``DegreeLimitError``, and as the input
+    was accepted the run exits 3, not 2."""
+    code, text = run(["--p=2", "--m=1", "--vars=x,y", "--poly=x^3+y",
+                      "--lift=x:x^1073741824", "--mode=nu", "--max-level=1",
+                      "--format=structured"])
+    assert code == 3
+    error = json.loads(text)["error"]
+    assert error["type"] == "DegreeLimitError"
+    assert "2^31" in error["message"]
 
 
 def test_nu_mode_past_degree_2_to_the_31_exits_2_before_work(monkeypatch):

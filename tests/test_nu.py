@@ -383,7 +383,7 @@ def _level_one_steps(name, k):
     ctx, f = ANCHORS[name]
     descent = nu.DescentContext(f, FrobeniusLift.standard(ctx, f.nvars))
     q = ctx.p**ctx.m
-    return descent, [descent.step(descent.level_zero(a), k) for a in range(q)]
+    return descent, [descent.step((descent.power(a),), k) for a in range(q)]
 
 
 def test_certified_step_returns_the_upper_basis_without_completing(monkeypatch):
@@ -392,7 +392,7 @@ def test_certified_step_returns_the_upper_basis_without_completing(monkeypatch):
     that interned tuple itself, and no completion runs."""
     descent, bases = _level_one_steps("three-vars", 0)
     assert bases[1] == bases[2]
-    below = descent.level_zero(1)
+    below = (descent.power(1),)
     del descent.steps[below][0]
     monkeypatch.setattr(nu, "strong_groebner", _no_completion)
     assert descent.step(below, 0, bases[2]) is bases[2]
@@ -407,8 +407,8 @@ def test_uncertified_step_completes_from_scratch():
     for a in range(len(bases) - 1):
         if bases[a] == bases[a + 1]:
             continue
-        below = descent.level_zero(a)
-        shifted = [g * descent.shifts[1] for g in below]
+        below = (descent.power(a),)
+        shifted = [g * descent.power(f.ctx.p**f.ctx.m) for g in below]
         gens = level_one_generators(shifted, descent.lift)
         upper = GroebnerBasis(f.ctx, f.nvars, bases[a + 1])
         assert not all(map(upper.contains, gens.gens)), a
@@ -443,11 +443,11 @@ def test_step_generators_are_the_cartier_generators_of_the_shifted_elements(name
 
 def test_repeated_coordinates_are_read_back_not_formed(monkeypatch):
     """A (g, k) asked for again returns the tuple formed the first time,
-    and a step taken again completes from the held coordinates, with
-    ``phi_decompose`` unable to run."""
+    and a step from an interned basis taken again completes from the held
+    coordinates, with ``phi_decompose`` unable to run."""
     f, (std, bent) = _anchor_lifts("groebner-p2")
     descent = nu.DescentContext(f, bent)
-    below = descent.level_zero(1)
+    below = descent.step((descent.power(1),), 1)
     formed = [descent.coordinates(g, k) for g in below for k in (0, 1)]
     basis = descent.step(below, 1)
 
@@ -472,10 +472,26 @@ def test_level_zero_coordinates_are_not_held(name):
     for lift in lifts:
         descent = nu.DescentContext(f, lift)
         nu_levels(f, lift, 3, descent)
-        powers = [descent.level_zero(a) for a in range(1, q + 1)]
+        powers = [(descent.power(a),) for a in range(1, q + 1)]
         assert any(descent.steps.get(power) for power in powers)
         in_bases = {g for elems in descent._interned for g in elems}
         assert {g for g, _ in descent._coordinates} <= in_bases
+
+
+def test_a_level_zero_step_reads_no_held_coordinates():
+    """A step from (f^a,), not an interned basis, forms the coordinates of
+    f^a * f^(p^m*k) itself: a wrong entry held for (f^a, k) is not read,
+    and the step is the descent of what ``_formed`` gives, here a proper
+    ideal where the wrong entry, the unit, would give (1)."""
+    f, (std, bent) = _anchor_lifts("groebner-p2")
+    descent = nu.DescentContext(f, bent)
+    below = (descent.power(1),)
+    assert below not in descent._interned
+    one = descent.power(0)
+    descent._coordinates[below[0], 1] = (one,)
+    want = nu.descent_basis(descent._formed(below[0], 1)).elements
+    assert descent.step(below, 1) == want != (one,)
+    assert descent._coordinates[below[0], 1] == (one,)
 
 
 def _no_completion(*args):
@@ -513,17 +529,20 @@ def test_context_refuses_another_f_or_lift():
 
 def test_context_builds_only_the_shifts_its_steps_use():
     """At p=101 the walk of x over Z/101 to level 2 completes steps by a
-    few shift indices k only, so the context builds those shifts f^(p^m*k)
-    and not all 100."""
+    few shift indices k only, so the context's powers are the unit, the
+    wrap f^(p^m) = x and the shifts f^(p^m*k) = x^k of those k, and not
+    all 100 shifts."""
     ctx = ChainRingCtx(101, 0)
     x = Poly.variable(ctx, 1, 0)
     lift = FrobeniusLift.standard(ctx, 1)
     descent = nu.DescentContext(x, lift)
-    assert descent.shifts == {}
+    assert sorted(descent._powers) == [0]
     assert nu_levels(x, lift, 2, descent) == nu_levels(x, lift, 2)
-    assert 0 < len(descent.shifts) < 10
-    for k, shift in descent.shifts.items():
-        assert 0 < k < 101 and shift == x**k
+    used = {k for held in descent.steps.values() for k in held if k}
+    assert 0 < len(used) < 10
+    assert descent._powers.keys() == {0, 1} | used
+    for n, power in descent._powers.items():
+        assert 0 <= n < 101 and power == x**n
 
 
 @pytest.mark.parametrize("name", ["1", "x"])
@@ -632,9 +651,9 @@ def test_a_point_query_builds_only_the_powers_it_steps_from():
     f, lift = x**2 + y**3, FrobeniusLift.standard(ctx, 2)
     descent = nu.DescentContext(f, lift)
     (_, lower, upper), = nu.descent_path(descent, 5, 1)
-    assert lower == descent.steps[descent.level_zero(5)][0]
-    assert upper == descent.steps[descent.level_zero(6)][0]
-    assert sorted(descent._powers) == [0, 5, 6] and descent.shifts == {}
+    assert lower == descent.steps[(descent.power(5),)][0]
+    assert upper == descent.steps[(descent.power(6),)][0]
+    assert sorted(descent._powers) == [0, 5, 6]
     descent = nu.DescentContext(f, lift)
     strength(f, lift, 5, 1, descent)
-    assert sorted(descent._powers) == [0, 5, 6] and descent.shifts == {}
+    assert sorted(descent._powers) == [0, 5, 6]

@@ -13,6 +13,8 @@ def test_frozen_digits_and_truncations():
     assert a.digits(3) == [1, 1, 1]
     assert a.truncate_below(3) == 13
     assert PAdicRational(3, 13).truncate_below(2) == 4
+    with pytest.raises(ValueError, match="negative digit count"):
+        a.truncate_below(-1)
 
 
 def test_truncation_identity():

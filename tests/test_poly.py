@@ -360,6 +360,17 @@ def test_mixed_rings_are_refused():
                 phi_decompose(f, lift)
     with pytest.raises(ValueError, match="mixed polynomial rings"):
         nu_set(x9**2, lifts[0], 1)
+    for g in (x9, xy):
+        with pytest.raises(ValueError, match="mixed polynomial rings"):
+            x4 + g
+        with pytest.raises(ValueError, match="mixed polynomial rings"):
+            x4 * g
+        with pytest.raises(ValueError, match="mixed polynomial rings"):
+            IdealGens([x4, g])
+        with pytest.raises(ValueError, match="correction in wrong ring"):
+            FrobeniusLift(Z4, 1, [g])
+    with pytest.raises(ValueError, match="one correction slot per variable"):
+        FrobeniusLift(Z4, 2, [x4])
 
 
 small_coeff = st.integers(min_value=0, max_value=8)
@@ -519,3 +530,8 @@ def test_public_entry_points_validate_exponents():
     for bad in ((1,), (1, 0, 0), (1, -1)):
         with pytest.raises(ValueError, match="bad exponent tuple"):
             Poly(Z9, 2, {bad: 1})
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match="variable index out of range"):
+            Poly.variable(Z9, 2, index)
+    with pytest.raises(ValueError, match="negative power"):
+        Poly.variable(Z9, 2, 0) ** -1
